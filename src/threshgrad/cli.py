@@ -586,9 +586,9 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[int, dict]:
     x_bar = conditioning.polish(problem, trace.x_final, tol=cfg.polish_tol)
     f_star = problem.objective(x_bar)
     if cfg.fejer:
-        # rerun to record per-iteration distances to the polished point
-        trace = solver.run(problem, solver_cfg, reference=x_bar)
+        trace.set_reference(x_bar)
     solver.write_trace_csv(trace, paths["trace"], f_star)
+    rows = trace.support_rows()
 
     audits: dict = {}
     warnings: list = []
@@ -606,6 +606,17 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[int, dict]:
         "f_final": float(trace.objectives[-1]),
         "x_bar": [float(v) for v in x_bar],
         "artifacts": {"trace": str(paths["trace"])},
+        "diagnostics": {
+            "solves": 1,
+            "matvecs_per_iteration": 2,
+            "support_changes": sum(
+                not np.array_equal(a, b) for a, b in zip(rows, rows[1:])
+            ),
+            "iterate_log_bytes": sum(
+                a.nbytes for a in (trace.offsets, trace.indices, trace.values)
+            ),
+            "fejer_distances": "iterate log" if cfg.fejer else "off",
+        },
     }
 
     if cfg.support_audit:
@@ -619,15 +630,8 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[int, dict]:
                 report.identification_bound
             )
         audits["support"] = "pass" if ok else "fail"
-        summary["support"] = {
-            "supp": list(report.supp),
-            "esupp": list(report.esupp),
-            "rho_sol": None if math.isinf(report.rho_sol) else report.rho_sol,
-            "identification_bound": report.identification_bound,
-            "observed_violations": report.observed_violations,
-            "identification_iteration": report.identification_iteration,
-            "qualification_holds": report.qualification_holds,
-        }
+        summary["support"] = support.report_to_dict(report)
+        del summary["support"]["active_constraints"], summary["support"]["dual_point"]
         if cfg.source == "files" and problem.n - 1 in report.esupp:
             # only user data can be a truncation of a larger problem;
             # builtins and synthetic instances are intrinsically finite

@@ -20,9 +20,6 @@ __all__ = [
     "DiagonalOperator",
     "IdentityOperator",
     "LeastSquaresTerm",
-    "apply",
-    "adjoint_apply",
-    "gradient",
     "operator_norm_sq",
     "read_dense_matrix",
     "read_vector",
@@ -106,14 +103,6 @@ class IdentityOperator(LinearOperator):
         return self._check_codomain(u).copy()
 
 
-def apply(op: LinearOperator, x: np.ndarray) -> np.ndarray:
-    return op.apply(x)
-
-
-def adjoint_apply(op: LinearOperator, u: np.ndarray) -> np.ndarray:
-    return op.adjoint_apply(u)
-
-
 def operator_norm_sq(
     op: LinearOperator, tol: float = 1e-9, max_iter: int = 5000
 ) -> float:
@@ -178,12 +167,12 @@ class LeastSquaresTerm:
         r = self.op.apply(x) - self.y
         return 0.5 * float(r @ r)
 
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        return self.op.adjoint_apply(self.op.apply(x) - self.y)
-
-
-def gradient(h: LeastSquaresTerm, x: np.ndarray) -> np.ndarray:
-    return h.gradient(x)
+    def gradient(self, x: np.ndarray, with_value: bool = False):
+        """A^T r with r = Ax - y; with ``with_value`` the pair (A^T r, h(x)),
+        h(x) taken from the same r, so two matvecs either way."""
+        r = self.op.apply(x) - self.y
+        grad = self.op.adjoint_apply(r)
+        return (grad, 0.5 * float(r @ r)) if with_value else grad
 
 
 # ---------------------------------------------------------------------------

@@ -5,15 +5,15 @@ The iteration is
     x^{n+1} = prox_{lam*g}(x^n - lam*grad_h(x^n)),   lam in (0, 2/L),
 
 stopped when the fixed-point residual ||x - fb_step(x)|| / lam falls below a
-tolerance.  Supports are recorded as exact index sets: the soft-thresholder
-produces exact zeros, so support identification is observable without any
-magnitude heuristics.
+tolerance.  Recorded iterates are logged by their nonzeros: the
+soft-thresholder produces exact zeros, so supports are exact index sets and
+support identification is observable without any magnitude heuristics.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -31,18 +31,16 @@ __all__ = [
     "write_trace_csv",
 ]
 
-# past this many recorded rows, exact support sets are dropped and only
-# sizes are kept; identification audits need the exact sets
-SUPPORT_STORE_LIMIT = 1_000_000
-
-
 @dataclass(frozen=True, eq=False)
 class Problem:
     """min f = g + h with separable g and smooth h.
 
-    ``h`` must expose ``value(x)``, ``gradient(x)`` and ``lipschitz``; a
-    `LeastSquaresTerm` does, and any other smooth oracle with the same
-    surface works too.
+    ``h`` is a smooth oracle with ``value(x)``, ``gradient(x,
+    with_value=False)`` and ``lipschitz``.  ``gradient`` returns the
+    gradient, or with ``with_value=True`` the pair (gradient, h(x)) at the
+    cost of the gradient alone; the solver records objectives from that
+    pair.  A `LeastSquaresTerm` has this surface, and any other smooth
+    oracle with it works too.
     """
 
     g: SeparableRegularizer
@@ -100,15 +98,19 @@ class SolverConfig:
 class IterateTrace:
     """Per-iteration record of one forward-backward run.
 
-    supports hold exact index tuples (or None past SUPPORT_STORE_LIMIT);
-    dists are distances to the reference point when one was supplied.
+    Recorded iterates are logged by their nonzeros, CSR-style: row i holds
+    ``values[offsets[i]:offsets[i+1]]`` at the coordinates
+    ``indices[offsets[i]:offsets[i+1]]``.  Supports, support sizes and dense
+    iterates are views over this log.  dists are distances to the reference
+    point when one was set.
     """
 
     ns: np.ndarray
     objectives: np.ndarray
     residuals: np.ndarray
-    supports: list
-    supp_sizes: np.ndarray
+    offsets: np.ndarray  # int64, one more than the number of rows
+    indices: np.ndarray  # int32, ascending within a row
+    values: np.ndarray
     dists: Optional[np.ndarray]
     x_final: np.ndarray
     x0: np.ndarray
@@ -119,7 +121,39 @@ class IterateTrace:
     record_every: int
     wall_time: float
     reference: Optional[np.ndarray] = None
-    iterates: Optional[list] = None
+
+    def support_rows(self) -> list:
+        """Exact support of each recorded iterate, as a view into the log."""
+        return np.split(self.indices, self.offsets[1:-1])
+
+    @property
+    def supports(self) -> list:
+        """Exact support of each recorded iterate, as an index tuple."""
+        return [tuple(k.tolist()) for k in self.support_rows()]
+
+    @property
+    def supp_sizes(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    @property
+    def iterates(self):
+        """The recorded iterates, rebuilt densely one at a time."""
+        for a, b in zip(self.offsets[:-1], self.offsets[1:]):
+            x = np.zeros(len(self.x0))
+            x[self.indices[a:b]] = self.values[a:b]
+            yield x
+
+    def distances_to(self, reference: np.ndarray) -> np.ndarray:
+        """||x - reference|| for every recorded iterate x."""
+        reference = np.asarray(reference, dtype=float)
+        if reference.shape != self.x0.shape:
+            raise ValueError("reference shape mismatch")
+        return np.array([np.linalg.norm(x - reference) for x in self.iterates])
+
+    def set_reference(self, reference: np.ndarray) -> None:
+        """Record the distance of every logged iterate to ``reference``."""
+        self.dists = self.distances_to(reference)
+        self.reference = np.asarray(reference, dtype=float)
 
     def check_descent(self, slack: float = 1e-12) -> bool:
         """Objective nonincreasing along recorded rows, up to ``slack``."""
@@ -127,21 +161,22 @@ class IterateTrace:
         return bool(np.all(d <= slack))
 
 
-def fb_step(problem: Problem, lam: float, x: np.ndarray) -> np.ndarray:
-    """One forward-backward step prox_{lam*g}(x - lam*grad_h(x))."""
-    grad = problem.h.gradient(x)
+def fb_step(problem: Problem, lam: float, x: np.ndarray, with_value: bool = False):
+    """One forward-backward step prox_{lam*g}(x - lam*grad_h(x)).
+
+    With ``with_value`` returns (step, h(x)), both from one gradient call.
+    """
+    out = problem.h.gradient(x, with_value=with_value)
+    grad = out[0] if with_value else out
     if not np.all(np.isfinite(grad)):
         raise RuntimeError("non-finite gradient; check problem data")
-    return prox_separable(x - lam * grad, lam, problem.g)
+    x_next = prox_separable(x - lam * grad, lam, problem.g)
+    return (x_next, out[1]) if with_value else x_next
 
 
 def fixed_point_residual(problem: Problem, lam: float, x: np.ndarray) -> float:
     """||x - fb_step(x)|| / lam; vanishes exactly at minimizers."""
     return float(np.linalg.norm(x - fb_step(problem, lam, x))) / lam
-
-
-def _support_tuple(x: np.ndarray) -> tuple:
-    return tuple(int(k) for k in np.flatnonzero(x))
 
 
 def run(
@@ -156,44 +191,36 @@ def run(
     Returns the first iterate whose own residual is below tolerance, so the
     residual reported for the final point is genuinely its fixed-point
     residual.  Rows are recorded every ``record_every`` iterations plus
-    always the final one.
+    always the final one.  Every recorded iterate is kept in the trace's
+    log, so ``keep_iterates`` changes nothing; with ``reference`` the
+    distances to it are set after the run.
     """
     lam, x = config.resolve(problem)
     x0 = x.copy()
-    if reference is not None:
-        reference = np.asarray(reference, dtype=float)
-        if reference.shape != (problem.n,):
-            raise ValueError("reference shape mismatch")
     t0 = time.perf_counter()
     ns: list = []
     objectives: list = []
     residuals: list = []
-    supports: list = []
-    supp_sizes: list = []
-    dists: list = []
-    iterates: list = []
+    nonzeros: list = []
+    values: list = []
 
-    def record(n, x, res):
+    def record(n, x, hx, res):
         ns.append(n)
-        objectives.append(problem.objective(x))
+        objectives.append(float(hx) + g_value(x, problem.g))
         residuals.append(res)
-        supp = _support_tuple(x)
-        supp_sizes.append(len(supp))
-        supports.append(supp if len(supports) < SUPPORT_STORE_LIMIT else None)
-        if reference is not None:
-            dists.append(float(np.linalg.norm(x - reference)))
-        if keep_iterates:
-            iterates.append(x.copy())
+        nz = np.flatnonzero(x)
+        nonzeros.append(nz)
+        values.append(x[nz])
 
     converged = False
     n = 0
     while True:
-        x_next = fb_step(problem, lam, x)
+        x_next, hx = fb_step(problem, lam, x, with_value=True)
         if not np.all(np.isfinite(x_next)):
             raise RuntimeError(f"non-finite iterate at iteration {n}")
         res = float(np.linalg.norm(x - x_next)) / lam
         if n % config.record_every == 0:
-            record(n, x, res)
+            record(n, x, hx, res)
         if res <= config.residual_tol:
             converged = True
             break
@@ -202,15 +229,16 @@ def run(
         x = x_next
         n += 1
     if ns[-1] != n:  # always include the final iterate
-        record(n, x, res)
+        record(n, x, hx, res)
 
-    return IterateTrace(
+    trace = IterateTrace(
         ns=np.array(ns, dtype=np.int64),
         objectives=np.array(objectives, dtype=float),
         residuals=np.array(residuals, dtype=float),
-        supports=supports,
-        supp_sizes=np.array(supp_sizes, dtype=np.int64),
-        dists=np.array(dists, dtype=float) if reference is not None else None,
+        offsets=np.cumsum([0] + [len(nz) for nz in nonzeros], dtype=np.int64),
+        indices=np.concatenate(nonzeros, dtype=np.int32),
+        values=np.concatenate(values),
+        dists=None,
         x_final=x.copy(),
         x0=x0,
         lam=lam,
@@ -219,9 +247,10 @@ def run(
         final_residual=res,
         record_every=config.record_every,
         wall_time=time.perf_counter() - t0,
-        reference=reference,
-        iterates=iterates if keep_iterates else None,
     )
+    if reference is not None:
+        trace.set_reference(reference)
+    return trace
 
 
 def fejer_check(
@@ -229,23 +258,18 @@ def fejer_check(
 ) -> bool:
     """Whether ||x^{n+1} - ref|| <= ||x^n - ref|| + slack along the trace.
 
-    Needs record_every = 1 (sparse recordings cannot certify monotonicity)
-    and either kept iterates or distances recorded against the same
-    reference.
+    Needs record_every = 1 (sparse recordings cannot certify monotonicity).
+    A trace whose distances were set against one reference is audited
+    against that reference only.
     """
     if trace.record_every != 1:
         raise ValueError("fejer_check needs a trace recorded with record_every=1")
-    reference = np.asarray(reference, dtype=float)
-    if trace.iterates is not None:
-        d = np.array([np.linalg.norm(x - reference) for x in trace.iterates])
-    elif trace.dists is not None:
-        if trace.reference is None or not np.array_equal(trace.reference, reference):
-            raise ValueError(
-                "trace distances were recorded against a different reference"
-            )
+    if trace.reference is None:
+        d = trace.distances_to(reference)
+    elif np.array_equal(trace.reference, reference):
         d = trace.dists
     else:
-        raise ValueError("trace carries neither iterates nor distances")
+        raise ValueError("trace distances were set against a different reference")
     return bool(np.all(np.diff(d) <= slack))
 
 
@@ -257,11 +281,12 @@ def write_trace_csv(trace: IterateTrace, path, f_star: float) -> None:
     """
     lines = ["n,f_gap,residual,supp_size,dist_to_ref"]
     have_d = trace.dists is not None
+    sizes = trace.supp_sizes
     for i in range(len(trace.ns)):
         d = repr(float(trace.dists[i])) if have_d else ""
         lines.append(
             f"{int(trace.ns[i])},{repr(float(trace.objectives[i] - f_star))},"
-            f"{repr(float(trace.residuals[i]))},{int(trace.supp_sizes[i])},{d}"
+            f"{repr(float(trace.residuals[i]))},{int(sizes[i])},{d}"
         )
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -135,25 +135,18 @@ def identification_audit(
     """
     if trace.record_every != 1:
         raise ValueError("identification audit needs record_every=1")
-    target = set(esupp)
-    violations = 0
-    last_violation = None
-    for i, n in enumerate(trace.ns):
-        if n < 1:
-            continue
-        supp = trace.supports[i]
-        if supp is None:
-            raise ValueError(
-                "trace dropped exact supports (memory guard); cannot audit"
-            )
-        if not set(supp) <= target:
-            violations += 1
-            last_violation = int(n)
-    if last_violation is None:
+    # one pass over the logged nonzeros: a row escapes when any of its
+    # indices lies outside esupp
+    outside = ~np.isin(trace.indices, np.asarray(esupp, dtype=np.int64))
+    row_of = np.repeat(np.arange(len(trace.ns)), np.diff(trace.offsets))
+    escaped = np.bincount(row_of[outside], minlength=len(trace.ns)) > 0
+    violating = trace.ns[escaped & (trace.ns >= 1)]
+    if not len(violating):
         return 0, 1
+    last_violation = int(violating[-1])
     if last_violation == int(trace.ns[-1]):
-        return violations, None
-    return violations, last_violation + 1
+        return len(violating), None
+    return len(violating), last_violation + 1
 
 
 def dual_point(problem: Problem, x: np.ndarray) -> np.ndarray:

@@ -77,10 +77,10 @@ def _run_instance(seed: int) -> BatchRun:
 
     problem = generate_synthetic(20, 50, seed)
     config = SolverConfig(max_iter=100_000, residual_tol=1e-10, record_every=1)
-    first = run(problem, config)
-    x_bar = polish(problem, first.x_final, tol=1e-12)
+    trace = run(problem, config)
+    x_bar = polish(problem, trace.x_final, tol=1e-12)
     f_star = problem.objective(x_bar)
-    trace = run(problem, config, reference=x_bar)
+    trace.set_reference(x_bar)
     report = build_support_report(problem, trace, x_bar)
     rate = fit_rate(trace, f_star)
     return BatchRun(seed, problem, trace, x_bar, f_star, report, rate)

@@ -276,6 +276,59 @@ seed = 5
     assert artifacts[0] == artifacts[1]
 
 
+def _counting(monkeypatch, owner, name="run"):
+    """Replace ``owner.name`` by a wrapper that counts its calls."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("reference"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_run_experiment_solves_once_with_fejer(tmp_path, monkeypatch):
+    from threshgrad import solver
+
+    # polish calls the solver through its own binding, so only the solves
+    # made by run_experiment itself are counted
+    calls = _counting(monkeypatch, solver)
+    text = "[problem]\nsource = synthetic\nm = 12\nn = 30\nseed = 5\n"
+    cfg = parse_experiment_config(
+        write_config(tmp_path, text + f"[output]\ndir = {tmp_path / 'out'}\n")
+    )
+    assert cfg.fejer
+    code, summary = run_experiment(cfg)
+    assert code == 0
+    assert summary["audits"]["fejer"] == "pass"
+    assert calls == [None]
+    diag = summary["diagnostics"]
+    assert diag["solves"] == 1
+    assert diag["matvecs_per_iteration"] == 2
+    assert diag["fejer_distances"] == "iterate log"
+    assert diag["support_changes"] > 0
+    assert diag["iterate_log_bytes"] > 0
+    rows = (tmp_path / "out" / "run_trace.csv").read_text().splitlines()[1:]
+    assert all(row.split(",")[4] for row in rows)  # every distance written
+
+
+def test_identification_batch_solves_once_per_seed(monkeypatch):
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "scripts" / "identification_batch.py"
+    spec = importlib.util.spec_from_file_location("identification_batch", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    calls = _counting(monkeypatch, script)
+    row = script.audit_seed(0, 20, 50)
+    assert calls == [None]
+    assert row["violations"] <= row["budget"]
+    assert row["regime"] == "linear"
+
+
 def test_run_from_config_echo_reproduces_trace(tmp_path):
     text = f"""\
 [problem]

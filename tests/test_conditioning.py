@@ -57,8 +57,9 @@ def gap_trace(gaps, f_star=0.0, start_n=1):
         ns=ns,
         objectives=f_star + gaps,
         residuals=np.zeros(k),
-        supports=[()] * k,
-        supp_sizes=np.zeros(k, dtype=np.int64),
+        offsets=np.zeros(k + 1, dtype=np.int64),
+        indices=np.zeros(0, dtype=np.int32),
+        values=np.zeros(0),
         dists=None,
         x_final=np.zeros(1),
         x0=np.zeros(1),

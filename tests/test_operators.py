@@ -2,6 +2,8 @@ import gzip
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from threshgrad.operators import (
     DenseOperator,
@@ -134,6 +136,27 @@ def test_gradient_matches_finite_differences():
             e[k] = eps
             fd = (h.value(x + e) - h.value(x - e)) / (2 * eps)
             assert grad[k] == pytest.approx(fd, rel=1e-5, abs=1e-7)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.integers(1, 7),
+    n=st.integers(1, 7),
+    seed=st.integers(0, 2**32 - 1),
+    scales=st.tuples(*[st.integers(-150, 150)] * 3),
+)
+def test_fused_gradient_and_value_are_bitwise_the_separate_ones(m, n, seed, scales):
+    rng = np.random.default_rng(seed)
+    a, y, x = (
+        rng.standard_normal(shape) * 10.0**e
+        for shape, e in zip(((m, n), m, n), scales)
+    )
+    h = LeastSquaresTerm(DenseOperator(a), y, lipschitz=1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        grad, value = h.gradient(x, with_value=True)
+        want_grad, want_value = h.gradient(x), h.value(x)
+    assert grad.tobytes() == want_grad.tobytes()
+    assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
 
 
 def test_least_squares_validation():

@@ -212,11 +212,13 @@ def test_fejer_check_rejects_mismatched_reference():
         fejer_check(trace, np.array([1.0]))
 
 
-def test_fejer_check_needs_distances_or_iterates():
+def test_fejer_check_reads_distances_from_the_iterate_log():
     p = scalar_problem()
     trace = run(p, SolverConfig(lam=0.5, x0=np.array([1.0])))
-    with pytest.raises(ValueError):
-        fejer_check(trace, np.array([0.0]))
+    assert trace.dists is None
+    assert fejer_check(trace, np.array([0.0]))
+    # distances to x0 = 1 grow along the run
+    assert not fejer_check(trace, np.array([1.0]))
 
 
 def test_fejer_holds_against_any_minimizer_of_the_segment():
@@ -267,3 +269,61 @@ def test_trace_csv_deterministic_across_runs(tmp_path):
         write_trace_csv(trace, path, f_star=0.0)
         paths.append(path.read_bytes())
     assert paths[0] == paths[1]
+
+
+# ---------------------------------------------------------------------------
+# iterate log and the fused oracle
+
+
+def test_iterate_log_reproduces_the_dense_iterates():
+    p = random_problem(4)
+    cfg = SolverConfig(max_iter=300, residual_tol=1e-9)
+    trace = run(p, cfg)
+    lam, x = cfg.resolve(p)
+    want = [x]
+    for _ in range(trace.n_iterations):
+        want.append(fb_step(p, lam, want[-1]))
+    got = list(trace.iterates)
+    assert len(got) == len(want) == len(trace.ns)
+    for g, x in zip(got, want):
+        assert g.tobytes() == (x + 0.0).tobytes()  # -0.0 is logged as 0.0
+    assert trace.supports == [tuple(np.flatnonzero(x).tolist()) for x in want]
+    assert np.array_equal(trace.supp_sizes, [np.count_nonzero(x) for x in want])
+    assert trace.indices.dtype == np.int32
+    assert trace.offsets[-1] == len(trace.indices) == len(trace.values)
+
+
+def test_distances_to_matches_dense_norms_bitwise():
+    p = random_problem(9)
+    trace = run(p, SolverConfig(max_iter=500, residual_tol=1e-9))
+    r = np.random.default_rng(0).standard_normal(p.n)
+    want = np.array([np.linalg.norm(x - r) for x in trace.iterates])
+    assert trace.distances_to(r).tobytes() == want.tobytes()
+    with_ref = run(p, SolverConfig(max_iter=500, residual_tol=1e-9), reference=r)
+    assert with_ref.dists.tobytes() == want.tobytes()
+    with pytest.raises(ValueError):
+        trace.distances_to(np.zeros(p.n + 1))
+
+
+def test_run_does_two_matvecs_per_step(monkeypatch):
+    counts = {"apply": 0, "adjoint_apply": 0}
+    for name in counts:
+        original = getattr(DenseOperator, name)
+
+        def counted(self, v, _original=original, _name=name):
+            counts[_name] += 1
+            return _original(self, v)
+
+        monkeypatch.setattr(DenseOperator, name, counted)
+    p = random_problem(6)
+    trace = run(p, SolverConfig(max_iter=2000, residual_tol=1e-9))
+    steps = trace.n_iterations + 1
+    assert counts == {"apply": steps, "adjoint_apply": steps}
+
+
+def test_fused_step_returns_the_smooth_value():
+    p = random_problem(2)
+    x = np.random.default_rng(1).standard_normal(p.n)
+    x_next, hx = fb_step(p, 0.01, x, with_value=True)
+    assert x_next.tobytes() == fb_step(p, 0.01, x).tobytes()
+    assert hx == p.h.value(x)
