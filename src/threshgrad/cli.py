@@ -20,9 +20,9 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 __all__ = [
     "ConfigError",
@@ -76,7 +76,8 @@ class ConfigError(Exception):
 
 @dataclass
 class ExperimentConfig:
-    """Parsed experiment description; see the README for the INI schema.
+    """Parsed experiment description; the INI schema is `_EXPERIMENT_KEYS`
+    (documented in the README).
 
     Exactly one problem source is active.  ``penalty`` is a parsed spec
     tuple: ("none",) or ("power", p, weight).
@@ -121,288 +122,279 @@ class ExperimentConfig:
 
     def to_ini(self) -> str:
         """INI text that parses back to this config (the summary echo)."""
-        lines = ["[problem]", f"source = {self.source}"]
-        if self.source == "builtin":
-            lines.append(f"name = {self.builtin_name}")
-        elif self.source == "files":
-            lines.append(f"matrix = {self.matrix_path}")
-            lines.append(f"y = {self.y_path}")
-            lip = "auto" if self.lipschitz is None else repr(self.lipschitz)
-            lines.append(f"lipschitz = {lip}")
-        else:
-            lines.append(f"m = {self.m}")
-            lines.append(f"n = {self.n}")
-            lines.append(f"seed = {self.seed}")
-            lines.append(f"scale = {repr(self.scale)}")
-        lines.append("")
-        lines.append("[regularizer]")
-        if self.omega is not None:
-            lines.append(f"omega = {repr(self.omega)}")
-        if self.interval is not None:
-            lines.append(f"interval = {repr(self.interval[0])} {repr(self.interval[1])}")
-        for k in sorted(self.interval_overrides):
-            lo, hi = self.interval_overrides[k]
-            lines.append(f"interval_{k} = {repr(lo)} {repr(hi)}")
-        lines.append(f"penalty = {' '.join(str(tok) for tok in self.penalty)}")
-        lines.append("")
-        lines.append("[solver]")
-        lines.append(f"lambda = {'auto' if self.lam is None else repr(self.lam)}")
-        lines.append(f"max_iter = {self.max_iter}")
-        lines.append(f"residual_tol = {repr(self.residual_tol)}")
-        lines.append(f"record_every = {self.record_every}")
-        lines.append(f"x0 = {self.x0}")
-        lines.append("")
-        lines.append("[analysis]")
-        for key in ("support_audit", "rate_fit", "fejer", "gamma"):
-            lines.append(f"{key} = {'true' if getattr(self, key) else 'false'}")
-        lines.append(f"gamma_delta = {repr(self.gamma_delta)}")
-        lines.append(f"gamma_r = {repr(self.gamma_r)}")
-        lines.append(f"gamma_p = {repr(self.gamma_p)}")
-        lines.append(f"gamma_samples = {self.gamma_samples}")
-        lines.append(f"gamma_seed = {self.gamma_seed}")
-        lines.append(f"window_fraction = {repr(self.window_fraction)}")
-        lines.append(f"polish_tol = {repr(self.polish_tol)}")
-        lines.append("")
-        lines.append("[output]")
-        lines.append(f"dir = {self.outdir}")
-        lines.append(f"prefix = {self.prefix}")
-        return "\n".join(lines) + "\n"
+        sections: dict = {}
+        for row in _EXPERIMENT_KEYS:
+            lines = sections.setdefault(row.section, [f"[{row.section}]"])
+            if row.source not in (None, self.source):
+                continue
+            value = getattr(self, row.field)
+            if row.key.endswith("_<k>"):
+                for k in sorted(value):
+                    lines.append(f"{row.key[:-3]}{k} = {row.codec.fmt(value[k])}")
+                continue
+            text = row.codec.none if value is None else row.codec.fmt(value)
+            if text is not None:
+                lines.append(f"{row.key} = {text}")
+        return "\n\n".join("\n".join(lines) for lines in sections.values()) + "\n"
 
 
-_BUILTIN_NAMES = ("ex_cq", "ex_nocq")
-
-_SECTION_KEYS = {
-    "problem": {
-        "builtin": {"source", "name"},
-        "files": {"source", "matrix", "y", "lipschitz"},
-        "synthetic": {"source", "m", "n", "seed", "scale"},
-    },
-    "regularizer": {"omega", "interval", "penalty"},  # plus interval_<k>
-    "solver": {"lambda", "max_iter", "residual_tol", "record_every", "x0"},
-    "analysis": {
-        "support_audit",
-        "rate_fit",
-        "fejer",
-        "gamma",
-        "gamma_delta",
-        "gamma_r",
-        "gamma_p",
-        "gamma_samples",
-        "gamma_seed",
-        "window_fraction",
-        "polish_tol",
-    },
-    "output": {"dir", "prefix"},
-}
+# ---------------------------------------------------------------------------
+# INI schema: one row per key
 
 
-def _get_float(section, key, origin, where):
-    try:
-        return float(section[key])
-    except ValueError:
-        raise ConfigError(origin, where, f"{key} is not a number: {section[key]!r}")
+@dataclass(frozen=True)
+class _Codec:
+    """How one INI value is read and written.
+
+    ``parse`` returns the value, or raises ValueError when the text lies
+    outside the domain that ``accepted`` names.  ``fmt`` writes a value back
+    as text that parses to it.  ``none`` is the text of a None value; when
+    it is None, a None value leaves the key out.
+    """
+
+    parse: Callable[[str], object]
+    accepted: str
+    fmt: Callable[[object], str] = str
+    none: Optional[str] = None
 
 
-def _get_int(section, key, origin, where):
-    try:
-        return int(section[key])
-    except ValueError:
-        raise ConfigError(origin, where, f"{key} is not an integer: {section[key]!r}")
+@dataclass(frozen=True)
+class _Key:
+    """One INI key: its section, the dataclass field it sets, its codec.
+
+    ``source`` limits a [problem] key to one problem source.  A key ending
+    in ``_<k>`` stands for the indexed keys ``key_0``, ``key_1``, ... that
+    fill a dict field by index.
+    """
+
+    section: str
+    key: str
+    field: str
+    codec: _Codec
+    required: bool = False
+    source: Optional[str] = None
 
 
-def _get_bool(section, key, origin, where):
-    val = section[key].strip().lower()
-    if val in ("true", "yes", "on", "1"):
+def _checked(kind, accepted: str, ok, fmt=str) -> _Codec:
+    """Codec of ``kind(text)`` restricted to the values where ``ok`` holds."""
+
+    def parse(text):
+        v = kind(text)
+        if not ok(v):
+            raise ValueError(text)
+        return v
+
+    return _Codec(parse, accepted, fmt)
+
+
+def _real(accepted: str, ok=lambda v: True) -> _Codec:
+    return _checked(float, accepted, lambda v: math.isfinite(v) and ok(v), repr)
+
+
+def _integer(lo: int) -> _Codec:
+    return _checked(int, f"an integer >= {lo}", lambda v: v >= lo)
+
+
+def _choice(*names: str) -> _Codec:
+    return _checked(str, "one of " + ", ".join(names), lambda v: v in names)
+
+
+def _auto(codec: _Codec) -> _Codec:
+    return replace(codec, accepted=f"auto or {codec.accepted}", none="auto")
+
+
+def _parse_bool(text):
+    if text.lower() in ("true", "yes", "on", "1"):
         return True
-    if val in ("false", "no", "off", "0"):
+    if text.lower() in ("false", "no", "off", "0"):
         return False
-    raise ConfigError(origin, where, f"{key} is not a boolean: {section[key]!r}")
+    raise ValueError(text)
 
 
-def _parse_pair(text, origin, where, key):
-    toks = text.split()
-    if len(toks) != 2:
-        raise ConfigError(origin, where, f"{key} needs two numbers, got {text!r}")
-    try:
-        return float(toks[0]), float(toks[1])
-    except ValueError:
-        raise ConfigError(origin, where, f"{key} is not a number pair: {text!r}")
+def _parse_interval(text):
+    lo, hi = map(float, text.split())
+    if not (lo <= 0.0 <= hi and lo < hi and (math.isfinite(lo) or math.isfinite(hi))):
+        raise ValueError(text)
+    return lo, hi
 
 
-def _parse_penalty(text, origin, where):
+def _parse_penalty(text):
     toks = text.split()
     if toks == ["none"]:
         return ("none",)
-    if toks and toks[0] == "power" and len(toks) in (2, 3):
-        try:
-            p = float(toks[1])
-            w = float(toks[2]) if len(toks) == 3 else 1.0
-        except ValueError:
-            raise ConfigError(origin, where, f"bad power penalty: {text!r}")
-        return ("power", p, w)
-    raise ConfigError(
-        origin, where, f"penalty must be 'none' or 'power p [weight]', got {text!r}"
-    )
+    if toks[:1] != ["power"] or len(toks) not in (2, 3):
+        raise ValueError(text)
+    p, w = float(toks[1]), float(toks[2]) if len(toks) == 3 else 1.0
+    if not (math.isfinite(p) and p > 1.0 and math.isfinite(w) and w >= 0.0):
+        raise ValueError(text)
+    return ("power", p, w)
 
 
-def parse_experiment_config(path) -> ExperimentConfig:
-    """Parse and validate an experiment INI file.
+def _parse_gallery_penalty(text):
+    """The experiment grammar plus a trailing 'box a b' (domain
+    constraint): none | power p [w] | power p w box a b | box a b."""
+    toks = text.split()
+    if "box" not in toks:
+        return _parse_penalty(text)
+    i = toks.index("box")
+    a, b = map(float, toks[i + 1:])
+    if not a < b:
+        raise ValueError(text)
+    inner = _parse_penalty(" ".join(toks[:i]) or "none")
+    return ("box", a, b) if inner == ("none",) else ("power_box", *inner[1:], a, b)
 
-    Unknown sections or keys are errors: a typo silently falling back to a
-    default would invalidate the run it configures.
+
+def _existing(path: str) -> str:
+    if not Path(path).exists():
+        raise FileNotFoundError(path)
+    return path
+
+
+def _parse_x0(text):
+    if text.startswith("file:"):
+        _existing(text[len("file:"):])
+    elif text not in ("zeros", "ones"):
+        raise ValueError(text)
+    return text
+
+
+_FINITE = _real("a finite number")
+_POSITIVE = _real("a finite number > 0", lambda v: v > 0.0)
+_NONNEGATIVE = _real("a finite number >= 0", lambda v: v >= 0.0)
+_BOOL = _Codec(_parse_bool, "true or false", lambda v: "true" if v else "false")
+_TEXT = _Codec(str, "text")
+_FILE = _Codec(_existing, "an existing file")
+_INTERVAL = _Codec(
+    _parse_interval,
+    "two numbers lo < hi with lo <= 0 <= hi, at most one of them infinite",
+    lambda v: f"{v[0]!r} {v[1]!r}",
+)
+_POWER = "power p [weight] with finite p > 1 and weight >= 0 (default 1)"
+_PENALTY = _Codec(
+    _parse_penalty, f"none or {_POWER}", lambda v: " ".join(str(t) for t in v)
+)
+_GALLERY_PENALTY = _Codec(
+    _parse_gallery_penalty, f"none, {_POWER}, optionally followed by box a b, a < b"
+)
+_SOURCE = _choice("builtin", "files", "synthetic")
+_BUILTIN = _choice("ex_cq", "ex_nocq")
+_X0 = _Codec(_parse_x0, "zeros, ones or file:<path>")
+_GAMMA_P = _real("a finite number > 1", lambda v: v > 1.0)
+_FRACTION = _real("a number in (0, 1]", lambda v: 0.0 < v <= 1.0)
+
+_EXPERIMENT_KEYS = (
+    _Key("problem", "source", "source", _SOURCE, required=True),
+    _Key("problem", "name", "builtin_name", _BUILTIN, required=True, source="builtin"),
+    _Key("problem", "matrix", "matrix_path", _FILE, required=True, source="files"),
+    _Key("problem", "y", "y_path", _FILE, required=True, source="files"),
+    _Key("problem", "lipschitz", "lipschitz", _auto(_POSITIVE), source="files"),
+    _Key("problem", "m", "m", _integer(1), required=True, source="synthetic"),
+    _Key("problem", "n", "n", _integer(1), required=True, source="synthetic"),
+    _Key("problem", "seed", "seed", _integer(0), required=True, source="synthetic"),
+    _Key("problem", "scale", "scale", _POSITIVE, source="synthetic"),
+    _Key("regularizer", "omega", "omega", _POSITIVE),
+    _Key("regularizer", "interval", "interval", _INTERVAL),
+    _Key("regularizer", "interval_<k>", "interval_overrides", _INTERVAL),
+    _Key("regularizer", "penalty", "penalty", _PENALTY),
+    _Key("solver", "lambda", "lam", _auto(_POSITIVE)),
+    _Key("solver", "max_iter", "max_iter", _integer(0)),
+    _Key("solver", "residual_tol", "residual_tol", _NONNEGATIVE),
+    _Key("solver", "record_every", "record_every", _integer(1)),
+    _Key("solver", "x0", "x0", _X0),
+    _Key("analysis", "support_audit", "support_audit", _BOOL),
+    _Key("analysis", "rate_fit", "rate_fit", _BOOL),
+    _Key("analysis", "fejer", "fejer", _BOOL),
+    _Key("analysis", "gamma", "gamma", _BOOL),
+    _Key("analysis", "gamma_delta", "gamma_delta", _POSITIVE),
+    _Key("analysis", "gamma_r", "gamma_r", _POSITIVE),
+    _Key("analysis", "gamma_p", "gamma_p", _GAMMA_P),
+    _Key("analysis", "gamma_samples", "gamma_samples", _integer(1)),
+    _Key("analysis", "gamma_seed", "gamma_seed", _integer(0)),
+    _Key("analysis", "window_fraction", "window_fraction", _FRACTION),
+    _Key("analysis", "polish_tol", "polish_tol", _NONNEGATIVE),
+    _Key("output", "dir", "outdir", _TEXT),
+    _Key("output", "prefix", "prefix", _TEXT),
+)
+
+_GALLERY_KEYS = (
+    _Key("grid", "lo", "lo", _FINITE, required=True),
+    _Key("grid", "hi", "hi", _FINITE, required=True),
+    _Key("grid", "steps", "steps", _integer(2), required=True),
+    _Key("grid", "lam", "lam", _POSITIVE),
+    _Key("regularizer", "interval", "interval", _INTERVAL),
+    _Key("regularizer", "penalty", "penalty", _GALLERY_PENALTY),
+    _Key("output", "path", "out_path", _TEXT, required=True),
+)
+
+
+def _decode(row: _Key, key: str, text: str, origin: str):
+    if text == row.codec.none:
+        return None
+    try:
+        return row.codec.parse(text)
+    except FileNotFoundError as exc:
+        raise ConfigError(origin, row.section, f"{key}: file not found: {exc}")
+    except ValueError:
+        raise ConfigError(
+            origin, row.section, f"{key} must be {row.codec.accepted}, got {text!r}"
+        )
+
+
+def _read_ini(path, table) -> dict:
+    """Values by field of the keys in an INI file, checked against ``table``.
+
+    Unknown sections and keys are errors, and so is a missing required key:
+    a typo silently falling back to a default would invalidate the run it
+    configures.
     """
-    path = Path(path)
     origin = str(path)
     cp = configparser.ConfigParser(interpolation=None)
     try:
         with open(path) as fh:
             cp.read_file(fh)
     except OSError as exc:
-        raise ConfigError(origin, "-", f"cannot read config: {exc}")
+        raise ConfigError(origin, "-", f"cannot read: {exc}")
     except configparser.Error as exc:
         raise ConfigError(origin, "-", f"INI syntax: {exc}")
 
+    rows = {(row.section, row.key): row for row in table}
+    values: dict = {}
     for sec in cp.sections():
-        if sec not in _SECTION_KEYS:
+        if not any(row.section == sec for row in table):
             raise ConfigError(origin, sec, "unknown section")
-    if not cp.has_section("problem"):
-        raise ConfigError(origin, "problem", "section is required")
-
-    cfg = ExperimentConfig()
-    prob = cp["problem"]
-    source = prob.get("source", "").strip()
-    if source not in _SECTION_KEYS["problem"]:
-        raise ConfigError(
-            origin, "problem", f"source must be builtin|files|synthetic, got {source!r}"
-        )
-    cfg.source = source
-    allowed = _SECTION_KEYS["problem"][source]
-    for key in prob:
-        if key not in allowed:
-            raise ConfigError(
-                origin, "problem", f"key {key!r} is not valid for source {source!r}"
-            )
-    if source == "builtin":
-        name = prob.get("name", "").strip()
-        if name not in _BUILTIN_NAMES:
-            raise ConfigError(
-                origin,
-                "problem",
-                f"name must be one of {', '.join(_BUILTIN_NAMES)}, got {name!r}",
-            )
-        cfg.builtin_name = name
-    elif source == "files":
-        for key in ("matrix", "y"):
-            if key not in prob:
-                raise ConfigError(origin, "problem", f"source files needs {key}")
-        cfg.matrix_path = prob["matrix"].strip()
-        cfg.y_path = prob["y"].strip()
-        for p in (cfg.matrix_path, cfg.y_path):
-            if not Path(p).exists():
-                raise ConfigError(origin, "problem", f"file not found: {p}")
-        lip = prob.get("lipschitz", "auto").strip()
-        if lip == "auto":
-            cfg.lipschitz = None
-        else:
-            try:
-                cfg.lipschitz = float(lip)
-            except ValueError:
-                raise ConfigError(origin, "problem", f"bad lipschitz: {lip!r}")
-    else:
-        for key in ("m", "n", "seed"):
-            if key not in prob:
-                raise ConfigError(origin, "problem", f"source synthetic needs {key}")
-        cfg.m = _get_int(prob, "m", origin, "problem")
-        cfg.n = _get_int(prob, "n", origin, "problem")
-        cfg.seed = _get_int(prob, "seed", origin, "problem")
-        if cfg.m < 1 or cfg.n < 1:
-            raise ConfigError(origin, "problem", "m and n must be >= 1")
-        if "scale" in prob:
-            cfg.scale = _get_float(prob, "scale", origin, "problem")
-            if not cfg.scale > 0:
-                raise ConfigError(origin, "problem", "scale must be positive")
-
-    if cp.has_section("regularizer"):
-        reg = cp["regularizer"]
-        for key in reg:
-            if key in _SECTION_KEYS["regularizer"]:
-                continue
-            if key.startswith("interval_"):
-                try:
-                    k = int(key[len("interval_"):])
-                except ValueError:
-                    raise ConfigError(origin, "regularizer", f"bad key {key!r}")
-                cfg.interval_overrides[k] = _parse_pair(
-                    reg[key], origin, "regularizer", key
-                )
-                continue
-            raise ConfigError(origin, "regularizer", f"unknown key {key!r}")
-        if "omega" in reg and "interval" in reg:
-            raise ConfigError(
-                origin, "regularizer", "give omega or interval, not both"
-            )
-        if "omega" in reg:
-            cfg.omega = _get_float(reg, "omega", origin, "regularizer")
-        if "interval" in reg:
-            cfg.interval = _parse_pair(reg["interval"], origin, "regularizer", "interval")
-        if "penalty" in reg:
-            cfg.penalty = _parse_penalty(reg["penalty"], origin, "regularizer")
-
-    if cp.has_section("solver"):
-        sol = cp["solver"]
-        for key in sol:
-            if key not in _SECTION_KEYS["solver"]:
-                raise ConfigError(origin, "solver", f"unknown key {key!r}")
-        if "lambda" in sol:
-            lam = sol["lambda"].strip()
-            if lam == "auto":
-                cfg.lam = None
+        for key, text in cp[sec].items():
+            stem, _, index = key.rpartition("_")
+            row = rows.get((sec, key)) or rows.get((sec, f"{stem}_<k>"))
+            if row is None:
+                raise ConfigError(origin, sec, f"unknown key {key!r}")
+            if row.key == key:
+                values[row.field] = _decode(row, key, text, origin)
+            elif index.isdecimal():
+                by_index = values.setdefault(row.field, {})
+                by_index[int(index)] = _decode(row, key, text, origin)
             else:
-                try:
-                    cfg.lam = float(lam)
-                except ValueError:
-                    raise ConfigError(origin, "solver", f"bad lambda: {lam!r}")
-        if "max_iter" in sol:
-            cfg.max_iter = _get_int(sol, "max_iter", origin, "solver")
-        if "residual_tol" in sol:
-            cfg.residual_tol = _get_float(sol, "residual_tol", origin, "solver")
-        if "record_every" in sol:
-            cfg.record_every = _get_int(sol, "record_every", origin, "solver")
-        if "x0" in sol:
-            x0 = sol["x0"].strip()
-            if x0 not in ("zeros", "ones") and not x0.startswith("file:"):
-                raise ConfigError(
-                    origin, "solver", f"x0 must be zeros|ones|file:<path>, got {x0!r}"
-                )
-            if x0.startswith("file:") and not Path(x0[5:]).exists():
-                raise ConfigError(origin, "solver", f"x0 file not found: {x0[5:]}")
-            cfg.x0 = x0
+                raise ConfigError(origin, sec, f"bad key {key!r}")
 
-    if cp.has_section("analysis"):
-        ana = cp["analysis"]
-        for key in ana:
-            if key not in _SECTION_KEYS["analysis"]:
-                raise ConfigError(origin, "analysis", f"unknown key {key!r}")
-        for key in ("support_audit", "rate_fit", "fejer", "gamma"):
-            if key in ana:
-                setattr(cfg, key, _get_bool(ana, key, origin, "analysis"))
-        for key in ("gamma_delta", "gamma_r", "gamma_p", "window_fraction", "polish_tol"):
-            if key in ana:
-                setattr(cfg, key, _get_float(ana, key, origin, "analysis"))
-        for key in ("gamma_samples", "gamma_seed"):
-            if key in ana:
-                setattr(cfg, key, _get_int(ana, key, origin, "analysis"))
+    source = values.get("source")
+    for row in table:
+        applies = row.source in (None, source)
+        if row.field in values and not applies:
+            message = f"key {row.key!r} is not valid for source {source!r}"
+            raise ConfigError(origin, row.section, message)
+        if row.required and applies and row.field not in values:
+            if not cp.has_section(row.section):
+                raise ConfigError(origin, row.section, "section is required")
+            where = f" for source {source}" if row.source else ""
+            raise ConfigError(origin, row.section, f"{row.key} is required{where}")
+    return values
 
-    if cp.has_section("output"):
-        out = cp["output"]
-        for key in out:
-            if key not in _SECTION_KEYS["output"]:
-                raise ConfigError(origin, "output", f"unknown key {key!r}")
-        if "dir" in out:
-            cfg.outdir = out["dir"].strip()
-        if "prefix" in out:
-            cfg.prefix = out["prefix"].strip()
 
+def parse_experiment_config(path) -> ExperimentConfig:
+    """Parse and validate an experiment INI file."""
+    cfg = ExperimentConfig(**_read_ini(path, _EXPERIMENT_KEYS))
+    origin = str(path)
+    if cfg.omega is not None and cfg.interval is not None:
+        raise ConfigError(origin, "regularizer", "give omega or interval, not both")
     if (cfg.support_audit or cfg.fejer) and cfg.record_every != 1:
         raise ConfigError(
             origin,
@@ -410,8 +402,6 @@ def parse_experiment_config(path) -> ExperimentConfig:
             "support_audit and fejer need record_every = 1 "
             "(sparse traces cannot certify per-iteration claims)",
         )
-    if not 0.0 < cfg.window_fraction <= 1.0:
-        raise ConfigError(origin, "analysis", "window_fraction must be in (0, 1]")
     return cfg
 
 
@@ -550,6 +540,11 @@ def _json_dump(obj, path) -> None:
         fh.write("\n")
 
 
+def _verdict(problems: list, warnings: list) -> str:
+    warnings += problems
+    return "fail" if problems else "pass"
+
+
 def run_experiment(cfg: ExperimentConfig) -> tuple[int, dict]:
     """Solve, polish, run the enabled audits, write artifacts.
 
@@ -590,8 +585,10 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[int, dict]:
     solver.write_trace_csv(trace, paths["trace"], f_star)
     rows = trace.support_rows()
 
-    audits: dict = {}
     warnings: list = []
+    gaps = trace.objectives - f_star
+    rules = solver.trace_rules(trace.ns, gaps, trace.residuals, trace.dists, f_star)
+    audits: dict = {"trace": _verdict(rules, warnings)}
     summary: dict = {
         "config_ini": cfg.to_ini(),
         "source": cfg.source,
@@ -623,14 +620,9 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[int, dict]:
         report = support.build_support_report(problem, trace, x_bar)
         support.write_support_report(report, paths["support"])
         summary["artifacts"]["support"] = str(paths["support"])
-        ok = set(report.supp) <= set(report.esupp)
-        ok = ok and report.identification_iteration is not None
-        if not math.isinf(report.rho_sol):
-            ok = ok and report.observed_violations <= math.ceil(
-                report.identification_bound
-            )
-        audits["support"] = "pass" if ok else "fail"
-        summary["support"] = support.report_to_dict(report)
+        rep = support.report_to_dict(report)
+        audits["support"] = _verdict(support.report_rules(rep), warnings)
+        summary["support"] = dict(rep)
         del summary["support"]["active_constraints"], summary["support"]["dual_point"]
         if cfg.source == "files" and problem.n - 1 in report.esupp:
             # only user data can be a truncation of a larger problem;
@@ -739,78 +731,12 @@ class GallerySpec:
 
 
 def parse_gallery_spec(path) -> GallerySpec:
-    path = Path(path)
-    origin = str(path)
-    cp = configparser.ConfigParser(interpolation=None)
-    try:
-        with open(path) as fh:
-            cp.read_file(fh)
-    except OSError as exc:
-        raise ConfigError(origin, "-", f"cannot read spec: {exc}")
-    except configparser.Error as exc:
-        raise ConfigError(origin, "-", f"INI syntax: {exc}")
-    for sec in cp.sections():
-        if sec not in ("grid", "regularizer", "output"):
-            raise ConfigError(origin, sec, "unknown section")
-    if not cp.has_section("grid") or not cp.has_section("output"):
-        raise ConfigError(origin, "-", "need [grid] and [output] sections")
-    grid = cp["grid"]
-    for key in grid:
-        if key not in ("lo", "hi", "steps", "lam"):
-            raise ConfigError(origin, "grid", f"unknown key {key!r}")
-    lo = _get_float(grid, "lo", origin, "grid")
-    hi = _get_float(grid, "hi", origin, "grid")
-    steps = _get_int(grid, "steps", origin, "grid")
-    lam = _get_float(grid, "lam", origin, "grid") if "lam" in grid else 1.0
-    if steps < 2:
-        raise ConfigError(origin, "grid", "steps must be >= 2")
-    if not lo < hi:
-        raise ConfigError(origin, "grid", "need lo < hi")
-    if not lam > 0:
-        raise ConfigError(origin, "grid", "lam must be positive")
-    interval = (-1.0, 1.0)
-    penalty: tuple = ("none",)
-    if cp.has_section("regularizer"):
-        reg = cp["regularizer"]
-        for key in reg:
-            if key not in ("interval", "penalty"):
-                raise ConfigError(origin, "regularizer", f"unknown key {key!r}")
-        if "interval" in reg:
-            interval = _parse_pair(reg["interval"], origin, "regularizer", "interval")
-        if "penalty" in reg:
-            penalty = _parse_gallery_penalty(reg["penalty"], origin)
-    out = cp["output"]
-    for key in out:
-        if key != "path":
-            raise ConfigError(origin, "output", f"unknown key {key!r}")
-    if "path" not in out:
-        raise ConfigError(origin, "output", "path is required")
-    return GallerySpec(lo, hi, steps, lam, interval, penalty, out["path"].strip())
-
-
-def _parse_gallery_penalty(text, origin):
-    """Gallery penalties extend the experiment grammar with a trailing
-    'box a b' (domain constraint): none | power p [w] | power p w box a b
-    | box a b."""
-    toks = text.split()
-    if "box" in toks:
-        i = toks.index("box")
-        if len(toks) != i + 3:
-            raise ConfigError(origin, "regularizer", f"box needs two numbers: {text!r}")
-        try:
-            a, b = float(toks[i + 1]), float(toks[i + 2])
-        except ValueError:
-            raise ConfigError(origin, "regularizer", f"bad box bounds: {text!r}")
-        if not a < b:
-            raise ConfigError(origin, "regularizer", "box needs a < b")
-        head = toks[:i] or ["none"]
-        if head == ["none"]:
-            return ("box", a, b)
-        inner = _parse_penalty(" ".join(head), origin, "regularizer")
-        if inner[0] != "power":
-            raise ConfigError(origin, "regularizer", f"bad penalty: {text!r}")
-        return ("power_box", inner[1], inner[2], a, b)
-    return _parse_penalty(text, origin, "regularizer")
+    """Parse and validate a gallery INI file."""
+    defaults = {"lam": 1.0, "interval": (-1.0, 1.0), "penalty": ("none",)}
+    spec = GallerySpec(**{**defaults, **_read_ini(path, _GALLERY_KEYS)})
+    if not spec.lo < spec.hi:
+        raise ConfigError(str(path), "grid", "need lo < hi")
+    return spec
 
 
 def _gallery_penalty_object(spec: tuple):
@@ -886,95 +812,55 @@ def cmd_gen(m: int, n: int, seed: int, scale: float, outdir: str, prefix: str) -
 # artifact audit
 
 
-def _audit_trace(path) -> list:
-    problems = []
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        return [f"trace: cannot read: {exc}"]
-    lines = text.strip().split("\n")
-    if not lines or lines[0] != "n,f_gap,residual,supp_size,dist_to_ref":
-        head = lines[0] if lines else "<empty>"
-        return [f"trace: bad header {head!r}"]
-    ns, gaps, residuals, dists = [], [], [], []
-    for ln, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 5:
-            problems.append(f"trace line {ln}: expected 5 fields")
-            continue
+def _read_trace(path) -> tuple:
+    """Columns (ns, gaps, residuals, dists) of a trace CSV; dists is None
+    when the column is blank.  Raises ValueError naming a format defect."""
+    from .solver import TRACE_HEADER
+
+    head, *lines = Path(path).read_text().strip().split("\n")
+    if head != TRACE_HEADER:
+        raise ValueError(f"bad header {head!r}")
+    if not lines:
+        raise ValueError("no rows")
+    rows = []
+    for ln, line in enumerate(lines, start=2):
         try:
-            ns.append(int(parts[0]))
-            gaps.append(float(parts[1]))
-            residuals.append(float(parts[2]))
-            int(parts[3])
-            dists.append(float(parts[4]) if parts[4] else None)
+            n, gap, res, size, dist = line.split(",")
+            int(size)
+            rows.append((int(n), float(gap), float(res), float(dist) if dist else None))
         except ValueError:
-            problems.append(f"trace line {ln}: unparsable numbers")
-    if any(b <= a for a, b in zip(ns, ns[1:])):
-        problems.append("trace: iteration numbers not strictly increasing")
-    if any(b > a + 1e-12 for a, b in zip(gaps, gaps[1:])):
-        problems.append("trace: objective gap increases (descent violated)")
-    if any(gap < -1e-9 for gap in gaps):
-        problems.append("trace: objective gap goes below the reference optimum")
-    if any(r < 0 for r in residuals):
-        problems.append("trace: negative residual")
-    have = [d for d in dists if d is not None]
-    if have and len(have) != len(dists):
-        problems.append("trace: dist_to_ref present only on some rows")
-    if len(have) == len(dists) and any(
-        b > a + 1e-10 for a, b in zip(have, have[1:])
-    ):
-        problems.append("trace: distance to reference increases (not Fejer)")
-    return problems
-
-
-def _audit_support(path) -> list:
-    problems = []
-    try:
-        with open(path) as fh:
-            rep = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        return [f"support: cannot load: {exc}"]
-    required = (
-        "supp",
-        "esupp",
-        "rho_sol",
-        "identification_bound",
-        "observed_violations",
-        "identification_iteration",
-        "qualification_holds",
-        "dual_point",
-    )
-    missing = [k for k in required if k not in rep]
-    if missing:
-        return [f"support: missing keys {missing}"]
-    supp, esupp = set(rep["supp"]), set(rep["esupp"])
-    if not supp <= esupp:
-        problems.append("support: supp not contained in esupp")
-    n = len(rep["dual_point"])
-    if any(not 0 <= k < n for k in esupp):
-        problems.append("support: index out of range")
-    rho_sol = rep["rho_sol"]
-    if rho_sol is not None and not rho_sol > 0:
-        problems.append("support: rho_sol must be positive when finite")
-    if rep["identification_bound"] < 0:
-        problems.append("support: negative identification bound")
-    if rho_sol is None and rep["identification_bound"] != 0:
-        problems.append("support: bound must be 0 when rho_sol is infinite")
-    if rho_sol is not None and rep["observed_violations"] > math.ceil(
-        rep["identification_bound"]
-    ):
-        problems.append("support: observed violations exceed the bound")
-    ident = rep["identification_iteration"]
-    if ident is not None and ident < 1:
-        problems.append("support: identification iteration must be >= 1")
-    if (rep["qualification_holds"] is True) and supp != esupp:
-        problems.append("support: qualification claimed but supp != esupp")
-    return problems
+            raise ValueError(f"line {ln}: expected 5 numbers, got {line!r}")
+    ns, gaps, residuals, dists = zip(*rows)
+    if None in dists and any(d is not None for d in dists):
+        raise ValueError("dist_to_ref present only on some rows")
+    return ns, gaps, residuals, None if None in dists else dists
 
 
 def cmd_audit(trace_path, support_path) -> int:
-    problems = _audit_trace(trace_path) + _audit_support(support_path)
+    """Apply the trace and support report rules to finished artifacts; f*
+    comes from the <prefix>_summary.json written beside <prefix>_trace.csv."""
+    from .solver import trace_rules
+    from .support import report_rules
+
+    problems, trace_path = [], Path(trace_path)
+    f_star = None
+    try:
+        if not trace_path.name.endswith("_trace.csv"):
+            raise ValueError("the trace is not named <prefix>_trace.csv")
+        name = trace_path.name[: -len("trace.csv")] + "summary.json"
+        f_star = float(json.loads(trace_path.with_name(name).read_text())["f_star"])
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        problems.append(f"summary: cannot read f_star: {exc!r}")
+    try:
+        columns = _read_trace(trace_path)
+        if f_star is not None:
+            problems += trace_rules(*columns, f_star)
+    except (OSError, ValueError) as exc:
+        problems.append(f"trace: {exc}")
+    try:
+        problems += report_rules(json.loads(Path(support_path).read_text()))
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        problems.append(f"support: cannot load: {exc!r}")
     for p in problems:
         print(f"FAIL {p}")
     if not problems:

@@ -28,8 +28,19 @@ __all__ = [
     "run",
     "fixed_point_residual",
     "fejer_check",
+    "trace_rules",
     "write_trace_csv",
 ]
+
+# Pass/fail tolerances of the trace rules.  The descent slack and the gap
+# floor are relative to max(1, |f*|): an objective gap is a difference of
+# objective values of that size and is known only to a few ulp of it.
+DESCENT_SLACK = 1e-12
+GAP_FLOOR = 1e-9
+# absolute: distances do not scale with f*
+FEJER_SLACK = 1e-10
+
+TRACE_HEADER = "n,f_gap,residual,supp_size,dist_to_ref"
 
 @dataclass(frozen=True, eq=False)
 class Problem:
@@ -155,10 +166,14 @@ class IterateTrace:
         self.dists = self.distances_to(reference)
         self.reference = np.asarray(reference, dtype=float)
 
-    def check_descent(self, slack: float = 1e-12) -> bool:
+    def check_descent(self, slack: float = DESCENT_SLACK) -> bool:
         """Objective nonincreasing along recorded rows, up to ``slack``."""
-        d = np.diff(self.objectives)
-        return bool(np.all(d <= slack))
+        return _nonincreasing(self.objectives, slack)
+
+
+def _nonincreasing(values, slack: float) -> bool:
+    """Whether no step along ``values`` rises by more than ``slack``."""
+    return bool(np.all(np.diff(np.asarray(values, dtype=float)) <= slack))
 
 
 def fb_step(problem: Problem, lam: float, x: np.ndarray, with_value: bool = False):
@@ -180,10 +195,7 @@ def fixed_point_residual(problem: Problem, lam: float, x: np.ndarray) -> float:
 
 
 def run(
-    problem: Problem,
-    config: SolverConfig,
-    reference: Optional[np.ndarray] = None,
-    keep_iterates: bool = False,
+    problem: Problem, config: SolverConfig, reference: Optional[np.ndarray] = None
 ) -> IterateTrace:
     """Iterate fb_step until the fixed-point residual drops below tolerance
     or the budget is exhausted.
@@ -192,8 +204,7 @@ def run(
     residual reported for the final point is genuinely its fixed-point
     residual.  Rows are recorded every ``record_every`` iterations plus
     always the final one.  Every recorded iterate is kept in the trace's
-    log, so ``keep_iterates`` changes nothing; with ``reference`` the
-    distances to it are set after the run.
+    log; with ``reference`` the distances to it are set after the run.
     """
     lam, x = config.resolve(problem)
     x0 = x.copy()
@@ -254,7 +265,7 @@ def run(
 
 
 def fejer_check(
-    trace: IterateTrace, reference: np.ndarray, slack: float = 1e-10
+    trace: IterateTrace, reference: np.ndarray, slack: float = FEJER_SLACK
 ) -> bool:
     """Whether ||x^{n+1} - ref|| <= ||x^n - ref|| + slack along the trace.
 
@@ -270,7 +281,37 @@ def fejer_check(
         d = trace.dists
     else:
         raise ValueError("trace distances were set against a different reference")
-    return bool(np.all(np.diff(d) <= slack))
+    return _nonincreasing(d, slack)
+
+
+def trace_rules(ns, gaps, residuals, dists, f_star: float) -> list:
+    """The failed rules of a trace's columns, as messages (none: it passes).
+
+    A trace must have strictly increasing iteration numbers, nonnegative
+    residuals, and an objective gap that does not increase and stays above
+    the optimum ``f_star`` it is measured against; with ``dists`` (None
+    when no reference was set) the distances must be Fejer monotone.
+    `threshgrad run` applies these rules to the trace it writes and
+    `threshgrad audit` to the file.
+    """
+    scale = max(1.0, abs(f_star))
+    rules = (
+        (np.all(np.diff(ns) > 0), "iteration numbers not strictly increasing"),
+        (
+            _nonincreasing(gaps, DESCENT_SLACK * scale),
+            "objective gap increases (descent violated)",
+        ),
+        (
+            np.all(np.asarray(gaps) >= -GAP_FLOOR * scale),
+            "objective gap goes below the reference optimum",
+        ),
+        (np.all(np.asarray(residuals) >= 0.0), "negative residual"),
+        (
+            dists is None or _nonincreasing(dists, FEJER_SLACK),
+            "distance to reference increases (not Fejer)",
+        ),
+    )
+    return [f"trace: {message}" for ok, message in rules if not ok]
 
 
 def write_trace_csv(trace: IterateTrace, path, f_star: float) -> None:
@@ -279,7 +320,7 @@ def write_trace_csv(trace: IterateTrace, path, f_star: float) -> None:
     Floats are written with shortest round-trip repr, so identical runs
     produce byte-identical files.
     """
-    lines = ["n,f_gap,residual,supp_size,dist_to_ref"]
+    lines = [TRACE_HEADER]
     have_d = trace.dists is not None
     sizes = trace.supp_sizes
     for i in range(len(trace.ns)):

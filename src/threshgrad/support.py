@@ -42,6 +42,7 @@ __all__ = [
     "qualification_check",
     "build_support_report",
     "report_to_dict",
+    "report_rules",
     "write_support_report",
 ]
 
@@ -264,3 +265,40 @@ def write_support_report(report: SupportReport, path) -> None:
     with open(path, "w") as fh:
         json.dump(report_to_dict(report), fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def report_rules(rep: dict) -> list:
+    """The failed rules of a support report in its JSON form (see
+    `report_to_dict`), as messages (none: it passes).
+
+    The support must be identified (identification iteration >= 1), supp
+    must lie in esupp with every index in range, rho_sol must be positive,
+    the violations must stay within ceil(bound) (the bound is 0 when
+    rho_sol is null), and a claimed qualification needs supp == esupp.
+    `threshgrad run` applies these rules to the report it writes and
+    `threshgrad audit` to the file.  Raises KeyError for a missing key.
+    """
+    supp, esupp = set(rep["supp"]), set(rep["esupp"])
+    rho_sol, bound = rep["rho_sol"], rep["identification_bound"]
+    ident, n = rep["identification_iteration"], len(rep["dual_point"])
+    rules = (
+        (
+            ident is not None and ident >= 1,
+            "not identified (identification_iteration null or < 1)",
+        ),
+        (supp <= esupp, "supp not contained in esupp"),
+        (all(0 <= k < n for k in supp | esupp), "index out of range"),
+        (rho_sol is None or rho_sol > 0, "rho_sol must be positive when finite"),
+        (bound >= 0, "negative identification bound"),
+        (rho_sol is not None or bound == 0, "bound must be 0 when rho_sol is null"),
+        # violations <= ceil(bound), written so that an infinite bound holds
+        (
+            rho_sol is None or rep["observed_violations"] - 1 < bound,
+            "observed violations exceed the bound",
+        ),
+        (
+            rep["qualification_holds"] is not True or supp == esupp,
+            "qualification claimed but supp != esupp",
+        ),
+    )
+    return [f"support: {message}" for ok, message in rules if not ok]

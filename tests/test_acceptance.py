@@ -64,7 +64,7 @@ def test_criterion_1(acceptance):
     t0 = time.perf_counter()
     problem = scalar_problem()
     config = SolverConfig(lam=0.5, x0=np.ones(1), residual_tol=1e-10, record_every=1)
-    trace = run(problem, config, keep_iterates=True)
+    trace = run(problem, config)
     x_bar = polish(problem, trace.x_final, tol=1e-12)
     report = build_support_report(problem, trace, x_bar)
     elapsed = time.perf_counter() - t0

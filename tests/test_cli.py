@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -102,6 +103,11 @@ prefix = exp
         (MINIMAL + "[analysis]\nwindow_fraction = 0\n", "window_fraction"),
         (MINIMAL + "[solver]\nx0 = file:/does/not/exist.csv\n", "not found"),
         ("[solver]\nlambda = 0.5\n", "required"),
+        (MINIMAL + "[solver]\nresidual_tol = nan\n", "residual_tol"),
+        (MINIMAL + "[analysis]\ngamma_samples = 0\n", "gamma_samples"),
+        (MINIMAL + "[analysis]\ngamma_delta = -1\n", "gamma_delta"),
+        (MINIMAL + "[regularizer]\npenalty = power inf\n", "penalty"),
+        (MINIMAL + "[analysis]\npolish_tol = nan\n", "polish_tol"),
     ],
 )
 def test_parse_rejects_bad_configs(tmp_path, text, needle):
@@ -157,6 +163,26 @@ prefix = round
     assert echoed == cfg
 
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+EXPERIMENT_CONFIGS = sorted(
+    p.stem for p in CONFIGS.glob("*.ini") if not p.stem.startswith("gallery_")
+)
+
+
+@pytest.mark.parametrize("name", EXPERIMENT_CONFIGS)
+def test_shipped_config_runs_audits_and_round_trips(tmp_path, name, capsys):
+    cfg = parse_experiment_config(CONFIGS / f"{name}.ini")
+    echoed = parse_experiment_config(write_config(tmp_path, cfg.to_ini(), "echo.ini"))
+    assert echoed == cfg
+    cfg.outdir = str(tmp_path / "out")
+    code, summary = run_experiment(cfg)
+    assert code == 0
+    assert "fail" not in summary["audits"].values()
+    arts = summary["artifacts"]
+    assert main(["audit", arts["trace"], arts["support"]]) == 0
+    assert "ok:" in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------------------
 # run_experiment
 
@@ -185,6 +211,7 @@ def test_run_scalar_builtin_end_to_end(tmp_path):
     assert summary["rate"]["regime"] == "linear"
     assert summary["rate"]["epsilon"] == pytest.approx(0.25, abs=1e-9)
     assert summary["audits"] == {
+        "trace": "pass",
         "support": "pass",
         "rate": "pass",
         "fejer": "pass",
@@ -235,6 +262,25 @@ def test_run_gamma_skipped_on_segment(tmp_path):
     assert code == 0
     assert summary["audits"]["gamma"].startswith("skipped")
     assert "gamma" not in summary
+
+
+def test_run_applies_the_report_rules(tmp_path, monkeypatch):
+    from threshgrad import support
+
+    original = support.build_support_report
+
+    def claims_qualification(*args, **kwargs):
+        report = original(*args, **kwargs)
+        report.qualification_holds = True  # ex_nocq: supp () != esupp (0,)
+        return report
+
+    monkeypatch.setattr(support, "build_support_report", claims_qualification)
+    code, summary = run_builtin(
+        tmp_path, "ex_nocq", "[solver]\nlambda = 0.5\nx0 = ones\n"
+    )
+    assert code == 1
+    assert summary["audits"]["support"] == "fail"
+    assert any("qualification claimed" in w for w in summary["warnings"])
 
 
 def test_run_reports_nonconvergence(tmp_path):
@@ -433,10 +479,17 @@ def test_gallery_spec_validation(tmp_path):
         "[grid]\nlo = 0\nhi = 1\nsteps = 5\n",
         "[grid]\nlo = 0\nhi = 1\nsteps = 5\n[regularizer]\npenalty = box 1 0\n"
         "[output]\npath = x.csv\n",
+        "[grid]\nhi = 1\nsteps = 5\n[output]\npath = x.csv\n",
+        "[grid]\nlo = 0\nsteps = 5\n[output]\npath = x.csv\n",
+        "[grid]\nlo = 0\nhi = 1\n[output]\npath = x.csv\n",
+        "[grid]\nlo = 0\nhi = inf\nsteps = 5\n[output]\npath = x.csv\n",
     ]
     for text in bad:
+        path = write_config(tmp_path, text, "bad.ini")
         with pytest.raises(ConfigError):
-            parse_gallery_spec(write_config(tmp_path, text, "bad.ini"))
+            parse_gallery_spec(path)
+        assert main(["gallery", str(path)]) == 2
+    assert not (tmp_path / "x.csv").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -513,6 +566,77 @@ def test_audit_flags_corrupted_support(tmp_path, capsys):
 
 def test_audit_missing_files(tmp_path):
     assert main(["audit", str(tmp_path / "no.csv"), str(tmp_path / "no.json")]) == 1
+
+
+@pytest.mark.parametrize(
+    "key,value", [("rho_sol", None), ("identification_bound", "x")]
+)
+def test_audit_flags_a_malformed_report(tmp_path, capsys, key, value):
+    trace, support = emitted_artifacts(tmp_path)
+    rep = json.loads(open(support).read())
+    if value is None:
+        del rep[key]
+    else:
+        rep[key] = value
+    json.dump(rep, open(support, "w"))
+    assert main(["audit", trace, support]) == 1
+    assert "FAIL support: cannot load" in capsys.readouterr().out
+
+
+def test_audit_requires_identification(tmp_path, capsys):
+    trace, support = emitted_artifacts(tmp_path)
+    rep = json.loads(open(support).read())
+    rep["identification_iteration"] = None
+    json.dump(rep, open(support, "w"))
+    assert main(["audit", trace, support]) == 1
+    assert "not identified" in capsys.readouterr().out
+
+
+def test_audit_requires_the_summary(tmp_path, capsys):
+    trace, support = emitted_artifacts(tmp_path)
+    os.remove(tmp_path / "run_summary.json")
+    assert main(["audit", trace, support]) == 1
+    assert "FAIL summary" in capsys.readouterr().out
+
+
+LARGE_F_STAR = 3577.30190131785  # f* of the 1000x5000 synthetic instance, seed 0
+
+
+def hand_written_artifacts(tmp_path, last_gap):
+    """Trace, summary and support report of a run with f* = LARGE_F_STAR
+    whose objective gap ends with a rise from 0 to ``last_gap``."""
+    rows = [(0, 10.0, 4.0), (1, 1.0, 2.0), (2, 0.0, 1.0), (3, last_gap, 0.5)]
+    trace = tmp_path / "big_trace.csv"
+    trace.write_text(
+        "n,f_gap,residual,supp_size,dist_to_ref\n"
+        + "".join(f"{n},{gap!r},{res!r},1,\n" for n, gap, res in rows)
+    )
+    (tmp_path / "big_summary.json").write_text(json.dumps({"f_star": LARGE_F_STAR}))
+    support = tmp_path / "big_support.json"
+    support.write_text(
+        json.dumps(
+            {
+                "supp": [0],
+                "esupp": [0],
+                "rho_sol": None,
+                "identification_bound": 0.0,
+                "observed_violations": 0,
+                "identification_iteration": 1,
+                "qualification_holds": True,
+                "dual_point": [1.0],
+            }
+        )
+    )
+    return str(trace), str(support)
+
+
+def test_audit_descent_slack_scales_with_f_star(tmp_path, capsys):
+    # a rise of 4 ulp of f* is rounding in the objective values, not ascent
+    rise = 4 * math.ulp(LARGE_F_STAR)
+    assert rise > 1e-12
+    assert main(["audit", *hand_written_artifacts(tmp_path, rise)]) == 0
+    assert main(["audit", *hand_written_artifacts(tmp_path, 1e-6)]) == 1
+    assert "objective gap increases" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

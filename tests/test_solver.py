@@ -10,6 +10,7 @@ from threshgrad.solver import (
     fejer_check,
     fixed_point_residual,
     run,
+    trace_rules,
     write_trace_csv,
 )
 
@@ -107,7 +108,7 @@ def test_fb_step_raises_on_nonfinite_gradient():
 def test_scalar_run_reproduces_geometric_recurrence():
     p = scalar_problem()
     cfg = SolverConfig(lam=0.5, x0=np.array([1.0]), residual_tol=1e-10)
-    trace = run(p, cfg, reference=np.array([0.0]), keep_iterates=True)
+    trace = run(p, cfg, reference=np.array([0.0]))
     assert trace.converged
     assert trace.n_iterations == 34
     # the iteration halves x each step, exactly in floating point
@@ -327,3 +328,32 @@ def test_fused_step_returns_the_smooth_value():
     x_next, hx = fb_step(p, 0.01, x, with_value=True)
     assert x_next.tobytes() == fb_step(p, 0.01, x).tobytes()
     assert hx == p.h.value(x)
+
+
+def test_trace_rules_scale_the_descent_slack_and_gap_floor_by_f_star():
+    ns, res = [0, 1, 2], [2.0, 1.0, 0.5]
+    descent = ["trace: objective gap increases (descent violated)"]
+    floor = ["trace: objective gap goes below the reference optimum"]
+    # |f*| <= 1: both stay absolute
+    assert trace_rules(ns, [1.0, 0.0, 1e-12], res, None, 0.5) == []
+    assert trace_rules(ns, [1.0, 0.0, 2e-12], res, None, 0.5) == descent
+    assert trace_rules(ns, [1.0, 0.5, -2e-9], res, None, -1.0) == floor
+    # |f*| = 1000: a thousand times wider
+    assert trace_rules(ns, [1.0, 0.0, 2e-12], res, None, 1e3) == []
+    assert trace_rules(ns, [1.0, 0.0, 2e-9], res, None, 1e3) == descent
+    assert trace_rules(ns, [1.0, 0.5, -2e-9], res, None, -1e3) == []
+    # the Fejer slack is absolute
+    dists = [1.0, 0.5, 0.5 + 2e-10]
+    assert trace_rules(ns, [1.0, 0.5, 0.0], res, dists, 1e3) == [
+        "trace: distance to reference increases (not Fejer)"
+    ]
+
+
+def test_trace_rules_check_iteration_numbers_and_residuals():
+    assert trace_rules([0, 1, 1], [1.0, 0.5, 0.0], [1.0, 0.5, 0.2], None, 0.0) == [
+        "trace: iteration numbers not strictly increasing"
+    ]
+    assert trace_rules([0, 1, 2], [1.0, 0.5, 0.0], [1.0, -0.5, 0.2], None, 0.0) == [
+        "trace: negative residual"
+    ]
+

@@ -20,6 +20,7 @@ from threshgrad.support import (
     identification_audit,
     identification_bound,
     qualification_check,
+    report_rules,
     report_to_dict,
     rho,
     support,
@@ -322,3 +323,52 @@ def test_report_serialization_roundtrip(tmp_path):
     write_support_report(rep, path)
     loaded = json.loads(path.read_text())
     assert loaded == json.loads(json.dumps(d))
+
+
+SOUND_REPORT = {
+    "supp": [0],
+    "esupp": [0, 1],
+    "rho_sol": 0.5,
+    "identification_bound": 2.0,
+    "observed_violations": 2,
+    "identification_iteration": 3,
+    "qualification_holds": False,
+    "active_constraints": [0, 1],
+    "dual_point": [1.0, -1.0],
+}
+
+
+def test_report_rules_pass_a_sound_report():
+    assert report_rules(SOUND_REPORT) == []
+    # violations <= ceil(bound), also for an infinite bound
+    assert report_rules({**SOUND_REPORT, "identification_bound": 1.5}) == []
+    assert report_rules({**SOUND_REPORT, "identification_bound": math.inf}) == []
+    unbounded = {"rho_sol": None, "identification_bound": 0.0}
+    assert report_rules({**SOUND_REPORT, **unbounded}) == []
+
+
+@pytest.mark.parametrize(
+    "change,needle",
+    [
+        ({"identification_iteration": None}, "not identified"),
+        ({"identification_iteration": 0}, "not identified"),
+        ({"supp": [1], "esupp": [0]}, "supp not contained in esupp"),
+        ({"esupp": [0, 2]}, "index out of range"),
+        ({"rho_sol": -1.0}, "rho_sol must be positive"),
+        ({"identification_bound": -1.0}, "negative identification bound"),
+        ({"rho_sol": None}, "bound must be 0"),
+        ({"identification_bound": 1.0}, "observed violations exceed the bound"),
+        ({"qualification_holds": True}, "qualification claimed but supp != esupp"),
+    ],
+)
+def test_report_rules_flag_each_broken_claim(change, needle):
+    problems = report_rules({**SOUND_REPORT, **change})
+    assert any(needle in problem for problem in problems)
+
+
+def test_report_rules_pass_a_built_report():
+    p = segment_problem()
+    trace = run(p, SolverConfig(residual_tol=1e-12))
+    rep = report_to_dict(build_support_report(p, trace, trace.x_final))
+    assert report_rules(rep) == []
+
