@@ -3,7 +3,7 @@ least squares.
 
 Submodules:
     regularizers  intervals, scalar penalties, soft-thresholding, prox
-    operators     linear operators, norm estimation, data ingestion
+    operators     least-squares term over a dense matrix, norm estimate, data input
     solver        the forward-backward iteration and its trace
     support       support / extended-support analytics and identification
     conditioning  polishing, growth constants, rate classification

@@ -410,17 +410,17 @@ def parse_experiment_config(path) -> ExperimentConfig:
 
 
 def _builtin_smooth(name: str):
-    from .operators import DenseOperator, LeastSquaresTerm
+    from .operators import LeastSquaresTerm
 
     if name == "ex_nocq":
         # scalar (x-1)^2/2; with g = |.| the minimizer is 0 and the dual
         # point sits exactly on the interval boundary
-        return LeastSquaresTerm(DenseOperator([[1.0]]), [1.0], lipschitz=1.0)
+        return LeastSquaresTerm([[1.0]], [1.0], lipschitz=1.0)
     if name == "ex_cq":
         # (x1 - x2 - 1)^2 written as least squares; argmin of f is the
         # segment between (0.5, 0) and (0, -0.5)
         s = math.sqrt(2.0)
-        return LeastSquaresTerm(DenseOperator([[s, -s]]), [s], lipschitz=4.0)
+        return LeastSquaresTerm([[s, -s]], [s], lipschitz=4.0)
     raise ValueError(f"unknown builtin problem {name!r}")
 
 
@@ -483,20 +483,20 @@ def generate_synthetic(m: int, n: int, seed: int, scale: float = 1.0, penalty=No
     The scaling uses the exact largest singular value, so the Lipschitz
     constant is `scale` itself, not an estimate.
     """
-    from .operators import DenseOperator, LeastSquaresTerm
+    from .operators import LeastSquaresTerm
     from .regularizers import SeparableRegularizer, ZeroPenalty
     from .solver import Problem
 
     if m < 1 or n < 1:
         raise ValueError("m and n must be >= 1")
     a, y, _ = _synthetic_data(m, n, seed, scale)
-    h = LeastSquaresTerm(DenseOperator(a), y, lipschitz=scale)
+    h = LeastSquaresTerm(a, y, lipschitz=scale)
     g = SeparableRegularizer.uniform(n, penalty=penalty or ZeroPenalty())
     return Problem(g=g, h=h)
 
 
 def _build_problem(cfg: ExperimentConfig):
-    from .operators import DenseOperator, LeastSquaresTerm
+    from .operators import LeastSquaresTerm
     from .solver import Problem
 
     if cfg.source == "builtin":
@@ -506,14 +506,13 @@ def _build_problem(cfg: ExperimentConfig):
 
         a = read_dense_matrix(cfg.matrix_path)
         y = read_vector(cfg.y_path)
-        op = DenseOperator(a)
         if cfg.lipschitz is None:
-            h = LeastSquaresTerm.with_estimated_lipschitz(op, y)
+            h = LeastSquaresTerm.with_estimated_lipschitz(a, y)
         else:
-            h = LeastSquaresTerm(op, y, lipschitz=cfg.lipschitz)
+            h = LeastSquaresTerm(a, y, lipschitz=cfg.lipschitz)
     else:
         a, y, _ = _synthetic_data(cfg.m, cfg.n, cfg.seed, cfg.scale)
-        h = LeastSquaresTerm(DenseOperator(a), y, lipschitz=cfg.scale)
+        h = LeastSquaresTerm(a, y, lipschitz=cfg.scale)
     n = h.op.shape[1]
     return Problem(g=_build_regularizer(cfg, n), h=h)
 

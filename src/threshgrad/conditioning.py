@@ -127,12 +127,6 @@ def _fb_continuation(
     return trace.x_final
 
 
-def _column(problem: Problem, k: int) -> np.ndarray:
-    e = np.zeros(problem.n)
-    e[k] = 1.0
-    return problem.h.op.apply(e)
-
-
 def polish(
     problem: Problem,
     x_approx: np.ndarray,
@@ -171,7 +165,9 @@ def polish(
             # a coordinate pushed toward an absent endpoint; no linear
             # system to solve there
             return _fb_continuation(problem, x_approx, tol, fb_iters)
-        cols = np.column_stack([_column(problem, k) for k in J])
+        # C order: the sums in gram, rhs and lstsq then run as over the
+        # stacked columns A @ e_k; an F-ordered slice changes their last bits
+        cols = np.ascontiguousarray(problem.h.op[:, J])
         gram = cols.T @ cols
         rhs = cols.T @ problem.h.y - s
         xj = x_approx[J]

@@ -27,13 +27,11 @@ __all__ = [
     "CustomPenalty",
     "ScalarPenalty",
     "SeparableRegularizer",
-    "sigma_interval",
     "soft_interval",
     "project_interval",
     "prox_power_scalar",
     "prox_separable",
     "g_value",
-    "dual_feasible",
 ]
 
 # absolute tolerance of the scalar prox solves
@@ -65,10 +63,6 @@ class Interval:
             raise ValueError(f"interval [{lo}, {hi}] is not proper")
         if math.isinf(lo) and math.isinf(hi):
             raise ValueError("doubly infinite interval is not supported")
-
-    @property
-    def finite_endpoints(self) -> tuple[float, ...]:
-        return tuple(e for e in (self.lo, self.hi) if math.isfinite(e))
 
 
 @dataclass(frozen=True)
@@ -210,16 +204,6 @@ class SeparableRegularizer:
 
 # ---------------------------------------------------------------------------
 # scalar interval operations
-
-
-def sigma_interval(t: float, interval: Interval) -> float:
-    """Support function sigma_I(t) = sup_{s in I} t*s.
-
-    Returns +inf when the selecting endpoint is infinite and t != 0.
-    """
-    if t == 0.0:
-        return 0.0
-    return t * interval.hi if t > 0.0 else t * interval.lo
 
 
 def soft_interval(t, interval: Interval):
@@ -464,17 +448,3 @@ def g_value(x: np.ndarray, g: SeparableRegularizer) -> float:
             for k in idx:
                 total += float(pen.value(float(x[k])))
     return total
-
-
-def dual_feasible(u: np.ndarray, g: SeparableRegularizer, tol: float = 0.0) -> bool:
-    """Whether u lies in the box prod_k I_k, enlarged by tol on each side.
-
-    Only meaningful when psi vanishes identically (the conjugate g* is then
-    the indicator of the box); raises otherwise.
-    """
-    if not g.all_zero_psi:
-        raise ValueError("dual feasibility box requires psi identically zero")
-    u = np.asarray(u, dtype=float)
-    if u.shape != (g.n,):
-        raise ValueError(f"expected shape ({g.n},), got {u.shape}")
-    return bool(np.all((u >= g._los - tol) & (u <= g._his + tol)))

@@ -166,10 +166,6 @@ class IterateTrace:
         self.dists = self.distances_to(reference)
         self.reference = np.asarray(reference, dtype=float)
 
-    def check_descent(self, slack: float = DESCENT_SLACK) -> bool:
-        """Objective nonincreasing along recorded rows, up to ``slack``."""
-        return _nonincreasing(self.objectives, slack)
-
 
 def _nonincreasing(values, slack: float) -> bool:
     """Whether no step along ``values`` rises by more than ``slack``."""

@@ -112,7 +112,8 @@ def rho(u: np.ndarray, g: SeparableRegularizer) -> float:
 
 def identification_bound(rho_sol: float, lam: float, dist0: float) -> float:
     """dist0^2 / (rho_sol^2 * lam^2); zero under the empty-infimum
-    convention rho_sol = +inf (no violation is then possible)."""
+    convention rho_sol = +inf (no violation is then possible), +inf when
+    dist0 > 0 and the quotient overflows."""
     if not rho_sol > 0.0:
         raise ValueError(f"rho_sol must be positive, got {rho_sol}")
     if not lam > 0.0:
@@ -121,7 +122,13 @@ def identification_bound(rho_sol: float, lam: float, dist0: float) -> float:
         raise ValueError(f"dist0 must be nonnegative, got {dist0}")
     if math.isinf(rho_sol):
         return 0.0
-    return dist0 ** 2 / (rho_sol ** 2 * lam ** 2)
+    try:
+        return dist0 ** 2 / (rho_sol ** 2 * lam ** 2)
+    except (OverflowError, ZeroDivisionError):
+        # a square left float range: square the ratio instead, which
+        # saturates at +inf or 0 where the quotient leaves the range
+        q = dist0 / rho_sol / lam
+        return q * q
 
 
 def identification_audit(

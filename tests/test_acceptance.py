@@ -17,7 +17,7 @@ from threshgrad.conditioning import (
     polish,
     sublinear_bound_check,
 )
-from threshgrad.operators import DenseOperator, LeastSquaresTerm
+from threshgrad.operators import LeastSquaresTerm
 from threshgrad.regularizers import (
     Interval,
     PowerPenalty,
@@ -36,14 +36,14 @@ from threshgrad.support import (
 
 def scalar_problem():
     """min |x| + (x-1)^2/2: minimizer 0, residual gradient on the boundary."""
-    h = LeastSquaresTerm(DenseOperator([[1.0]]), np.array([1.0]), lipschitz=1.0)
+    h = LeastSquaresTerm([[1.0]], np.array([1.0]), lipschitz=1.0)
     return Problem(g=SeparableRegularizer.uniform(1), h=h)
 
 
 def segment_problem():
     """min |x1|+|x2| + (x1-x2-1)^2: minimizers {(t, t-1/2) : t in [0, 1/2]}."""
     s = np.sqrt(2.0)
-    h = LeastSquaresTerm(DenseOperator([[s, -s]]), np.array([s]), lipschitz=4.0)
+    h = LeastSquaresTerm([[s, -s]], np.array([s]), lipschitz=4.0)
     return Problem(g=SeparableRegularizer.uniform(2), h=h)
 
 

@@ -518,10 +518,10 @@ def test_gen_writes_deterministic_instance(tmp_path):
 def test_generate_synthetic_problem():
     p = generate_synthetic(6, 15, seed=0, scale=3.0)
     assert p.h.lipschitz == 3.0
-    top = np.linalg.svd(p.h.op.matrix, compute_uv=False)[0]
+    top = np.linalg.svd(p.h.op, compute_uv=False)[0]
     assert top ** 2 == pytest.approx(3.0, rel=1e-12)
     q = generate_synthetic(6, 15, seed=0, scale=3.0)
-    assert np.array_equal(p.h.op.matrix, q.h.op.matrix)
+    assert np.array_equal(p.h.op, q.h.op)
     assert np.array_equal(p.h.y, q.h.y)
     with pytest.raises(ValueError):
         generate_synthetic(0, 5, seed=0)

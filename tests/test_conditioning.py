@@ -12,19 +12,19 @@ from threshgrad.conditioning import (
     sublinear_bound_check,
     verify_unique_minimizer,
 )
-from threshgrad.operators import DenseOperator, LeastSquaresTerm
+from threshgrad.operators import LeastSquaresTerm
 from threshgrad.regularizers import Interval, PowerPenalty, SeparableRegularizer
 from threshgrad.solver import IterateTrace, Problem, SolverConfig, run
 
 
 def scalar_problem():
-    h = LeastSquaresTerm(DenseOperator([[1.0]]), np.array([1.0]), lipschitz=1.0)
+    h = LeastSquaresTerm([[1.0]], np.array([1.0]), lipschitz=1.0)
     return Problem(g=SeparableRegularizer.uniform(1), h=h)
 
 
 def segment_problem():
     s = np.sqrt(2.0)
-    h = LeastSquaresTerm(DenseOperator([[s, -s]]), np.array([s]), lipschitz=4.0)
+    h = LeastSquaresTerm([[s, -s]], np.array([s]), lipschitz=4.0)
     return Problem(g=SeparableRegularizer.uniform(2), h=h)
 
 
@@ -32,7 +32,7 @@ def lasso_problem(seed, m=10, n=25):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((m, n))
     h = LeastSquaresTerm(
-        DenseOperator(a),
+        a,
         rng.standard_normal(m),
         lipschitz=float(np.linalg.norm(a, ord=2) ** 2) * 1.001,
     )
@@ -41,7 +41,7 @@ def lasso_problem(seed, m=10, n=25):
 
 def quartic_problem(weight=1.0):
     """Pure quartic growth at 0: negligible interval, penalty |x|^4/4."""
-    h = LeastSquaresTerm(DenseOperator([[0.0]]), np.array([0.0]), lipschitz=1.0)
+    h = LeastSquaresTerm([[0.0]], np.array([0.0]), lipschitz=1.0)
     g = SeparableRegularizer.uniform(
         1, Interval(-1e-9, 1e-9), PowerPenalty(4.0, weight), omega=1e-9
     )
@@ -192,7 +192,7 @@ def test_polish_with_power_penalty_uses_iterative_fallback():
 def test_polish_error_carries_best_point():
     # a power penalty forces the iterative path; with L overstated to 2 the
     # scalar recursion is x -> x/4 exactly, far from 1e-12 after 5 steps
-    h = LeastSquaresTerm(DenseOperator([[1.0]]), np.array([1.0]), lipschitz=2.0)
+    h = LeastSquaresTerm([[1.0]], np.array([1.0]), lipschitz=2.0)
     p = Problem(
         g=SeparableRegularizer.uniform(1, penalty=PowerPenalty(2.0, 2.0)), h=h
     )
@@ -200,6 +200,42 @@ def test_polish_error_carries_best_point():
         polish(p, np.array([1.0]), tol=1e-12, fb_iters=5)
     assert exc.value.x[0] == 0.25 ** 5
     assert exc.value.residual == 1.5 * 0.25 ** 5
+
+
+def stacked_columns_face_solve(problem, x):
+    """The face solve of `polish` on columns built one matvec each, A @ e_k."""
+    J = [int(k) for k in np.flatnonzero(x)]
+    g = problem.g
+    s = np.where(x[J] > 0, g.upper_endpoints[J], g.lower_endpoints[J])
+    cols = np.column_stack([problem.h.op @ np.eye(problem.n)[k] for k in J])
+    gram = cols.T @ cols
+    rhs = cols.T @ problem.h.y - s
+    cand = np.zeros(problem.n)
+    cand[J] = x[J] + np.linalg.lstsq(gram, rhs - gram @ x[J], rcond=None)[0]
+    return cand
+
+
+def test_polish_face_solve_is_bitwise_the_stacked_column_solve():
+    from threshgrad.cli import generate_synthetic
+    from threshgrad.conditioning import _fb_continuation
+    from threshgrad.solver import fixed_point_residual
+
+    face_route = 0
+    for seed in range(10):
+        p = generate_synthetic(20, 50, seed)
+        x = run(p, SolverConfig(residual_tol=1e-10)).x_final
+        got = polish(p, x, tol=1e-12)
+        cand = stacked_columns_face_solve(p, x)
+        lam = 1.0 / p.h.lipschitz
+        if fixed_point_residual(p, lam, cand) <= 1e-12 and (
+            p.objective(cand) <= p.objective(x)
+        ):
+            face_route += 1
+            assert got.tobytes() == cand.tobytes(), seed
+        else:
+            want = _fb_continuation(p, x, 1e-12, 100_000)
+            assert got.tobytes() == want.tobytes(), seed
+    assert face_route >= 5
 
 
 def test_polish_validates_input():
@@ -242,7 +278,7 @@ def test_gamma_quadratic_growth_of_scalar_problem():
 
 
 def test_gamma_identity_quadratic():
-    h = LeastSquaresTerm(DenseOperator([[1.0]]), np.array([2.0]), lipschitz=1.0)
+    h = LeastSquaresTerm([[1.0]], np.array([2.0]), lipschitz=1.0)
     g = SeparableRegularizer.uniform(1, Interval(-1e-9, 1e-9), omega=1e-9)
     p = Problem(g=g, h=h)
     unique, x_bar, _ = verify_unique_minimizer(p)
@@ -301,7 +337,7 @@ def test_gamma_rejects_bad_region_arguments():
 
 
 def test_gamma_requires_bounded_intervals():
-    h = LeastSquaresTerm(DenseOperator([[1.0]]), np.array([1.0]), lipschitz=1.0)
+    h = LeastSquaresTerm([[1.0]], np.array([1.0]), lipschitz=1.0)
     g = SeparableRegularizer.uniform(1, Interval(-1.0, math.inf), omega=1.0)
     p = Problem(g=g, h=h)
     with pytest.raises(ValueError):
@@ -322,7 +358,7 @@ def test_gamma_detects_wrong_reference_point():
 
 
 def test_gamma_detects_flat_objective():
-    h = LeastSquaresTerm(DenseOperator([[0.0, 0.0]]), np.array([0.0]), lipschitz=1.0)
+    h = LeastSquaresTerm([[0.0, 0.0]], np.array([0.0]), lipschitz=1.0)
     g = SeparableRegularizer.uniform(2, Interval(-1e-300, 1e-300), omega=1e-300)
     p = Problem(g=g, h=h)
     with pytest.raises(RuntimeError, match="non-unique"):

@@ -11,12 +11,10 @@ from threshgrad.regularizers import (
     PowerPenalty,
     SeparableRegularizer,
     ZeroPenalty,
-    dual_feasible,
     g_value,
     project_interval,
     prox_power_scalar,
     prox_separable,
-    sigma_interval,
     soft_interval,
 )
 
@@ -62,20 +60,11 @@ def test_interval_rejects_nan_and_double_infinity():
 
 def test_interval_one_sided_infinity_allowed():
     iv = Interval(-1.0, math.inf)
-    assert iv.finite_endpoints == (-1.0,)
-    assert Interval(-1.0, 1.0).finite_endpoints == (-1.0, 1.0)
+    assert (iv.lo, iv.hi) == (-1.0, math.inf)
 
 
 # ---------------------------------------------------------------------------
 # scalar interval maps
-
-
-def test_sigma_interval_values():
-    assert sigma_interval(0.5, SYM) == 0.5
-    assert sigma_interval(-2.0, Interval(-1.0, 3.0)) == 2.0
-    assert sigma_interval(1.0, Interval(-1.0, math.inf)) == math.inf
-    assert sigma_interval(-1.0, Interval(-1.0, math.inf)) == 1.0
-    assert sigma_interval(0.0, Interval(-1.0, math.inf)) == 0.0
 
 
 def test_soft_interval_values():
@@ -335,20 +324,6 @@ def test_g_value_asymmetric_box():
     g = SeparableRegularizer.uniform(1, Interval(-0.5, 2.0), omega=0.5)
     assert g_value(np.array([3.0]), g) == 6.0
     assert g_value(np.array([-3.0]), g) == 1.5
-
-
-def test_dual_feasible():
-    g = SeparableRegularizer.uniform(2)
-    assert dual_feasible(np.array([1.0, -1.0]), g)
-    assert dual_feasible(np.array([0.0, 0.0]), g)
-    assert not dual_feasible(np.array([1.5, 0.0]), g)
-    assert dual_feasible(np.array([1.0 + 1e-9, 0.0]), g, tol=1e-8)
-
-
-def test_dual_feasible_requires_zero_psi():
-    g = SeparableRegularizer.uniform(2, penalty=PowerPenalty(2.0, 1.0))
-    with pytest.raises(ValueError):
-        dual_feasible(np.zeros(2), g)
 
 
 # ---------------------------------------------------------------------------

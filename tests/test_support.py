@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from threshgrad.operators import DenseOperator, LeastSquaresTerm
+from threshgrad.operators import LeastSquaresTerm
 from threshgrad.regularizers import (
     CustomPenalty,
     Interval,
@@ -29,13 +29,13 @@ from threshgrad.support import (
 
 
 def scalar_problem():
-    h = LeastSquaresTerm(DenseOperator([[1.0]]), np.array([1.0]), lipschitz=1.0)
+    h = LeastSquaresTerm([[1.0]], np.array([1.0]), lipschitz=1.0)
     return Problem(g=SeparableRegularizer.uniform(1), h=h)
 
 
 def segment_problem():
     s = np.sqrt(2.0)
-    h = LeastSquaresTerm(DenseOperator([[s, -s]]), np.array([s]), lipschitz=4.0)
+    h = LeastSquaresTerm([[s, -s]], np.array([s]), lipschitz=4.0)
     return Problem(g=SeparableRegularizer.uniform(2), h=h)
 
 
@@ -124,6 +124,17 @@ def test_identification_bound_values():
     assert identification_bound(0.5, 1.0, 2.0) == 16.0
     assert identification_bound(math.inf, 1.0, 5.0) == 0.0
     assert identification_bound(1.0, 2.0, 0.0) == 0.0
+
+
+def test_identification_bound_saturates_where_the_quotient_leaves_float_range():
+    # rho_sol^2 or lam^2 underflows to 0
+    assert identification_bound(1e-200, 1.0, 1.0) == math.inf
+    assert identification_bound(1.0, 1e-200, 1.0) == math.inf
+    assert identification_bound(1e-200, 1.0, 0.0) == 0.0
+    # rho_sol^2 overflows and the quotient underflows
+    assert identification_bound(1e200, 1.0, 1.0) == 0.0
+    # dist0^2 overflows but the quotient is in range
+    assert identification_bound(1e190, 1.0, 1e200) == pytest.approx(1e20, rel=1e-15)
 
 
 def test_identification_bound_rejects_bad_inputs():
@@ -283,7 +294,7 @@ def test_report_for_segment_problem():
 def test_report_with_custom_penalty_leaves_qualification_open():
     smooth = CustomPenalty(value=lambda t: t ** 4, prox=lambda t, lam: t)
     g = SeparableRegularizer.uniform(1, penalty=smooth)
-    h = LeastSquaresTerm(DenseOperator([[1.0]]), np.array([0.0]), lipschitz=1.0)
+    h = LeastSquaresTerm([[1.0]], np.array([0.0]), lipschitz=1.0)
     p = Problem(g=g, h=h)
     trace = run(p, SolverConfig())
     rep = build_support_report(p, trace, np.zeros(1))
@@ -295,7 +306,7 @@ def test_report_invariants_on_random_instance():
     rng = np.random.default_rng(5)
     a = rng.standard_normal((10, 25))
     h = LeastSquaresTerm(
-        DenseOperator(a), rng.standard_normal(10),
+        a, rng.standard_normal(10),
         lipschitz=float(np.linalg.norm(a, ord=2) ** 2) * 1.001,
     )
     p = Problem(g=SeparableRegularizer.uniform(25), h=h)
@@ -345,6 +356,18 @@ def test_report_rules_pass_a_sound_report():
     assert report_rules({**SOUND_REPORT, "identification_bound": math.inf}) == []
     unbounded = {"rho_sol": None, "identification_bound": 0.0}
     assert report_rules({**SOUND_REPORT, **unbounded}) == []
+
+
+def test_an_infinite_bound_passes_the_rules_and_roundtrips_through_json():
+    rep = {
+        **SOUND_REPORT,
+        "rho_sol": 1e-200,
+        "identification_bound": identification_bound(1e-200, 1.0, 1.0),
+    }
+    loaded = json.loads(json.dumps(rep))
+    assert loaded == rep
+    assert loaded["identification_bound"] == math.inf
+    assert report_rules(loaded) == []
 
 
 @pytest.mark.parametrize(
