@@ -14,6 +14,48 @@ from threshgrad.operators import (
 
 
 # ---------------------------------------------------------------------------
+# apply / adjoint: the term's matvecs A @ x and A.T @ r
+
+
+def test_apply_and_adjoint_shapes():
+    h = LeastSquaresTerm([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], np.zeros(2), 1.0)
+    assert h.op.shape == (2, 3)
+    e1 = np.array([1.0, 0.0, 0.0])
+    assert h.value(e1) == 0.5 * (1.0 + 16.0)
+    assert np.array_equal(h.gradient(e1), [17.0, 22.0, 27.0])
+    with pytest.raises(ValueError):
+        h.value(np.zeros(2))
+    with pytest.raises(ValueError):
+        h.gradient(np.zeros(4))
+
+
+def test_diagonal_and_identity():
+    d = LeastSquaresTerm(np.diag([2.0, -3.0]), np.zeros(2), 9.0)
+    assert d.value(np.array([1.0, 1.0])) == 6.5
+    assert np.array_equal(d.gradient(np.array([1.0, 1.0])), [4.0, 9.0])
+    y = np.array([0.25, 1.0, -1.0])
+    ident = LeastSquaresTerm(np.eye(3), y, 1.0)
+    x = np.array([1.0, -2.0, 0.5])
+    assert np.array_equal(ident.gradient(x), x - y)
+    assert ident.value(x) == 0.5 * float((x - y) @ (x - y))
+
+
+def test_adjoint_consistency_random_triples():
+    # <x, grad h(z)> = <A x, A z - y>: the gradient applies the adjoint of
+    # the same matrix to the residual
+    rng = np.random.default_rng(0)
+    for _ in range(1000):
+        m, n = rng.integers(1, 8, size=2)
+        a = rng.standard_normal((m, n))
+        h = LeastSquaresTerm(a, rng.standard_normal(m), 1.0)
+        x = rng.standard_normal(n)
+        z = rng.standard_normal(n)
+        lhs = float(x @ h.gradient(z))
+        rhs = float((a @ x) @ (a @ z - h.y))
+        assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
 # norm estimate
 
 
@@ -112,7 +154,7 @@ def test_least_squares_validation():
         LeastSquaresTerm(a, np.zeros(2), 0.0)
 
 
-def test_least_squares_needs_a_nonempty_2d_matrix():
+def test_operator_validation():
     for bad in (np.zeros((0, 3)), np.zeros((3, 0)), np.zeros(3), np.zeros((1, 1, 1))):
         with pytest.raises(ValueError):
             LeastSquaresTerm(bad, np.zeros(len(bad)), 1.0)
