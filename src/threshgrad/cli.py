@@ -102,12 +102,9 @@ class ExperimentConfig:
     lam: Optional[float] = None  # None = 1/L
     max_iter: int = 100_000
     residual_tol: float = 1e-10
-    record_every: int = 1
     x0: str = "zeros"  # zeros | ones | file:<path>
     # [analysis]
-    support_audit: bool = True
     rate_fit: bool = True
-    fejer: bool = True
     gamma: bool = False
     gamma_delta: float = 0.5
     gamma_r: float = 0.5
@@ -299,11 +296,8 @@ _EXPERIMENT_KEYS = (
     _Key("solver", "lambda", "lam", _auto(_POSITIVE)),
     _Key("solver", "max_iter", "max_iter", _integer(0)),
     _Key("solver", "residual_tol", "residual_tol", _NONNEGATIVE),
-    _Key("solver", "record_every", "record_every", _integer(1)),
     _Key("solver", "x0", "x0", _X0),
-    _Key("analysis", "support_audit", "support_audit", _BOOL),
     _Key("analysis", "rate_fit", "rate_fit", _BOOL),
-    _Key("analysis", "fejer", "fejer", _BOOL),
     _Key("analysis", "gamma", "gamma", _BOOL),
     _Key("analysis", "gamma_delta", "gamma_delta", _POSITIVE),
     _Key("analysis", "gamma_r", "gamma_r", _POSITIVE),
@@ -392,16 +386,8 @@ def _read_ini(path, table) -> dict:
 def parse_experiment_config(path) -> ExperimentConfig:
     """Parse and validate an experiment INI file."""
     cfg = ExperimentConfig(**_read_ini(path, _EXPERIMENT_KEYS))
-    origin = str(path)
     if cfg.omega is not None and cfg.interval is not None:
-        raise ConfigError(origin, "regularizer", "give omega or interval, not both")
-    if (cfg.support_audit or cfg.fejer) and cfg.record_every != 1:
-        raise ConfigError(
-            origin,
-            "analysis",
-            "support_audit and fejer need record_every = 1 "
-            "(sparse traces cannot certify per-iteration claims)",
-        )
+        raise ConfigError(str(path), "regularizer", "give omega or interval, not both")
     return cfg
 
 
@@ -461,6 +447,10 @@ def _synthetic_data(m: int, n: int, seed: int, scale: float):
     contract; changing it changes every seeded artifact."""
     import numpy as np
 
+    if m < 1 or n < 1:
+        raise ValueError("m and n must be >= 1")
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise ValueError(f"scale must be a finite number > 0, got {scale!r}")
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((m, n))
     top = np.linalg.svd(a, compute_uv=False)[0]
@@ -487,8 +477,6 @@ def generate_synthetic(m: int, n: int, seed: int, scale: float = 1.0, penalty=No
     from .regularizers import SeparableRegularizer, ZeroPenalty
     from .solver import Problem
 
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be >= 1")
     a, y, _ = _synthetic_data(m, n, seed, scale)
     h = LeastSquaresTerm(a, y, lipschitz=scale)
     g = SeparableRegularizer.uniform(n, penalty=penalty or ZeroPenalty())
@@ -545,10 +533,10 @@ def _verdict(problems: list, warnings: list) -> str:
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[int, dict]:
-    """Solve, polish, run the enabled audits, write artifacts.
+    """Solve, polish, run the audits, write artifacts.
 
     Returns (exit_code, summary).  Exit code 0 means the solver converged
-    and every enabled audit passed; audits that were skipped for a stated
+    and every audit that ran passed; audits that were skipped for a stated
     reason (e.g. growth estimation on a non-unique minimizer) do not fail
     the run.
     """
@@ -573,14 +561,12 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[int, dict]:
         lam=cfg.lam,
         max_iter=cfg.max_iter,
         residual_tol=cfg.residual_tol,
-        record_every=cfg.record_every,
         x0=_resolve_x0(cfg, problem.n),
     )
     trace = solver.run(problem, solver_cfg)
     x_bar = conditioning.polish(problem, trace.x_final, tol=cfg.polish_tol)
     f_star = problem.objective(x_bar)
-    if cfg.fejer:
-        trace.set_reference(x_bar)
+    trace.set_reference(x_bar)
     solver.write_trace_csv(trace, paths["trace"], f_star)
     rows = trace.support_rows()
 
@@ -611,28 +597,24 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[int, dict]:
             "iterate_log_bytes": sum(
                 a.nbytes for a in (trace.offsets, trace.indices, trace.values)
             ),
-            "fejer_distances": "iterate log" if cfg.fejer else "off",
         },
     }
 
-    if cfg.support_audit:
-        report = support.build_support_report(problem, trace, x_bar)
-        support.write_support_report(report, paths["support"])
-        summary["artifacts"]["support"] = str(paths["support"])
-        rep = support.report_to_dict(report)
-        audits["support"] = _verdict(support.report_rules(rep), warnings)
-        summary["support"] = dict(rep)
-        del summary["support"]["active_constraints"], summary["support"]["dual_point"]
-        if cfg.source == "files" and problem.n - 1 in report.esupp:
-            # only user data can be a truncation of a larger problem;
-            # builtins and synthetic instances are intrinsically finite
-            warnings.append(
-                "extended support touches the last coordinate; if this "
-                "instance truncates a larger problem, the truncation is "
-                "too short"
-            )
-    else:
-        audits["support"] = "off"
+    report = support.build_support_report(problem, trace, x_bar)
+    support.write_support_report(report, paths["support"])
+    summary["artifacts"]["support"] = str(paths["support"])
+    rep = support.report_to_dict(report)
+    audits["support"] = _verdict(support.report_rules(rep), warnings)
+    summary["support"] = dict(rep)
+    del summary["support"]["active_constraints"], summary["support"]["dual_point"]
+    if cfg.source == "files" and problem.n - 1 in report.esupp:
+        # only user data can be a truncation of a larger problem;
+        # builtins and synthetic instances are intrinsically finite
+        warnings.append(
+            "extended support touches the last coordinate; if this "
+            "instance truncates a larger problem, the truncation is "
+            "too short"
+        )
 
     if cfg.rate_fit:
         rate = conditioning.fit_rate(trace, f_star, cfg.window_fraction)
@@ -657,11 +639,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[int, dict]:
     else:
         audits["rate"] = "off"
 
-    if cfg.fejer:
-        ok = solver.fejer_check(trace, x_bar)
-        audits["fejer"] = "pass" if ok else "fail"
-    else:
-        audits["fejer"] = "off"
+    audits["fejer"] = "pass" if solver.fejer_check(trace, x_bar) else "fail"
 
     if cfg.gamma:
         unique, x_check, spread = conditioning.verify_unique_minimizer(
@@ -670,12 +648,9 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[int, dict]:
         if not unique:
             audits["gamma"] = f"skipped: minimizer spread {spread:.2e} (not unique)"
         else:
-            esupp = support.extended_support(
-                x_bar, np.asarray(problem.h.gradient(x_bar)), problem.g
-            )
             # empty esupp means the active subspace is {0}; sample the
             # whole space instead
-            region = esupp if esupp else tuple(range(problem.n))
+            region = report.esupp or tuple(range(problem.n))
             try:
                 est = conditioning.estimate_gamma(
                     problem,
@@ -793,9 +768,9 @@ def _write_csv_matrix(a, path) -> None:
 
 
 def cmd_gen(m: int, n: int, seed: int, scale: float, outdir: str, prefix: str) -> int:
+    a, y, x_true = _synthetic_data(m, n, seed, scale)
     outdir_p = Path(outdir)
     outdir_p.mkdir(parents=True, exist_ok=True)
-    a, y, x_true = _synthetic_data(m, n, seed, scale)
     targets = {
         "A": (a, f"{prefix}_A.csv"),
         "y": (y.reshape(-1, 1), f"{prefix}_y.csv"),

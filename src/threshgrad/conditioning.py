@@ -151,8 +151,7 @@ def polish(
         raise ValueError("x_approx must be finite")
 
     g = problem.g
-    ls_like = g.all_zero_psi and hasattr(problem.h, "op")
-    if not ls_like:
+    if not g.all_zero_psi:
         return _fb_continuation(problem, x_approx, tol, fb_iters)
 
     lam = 1.0 / float(problem.h.lipschitz)
@@ -364,14 +363,14 @@ class RateReport:
     """
 
     regime: str
-    epsilon: Optional[float]
-    exponent: Optional[float]
-    constant: Optional[float]
-    r_squared: Optional[float]
     r2_linear: float
     r2_loglog: float
     window: Optional[tuple[int, int]]
     n_points: int
+    epsilon: Optional[float] = None
+    exponent: Optional[float] = None
+    constant: Optional[float] = None
+    r_squared: Optional[float] = None
 
     def to_dict(self) -> dict:
         return {
@@ -433,59 +432,27 @@ def fit_rate(
     """
     ns, gaps = _tail_window(trace, f_star, window_fraction)
     if len(ns) < _MIN_FIT_POINTS:
-        return RateReport(
-            regime="inconclusive",
-            epsilon=None,
-            exponent=None,
-            constant=None,
-            r_squared=None,
-            r2_linear=0.0,
-            r2_loglog=0.0,
-            window=None,
-            n_points=len(ns),
-        )
+        return RateReport("inconclusive", 0.0, 0.0, None, len(ns))
     logg = np.log(gaps)
     slope_lin, _, r2_lin = _ols(ns, logg)
     slope_log, icpt_log, r2_log = _ols(np.log(ns), logg)
-    window = (int(ns[0]), int(ns[-1]))
+    fit = (r2_lin, r2_log, (int(ns[0]), int(ns[-1])), len(ns))
 
     linear_ok = slope_lin < 0.0 and r2_lin >= _R2_THRESHOLD
     sublinear_ok = slope_log < 0.0 and r2_log >= _R2_THRESHOLD
     if linear_ok and (not sublinear_ok or r2_lin >= r2_log):
         return RateReport(
-            regime="linear",
-            epsilon=math.exp(slope_lin),
-            exponent=None,
-            constant=None,
-            r_squared=r2_lin,
-            r2_linear=r2_lin,
-            r2_loglog=r2_log,
-            window=window,
-            n_points=len(ns),
+            "linear", *fit, epsilon=math.exp(slope_lin), r_squared=r2_lin
         )
     if sublinear_ok:
         return RateReport(
-            regime="sublinear",
-            epsilon=None,
+            "sublinear",
+            *fit,
             exponent=-slope_log,
             constant=math.exp(icpt_log),
             r_squared=r2_log,
-            r2_linear=r2_lin,
-            r2_loglog=r2_log,
-            window=window,
-            n_points=len(ns),
         )
-    return RateReport(
-        regime="inconclusive",
-        epsilon=None,
-        exponent=None,
-        constant=None,
-        r_squared=None,
-        r2_linear=r2_lin,
-        r2_loglog=r2_log,
-        window=window,
-        n_points=len(ns),
-    )
+    return RateReport("inconclusive", *fit)
 
 
 def sublinear_bound_check(

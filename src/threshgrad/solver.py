@@ -18,6 +18,7 @@ from typing import Optional
 
 import numpy as np
 
+from .operators import LeastSquaresTerm
 from .regularizers import SeparableRegularizer, g_value, prox_separable
 
 __all__ = [
@@ -44,21 +45,20 @@ TRACE_HEADER = "n,f_gap,residual,supp_size,dist_to_ref"
 
 @dataclass(frozen=True, eq=False)
 class Problem:
-    """min f = g + h with separable g and smooth h.
+    """min f = g + h with separable g and h(x) = ||Ax - y||^2 / 2.
 
-    ``h`` is a smooth oracle with ``value(x)``, ``gradient(x,
-    with_value=False)`` and ``lipschitz``.  ``gradient`` returns the
-    gradient, or with ``with_value=True`` the pair (gradient, h(x)) at the
-    cost of the gradient alone; the solver records objectives from that
-    pair.  A `LeastSquaresTerm` has this surface, and any other smooth
-    oracle with it works too.
+    ``h`` is a `LeastSquaresTerm`: its matrix ``op`` must have one column
+    per coordinate of ``g``.  The solver records objectives from
+    ``h.gradient(x, with_value=True)``, which returns the pair (gradient,
+    h(x)) at the cost of the gradient alone; `polish` solves on the
+    columns of ``op`` directly.
     """
 
     g: SeparableRegularizer
-    h: object
+    h: LeastSquaresTerm
 
     def __post_init__(self):
-        hn = getattr(getattr(self.h, "op", None), "shape", (None, self.g.n))[1]
+        hn = self.h.op.shape[1]
         if hn != self.g.n:
             raise ValueError(
                 f"dimension mismatch: regularizer has {self.g.n} coordinates, "

@@ -41,7 +41,7 @@ def test_parse_minimal_builtin_config(tmp_path):
     assert cfg.builtin_name == "ex_nocq"
     assert cfg.lam is None
     assert cfg.penalty == ("none",)
-    assert cfg.support_audit and cfg.rate_fit and cfg.fejer
+    assert cfg.rate_fit
     assert not cfg.gamma
 
 
@@ -63,7 +63,6 @@ penalty = power 4 0.5
 lambda = 0.25
 max_iter = 5000
 residual_tol = 1e-8
-record_every = 1
 x0 = ones
 
 [analysis]
@@ -99,7 +98,12 @@ prefix = exp
         (MINIMAL + "[regularizer]\nomega = 1.0\ninterval = -1 1\n", "not both"),
         (MINIMAL + "[regularizer]\npenalty = cubic\n", "penalty"),
         (MINIMAL + "[regularizer]\ninterval_x = -1 1\n", "bad key"),
-        (MINIMAL + "[solver]\nrecord_every = 5\n", "record_every"),
+        (MINIMAL + "[solver]\nrecord_every = 5\n", "unknown key 'record_every'"),
+        (
+            MINIMAL + "[analysis]\nsupport_audit = false\n",
+            "unknown key 'support_audit'",
+        ),
+        (MINIMAL + "[analysis]\nfejer = false\n", "unknown key 'fejer'"),
         (MINIMAL + "[analysis]\nwindow_fraction = 0\n", "window_fraction"),
         (MINIMAL + "[solver]\nx0 = file:/does/not/exist.csv\n", "not found"),
         ("[solver]\nlambda = 0.5\n", "required"),
@@ -124,15 +128,6 @@ def test_files_source_requires_existing_data(tmp_path):
     text = "[problem]\nsource = files\nmatrix = missing.csv\ny = missing.csv\n"
     with pytest.raises(ConfigError, match="not found"):
         parse_experiment_config(write_config(tmp_path, text))
-
-
-def test_sparse_recording_allowed_when_audits_are_off(tmp_path):
-    text = MINIMAL + (
-        "[solver]\nrecord_every = 100\n"
-        "[analysis]\nsupport_audit = false\nfejer = false\n"
-    )
-    cfg = parse_experiment_config(write_config(tmp_path, text))
-    assert cfg.record_every == 100
 
 
 def test_config_ini_roundtrip(tmp_path):
@@ -288,7 +283,7 @@ def test_run_reports_nonconvergence(tmp_path):
         tmp_path,
         "ex_nocq",
         "[solver]\nlambda = 0.5\nx0 = ones\nmax_iter = 3\n"
-        "[analysis]\nsupport_audit = false\nrate_fit = false\nfejer = false\n",
+        "[analysis]\nrate_fit = false\n",
         prefix="stall",
     )
     assert code == 1
@@ -345,7 +340,6 @@ def test_run_experiment_solves_once_with_fejer(tmp_path, monkeypatch):
     cfg = parse_experiment_config(
         write_config(tmp_path, text + f"[output]\ndir = {tmp_path / 'out'}\n")
     )
-    assert cfg.fejer
     code, summary = run_experiment(cfg)
     assert code == 0
     assert summary["audits"]["fejer"] == "pass"
@@ -353,7 +347,6 @@ def test_run_experiment_solves_once_with_fejer(tmp_path, monkeypatch):
     diag = summary["diagnostics"]
     assert diag["solves"] == 1
     assert diag["matvecs_per_iteration"] == 2
-    assert diag["fejer_distances"] == "iterate log"
     assert diag["support_changes"] > 0
     assert diag["iterate_log_bytes"] > 0
     rows = (tmp_path / "out" / "run_trace.csv").read_text().splitlines()[1:]
@@ -515,6 +508,16 @@ def test_gen_writes_deterministic_instance(tmp_path):
     assert np.all((np.abs(nz) >= 10.0) & (np.abs(nz) <= 20.0))
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["0", "5", "1"], *(["3", "4", "1", "--scale", s] for s in ("nan", "inf", "0"))],
+)
+def test_gen_rejects_out_of_domain_sizes_and_scales(tmp_path, args):
+    out = tmp_path / "gen"
+    assert main(["gen", *args, "--outdir", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_generate_synthetic_problem():
     p = generate_synthetic(6, 15, seed=0, scale=3.0)
     assert p.h.lipschitz == 3.0
@@ -652,6 +655,8 @@ def test_main_run_exit_codes(tmp_path):
         "good.ini",
     )
     assert main(["run", str(good)]) == 0
+    old = write_config(tmp_path, MINIMAL + "[analysis]\nfejer = false\n", "old.ini")
+    assert main(["run", str(old)]) == 2
 
 
 def test_main_gallery_missing_spec():
