@@ -4,7 +4,7 @@ least squares.
 Submodules:
     regularizers  intervals, scalar penalties, soft-thresholding, prox
     operators     least-squares term over a dense matrix, norm estimate, data input
-    solver        the forward-backward iteration and its trace
+    solver        the forward-backward iteration, its trace and the trace CSV
     support       support / extended-support analytics and identification
     conditioning  polishing, growth constants, rate classification
     cli           experiment runner (`threshgrad` console script)

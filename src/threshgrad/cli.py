@@ -635,7 +635,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[int, dict]:
         _json_dump(rate_dict, paths["rate"])
         summary["artifacts"]["rate"] = str(paths["rate"])
         summary["rate"] = rate_dict
-        audits["rate"] = "pass" if rate.regime != "inconclusive" else "fail"
+        audits["rate"] = _verdict(conditioning.rate_rules(rate), warnings)
     else:
         audits["rate"] = "off"
 
@@ -786,34 +786,10 @@ def cmd_gen(m: int, n: int, seed: int, scale: float, outdir: str, prefix: str) -
 # artifact audit
 
 
-def _read_trace(path) -> tuple:
-    """Columns (ns, gaps, residuals, dists) of a trace CSV; dists is None
-    when the column is blank.  Raises ValueError naming a format defect."""
-    from .solver import TRACE_HEADER
-
-    head, *lines = Path(path).read_text().strip().split("\n")
-    if head != TRACE_HEADER:
-        raise ValueError(f"bad header {head!r}")
-    if not lines:
-        raise ValueError("no rows")
-    rows = []
-    for ln, line in enumerate(lines, start=2):
-        try:
-            n, gap, res, size, dist = line.split(",")
-            int(size)
-            rows.append((int(n), float(gap), float(res), float(dist) if dist else None))
-        except ValueError:
-            raise ValueError(f"line {ln}: expected 5 numbers, got {line!r}")
-    ns, gaps, residuals, dists = zip(*rows)
-    if None in dists and any(d is not None for d in dists):
-        raise ValueError("dist_to_ref present only on some rows")
-    return ns, gaps, residuals, None if None in dists else dists
-
-
 def cmd_audit(trace_path, support_path) -> int:
     """Apply the trace and support report rules to finished artifacts; f*
     comes from the <prefix>_summary.json written beside <prefix>_trace.csv."""
-    from .solver import trace_rules
+    from .solver import read_trace_csv, trace_rules
     from .support import report_rules
 
     problems, trace_path = [], Path(trace_path)
@@ -826,7 +802,7 @@ def cmd_audit(trace_path, support_path) -> int:
     except (OSError, ValueError, KeyError, TypeError) as exc:
         problems.append(f"summary: cannot read f_star: {exc!r}")
     try:
-        columns = _read_trace(trace_path)
+        columns = read_trace_csv(trace_path)
         if f_star is not None:
             problems += trace_rules(*columns, f_star)
     except (OSError, ValueError) as exc:

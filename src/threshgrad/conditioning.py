@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -33,15 +33,14 @@ __all__ = [
     "GammaEstimate",
     "RateReport",
     "PolishError",
-    "brute_force_scalar_min",
     "polish",
     "verify_unique_minimizer",
     "estimate_gamma",
     "fit_rate",
+    "rate_rules",
     "sublinear_bound_check",
 ]
 
-_GRID_POINTS = 10_000
 _SAMPLE_CHUNK = 512  # fixed chunk so sample streams nest across budgets
 _MIN_FIT_POINTS = 8
 _R2_THRESHOLD = 0.99
@@ -57,66 +56,10 @@ class PolishError(RuntimeError):
         self.residual = residual
 
 
-def brute_force_scalar_min(
-    fun: Callable[[float], float], lo: float, hi: float, tol: float = 1e-12
-) -> tuple[float, float]:
-    """Global scan of a scalar function: dense grid then golden-section
-    refinement of the best bracket.
-
-    Intended as an independent oracle for prox and growth computations, so
-    it avoids any structure assumptions beyond rough unimodality near the
-    grid minimum.  Worst case returns the best grid point.
-    """
-    lo, hi, tol = float(lo), float(hi), float(tol)
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    ts = np.linspace(lo, hi, _GRID_POINTS)
-    try:
-        vals = np.asarray(fun(ts), dtype=float)
-        if vals.shape != ts.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        vals = np.array([float(fun(t)) for t in ts])
-    i = int(np.argmin(vals))
-    best_x, best_f = float(ts[i]), float(vals[i])
-
-    a = float(ts[max(i - 1, 0)])
-    b = float(ts[min(i + 1, len(ts) - 1)])
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = float(fun(c)), float(fun(d))
-    for _ in range(200):
-        if b - a <= tol:
-            break
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = float(fun(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = float(fun(d))
-        x, f = (c, fc) if fc <= fd else (d, fd)
-        if f < best_f:
-            best_x, best_f = x, f
-    return best_x, best_f
-
-
 def _fb_continuation(
     problem: Problem, x_from: np.ndarray, tol: float, max_iter: int
 ) -> np.ndarray:
-    lam = 1.0 / float(problem.h.lipschitz)
-    config = SolverConfig(
-        lam=lam,
-        max_iter=max_iter,
-        residual_tol=tol,
-        record_every=max(1, max_iter // 100),
-        x0=x_from,
-    )
-    trace = run(problem, config)
+    trace = run(problem, SolverConfig(max_iter=max_iter, residual_tol=tol, x0=x_from))
     if not trace.converged:
         raise PolishError(
             f"continuation stalled at residual {trace.final_residual:.3e} "
@@ -205,7 +148,6 @@ def verify_unique_minimizer(
         config = SolverConfig(
             max_iter=max_iter,
             residual_tol=max(polish_tol, 1e-10),
-            record_every=max(1, max_iter // 100),
             x0=x0,
         )
         trace = run(problem, config)
@@ -453,6 +395,24 @@ def fit_rate(
             r_squared=r2_log,
         )
     return RateReport("inconclusive", *fit)
+
+
+def rate_rules(rate: RateReport) -> list:
+    """The failed rules of a rate report, as messages (none: it passes).
+
+    A report passes when `fit_rate` read a regime; an inconclusive one
+    fails with the reason no regime was read.
+    """
+    if rate.regime != "inconclusive":
+        return []
+    if rate.n_points < _MIN_FIT_POINTS:
+        why = f"{rate.n_points} usable tail points, need >= {_MIN_FIT_POINTS}"
+    else:
+        why = (
+            f"no decreasing fit reaches R^2 >= {_R2_THRESHOLD} (r2_linear "
+            f"{rate.r2_linear:.6g}, r2_loglog {rate.r2_loglog:.6g})"
+        )
+    return [f"rate: inconclusive: {why}"]
 
 
 def sublinear_bound_check(

@@ -27,8 +27,6 @@ __all__ = [
     "CustomPenalty",
     "ScalarPenalty",
     "SeparableRegularizer",
-    "soft_interval",
-    "project_interval",
     "prox_power_scalar",
     "prox_separable",
     "g_value",
@@ -200,44 +198,6 @@ class SeparableRegularizer:
         if omega is None:
             omega = min(-interval.lo, interval.hi)
         return cls((interval,) * n, (penalty,) * n, float(omega))
-
-
-# ---------------------------------------------------------------------------
-# scalar interval operations
-
-
-def soft_interval(t, interval: Interval):
-    """Soft-thresholder of the interval: prox of its support function.
-
-    Maps the closed interval to exactly 0 and shifts outside points by the
-    nearest endpoint.  Accepts a scalar or an ndarray.
-    """
-    lo, hi = interval.lo, interval.hi
-    if isinstance(t, np.ndarray):
-        return np.where(t < lo, t - lo, np.where(t > hi, t - hi, 0.0))
-    t = float(t)
-    if t < lo:
-        return t - lo
-    if t > hi:
-        return t - hi
-    return 0.0
-
-
-def project_interval(t, interval: Interval):
-    """Projection onto the interval (clamp).  Accepts a scalar or an ndarray.
-
-    Complements `soft_interval`: soft_I(t) + proj_I(t) = t (Moreau identity
-    at unit scale; the two branches are complementary clamps).
-    """
-    lo, hi = interval.lo, interval.hi
-    if isinstance(t, np.ndarray):
-        return np.where(t < lo, lo, np.where(t > hi, hi, t))
-    t = float(t)
-    if t < lo:
-        return lo
-    if t > hi:
-        return hi
-    return t
 
 
 # ---------------------------------------------------------------------------

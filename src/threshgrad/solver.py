@@ -5,7 +5,7 @@ The iteration is
     x^{n+1} = prox_{lam*g}(x^n - lam*grad_h(x^n)),   lam in (0, 2/L),
 
 stopped when the fixed-point residual ||x - fb_step(x)|| / lam falls below a
-tolerance.  Recorded iterates are logged by their nonzeros: the
+tolerance.  Every iterate is logged by its nonzeros: the
 soft-thresholder produces exact zeros, so supports are exact index sets and
 support identification is observable without any magnitude heuristics.
 """
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -31,6 +32,7 @@ __all__ = [
     "fejer_check",
     "trace_rules",
     "write_trace_csv",
+    "read_trace_csv",
 ]
 
 # Pass/fail tolerances of the trace rules.  The descent slack and the gap
@@ -75,7 +77,7 @@ class Problem:
 
 @dataclass
 class SolverConfig:
-    """Step size, budget and recording policy for one run.
+    """Step size, budget and starting point for one run.
 
     ``lam=None`` resolves to 1/L at run start (center of the safe range with
     the classical descent constant).  ``x0=None`` starts from zero.
@@ -84,7 +86,6 @@ class SolverConfig:
     lam: Optional[float] = None
     max_iter: int = 100_000
     residual_tol: float = 1e-10
-    record_every: int = 1
     x0: Optional[np.ndarray] = None
 
     def resolve(self, problem: Problem) -> tuple[float, np.ndarray]:
@@ -100,7 +101,7 @@ class SolverConfig:
             raise ValueError(f"x0 must have shape ({problem.n},), got {x0.shape}")
         if not np.all(np.isfinite(x0)):
             raise ValueError("x0 must be finite")
-        if self.max_iter < 0 or self.record_every < 1 or self.residual_tol < 0:
+        if self.max_iter < 0 or self.residual_tol < 0:
             raise ValueError("invalid solver budget")
         return lam, x0
 
@@ -109,11 +110,11 @@ class SolverConfig:
 class IterateTrace:
     """Per-iteration record of one forward-backward run.
 
-    Recorded iterates are logged by their nonzeros, CSR-style: row i holds
-    ``values[offsets[i]:offsets[i+1]]`` at the coordinates
-    ``indices[offsets[i]:offsets[i+1]]``.  Supports, support sizes and dense
-    iterates are views over this log.  dists are distances to the reference
-    point when one was set.
+    Row i is iterate x^i, for i = 0..n_iterations.  Iterates are logged by
+    their nonzeros, CSR-style: row i holds ``values[offsets[i]:offsets[i+1]]``
+    at the coordinates ``indices[offsets[i]:offsets[i+1]]``.  Supports,
+    support sizes and dense iterates are views over this log.  dists are
+    distances to the reference point when one was set.
     """
 
     ns: np.ndarray
@@ -129,18 +130,12 @@ class IterateTrace:
     converged: bool
     n_iterations: int
     final_residual: float
-    record_every: int
     wall_time: float
     reference: Optional[np.ndarray] = None
 
     def support_rows(self) -> list:
         """Exact support of each recorded iterate, as a view into the log."""
         return np.split(self.indices, self.offsets[1:-1])
-
-    @property
-    def supports(self) -> list:
-        """Exact support of each recorded iterate, as an index tuple."""
-        return [tuple(k.tolist()) for k in self.support_rows()]
 
     @property
     def supp_sizes(self) -> np.ndarray:
@@ -198,26 +193,16 @@ def run(
 
     Returns the first iterate whose own residual is below tolerance, so the
     residual reported for the final point is genuinely its fixed-point
-    residual.  Rows are recorded every ``record_every`` iterations plus
-    always the final one.  Every recorded iterate is kept in the trace's
-    log; with ``reference`` the distances to it are set after the run.
+    residual.  Every iterate is recorded in the trace's log; with
+    ``reference`` the distances to it are set after the run.
     """
     lam, x = config.resolve(problem)
     x0 = x.copy()
     t0 = time.perf_counter()
-    ns: list = []
     objectives: list = []
     residuals: list = []
     nonzeros: list = []
     values: list = []
-
-    def record(n, x, hx, res):
-        ns.append(n)
-        objectives.append(float(hx) + g_value(x, problem.g))
-        residuals.append(res)
-        nz = np.flatnonzero(x)
-        nonzeros.append(nz)
-        values.append(x[nz])
 
     converged = False
     n = 0
@@ -226,8 +211,11 @@ def run(
         if not np.all(np.isfinite(x_next)):
             raise RuntimeError(f"non-finite iterate at iteration {n}")
         res = float(np.linalg.norm(x - x_next)) / lam
-        if n % config.record_every == 0:
-            record(n, x, hx, res)
+        objectives.append(float(hx) + g_value(x, problem.g))
+        residuals.append(res)
+        nz = np.flatnonzero(x)
+        nonzeros.append(nz)
+        values.append(x[nz])
         if res <= config.residual_tol:
             converged = True
             break
@@ -235,11 +223,9 @@ def run(
             break
         x = x_next
         n += 1
-    if ns[-1] != n:  # always include the final iterate
-        record(n, x, hx, res)
 
     trace = IterateTrace(
-        ns=np.array(ns, dtype=np.int64),
+        ns=np.arange(n + 1, dtype=np.int64),
         objectives=np.array(objectives, dtype=float),
         residuals=np.array(residuals, dtype=float),
         offsets=np.cumsum([0] + [len(nz) for nz in nonzeros], dtype=np.int64),
@@ -252,7 +238,6 @@ def run(
         converged=converged,
         n_iterations=n,
         final_residual=res,
-        record_every=config.record_every,
         wall_time=time.perf_counter() - t0,
     )
     if reference is not None:
@@ -265,12 +250,9 @@ def fejer_check(
 ) -> bool:
     """Whether ||x^{n+1} - ref|| <= ||x^n - ref|| + slack along the trace.
 
-    Needs record_every = 1 (sparse recordings cannot certify monotonicity).
     A trace whose distances were set against one reference is audited
     against that reference only.
     """
-    if trace.record_every != 1:
-        raise ValueError("fejer_check needs a trace recorded with record_every=1")
     if trace.reference is None:
         d = trace.distances_to(reference)
     elif np.array_equal(trace.reference, reference):
@@ -327,3 +309,25 @@ def write_trace_csv(trace: IterateTrace, path, f_star: float) -> None:
         )
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def read_trace_csv(path) -> tuple:
+    """Columns (ns, gaps, residuals, dists) of a trace CSV; dists is None
+    when the column is blank.  Raises ValueError naming a format defect."""
+    head, *lines = Path(path).read_text().strip().split("\n")
+    if head != TRACE_HEADER:
+        raise ValueError(f"bad header {head!r}")
+    if not lines:
+        raise ValueError("no rows")
+    rows = []
+    for ln, line in enumerate(lines, start=2):
+        try:
+            n, gap, res, size, dist = line.split(",")
+            int(size)
+            rows.append((int(n), float(gap), float(res), float(dist) if dist else None))
+        except ValueError:
+            raise ValueError(f"line {ln}: expected 5 numbers, got {line!r}")
+    ns, gaps, residuals, dists = zip(*rows)
+    if None in dists and any(d is not None for d in dists):
+        raise ValueError("dist_to_ref present only on some rows")
+    return ns, gaps, residuals, None if None in dists else dists

@@ -141,8 +141,6 @@ def identification_audit(
     inside esupp (None if the last recorded iterate still violates).
     Counting starts at n = 1: the initial point is arbitrary.
     """
-    if trace.record_every != 1:
-        raise ValueError("identification audit needs record_every=1")
     # one pass over the logged nonzeros: a row escapes when any of its
     # indices lies outside esupp
     outside = ~np.isin(trace.indices, np.asarray(esupp, dtype=np.int64))

@@ -56,7 +56,7 @@ def pytest_terminal_summary(terminalreporter):
 class BatchRun:
     seed: int
     problem: object
-    trace: object  # record_every=1, distances against x_bar
+    trace: object  # every iterate, distances against x_bar
     x_bar: np.ndarray
     f_star: float
     report: object
@@ -76,7 +76,7 @@ def _run_instance(seed: int) -> BatchRun:
     from threshgrad.support import build_support_report
 
     problem = generate_synthetic(20, 50, seed)
-    config = SolverConfig(max_iter=100_000, residual_tol=1e-10, record_every=1)
+    config = SolverConfig(max_iter=100_000, residual_tol=1e-10)
     trace = run(problem, config)
     x_bar = polish(problem, trace.x_final, tol=1e-12)
     f_star = problem.objective(x_bar)

@@ -1,0 +1,97 @@
+"""Independent reference implementations that tests compare the package
+against: the interval soft-thresholder and projection in scalar form, and a
+brute-force scalar minimizer (dense grid plus golden-section refinement).
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Callable
+
+import numpy as np
+
+from threshgrad.regularizers import Interval
+
+_GRID_POINTS = 10_000
+
+
+def soft_interval(t, interval: Interval):
+    """Soft-thresholder of the interval: prox of its support function.
+
+    Maps the closed interval to exactly 0 and shifts outside points by the
+    nearest endpoint.  Accepts a scalar or an ndarray.
+    """
+    lo, hi = interval.lo, interval.hi
+    if isinstance(t, np.ndarray):
+        return np.where(t < lo, t - lo, np.where(t > hi, t - hi, 0.0))
+    t = float(t)
+    if t < lo:
+        return t - lo
+    if t > hi:
+        return t - hi
+    return 0.0
+
+
+def project_interval(t, interval: Interval):
+    """Projection onto the interval (clamp).  Accepts a scalar or an ndarray.
+
+    Complements `soft_interval`: soft_I(t) + proj_I(t) = t (Moreau identity
+    at unit scale; the two branches are complementary clamps).
+    """
+    lo, hi = interval.lo, interval.hi
+    if isinstance(t, np.ndarray):
+        return np.where(t < lo, lo, np.where(t > hi, hi, t))
+    t = float(t)
+    if t < lo:
+        return lo
+    if t > hi:
+        return hi
+    return t
+
+
+def brute_force_scalar_min(
+    fun: Callable[[float], float], lo: float, hi: float, tol: float = 1e-12
+) -> tuple[float, float]:
+    """Global scan of a scalar function: dense grid then golden-section
+    refinement of the best bracket.
+
+    Intended as an independent oracle for prox and growth computations, so
+    it avoids any structure assumptions beyond rough unimodality near the
+    grid minimum.  Worst case returns the best grid point.
+    """
+    lo, hi, tol = float(lo), float(hi), float(tol)
+    if not lo < hi:
+        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
+    ts = np.linspace(lo, hi, _GRID_POINTS)
+    try:
+        vals = np.asarray(fun(ts), dtype=float)
+        if vals.shape != ts.shape:
+            raise TypeError
+    except (TypeError, ValueError):
+        vals = np.array([float(fun(t)) for t in ts])
+    i = int(np.argmin(vals))
+    best_x, best_f = float(ts[i]), float(vals[i])
+
+    a = float(ts[max(i - 1, 0)])
+    b = float(ts[min(i + 1, len(ts) - 1)])
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = float(fun(c)), float(fun(d))
+    for _ in range(200):
+        if b - a <= tol:
+            break
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = float(fun(c))
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = float(fun(d))
+        x, f = (c, fc) if fc <= fd else (d, fd)
+        if f < best_f:
+            best_x, best_f = x, f
+    return best_x, best_f

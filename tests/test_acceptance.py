@@ -9,21 +9,16 @@ import math
 import time
 
 import numpy as np
+from oracles import brute_force_scalar_min, soft_interval
 
 from threshgrad.cli import generate_synthetic
-from threshgrad.conditioning import (
-    brute_force_scalar_min,
-    fit_rate,
-    polish,
-    sublinear_bound_check,
-)
+from threshgrad.conditioning import fit_rate, polish, sublinear_bound_check
 from threshgrad.operators import LeastSquaresTerm
 from threshgrad.regularizers import (
     Interval,
     PowerPenalty,
     SeparableRegularizer,
     prox_separable,
-    soft_interval,
 )
 from threshgrad.solver import Problem, SolverConfig, fejer_check, run, write_trace_csv
 from threshgrad.support import (
@@ -49,7 +44,7 @@ def segment_problem():
 
 def _solve_builtin(problem, **config_kwargs):
     """run -> polish -> rerun against the polished reference."""
-    config = SolverConfig(residual_tol=1e-10, record_every=1, **config_kwargs)
+    config = SolverConfig(residual_tol=1e-10, **config_kwargs)
     first = run(problem, config)
     x_bar = polish(problem, first.x_final, tol=1e-12)
     trace = run(problem, config, reference=x_bar)
@@ -63,7 +58,7 @@ def _solve_builtin(problem, **config_kwargs):
 def test_criterion_1(acceptance):
     t0 = time.perf_counter()
     problem = scalar_problem()
-    config = SolverConfig(lam=0.5, x0=np.ones(1), residual_tol=1e-10, record_every=1)
+    config = SolverConfig(lam=0.5, x0=np.ones(1), residual_tol=1e-10)
     trace = run(problem, config)
     x_bar = polish(problem, trace.x_final, tol=1e-12)
     report = build_support_report(problem, trace, x_bar)
@@ -187,7 +182,7 @@ def test_criterion_4(acceptance, lasso_batch):
 
 
 def test_criterion_5(acceptance):
-    config = SolverConfig(max_iter=20_000, residual_tol=1e-10, record_every=1)
+    config = SolverConfig(max_iter=20_000, residual_tol=1e-10)
     slopes = []
     for seed in range(10):
         problem = generate_synthetic(20, 50, seed, penalty=PowerPenalty(4.0, 1.0))
@@ -265,7 +260,7 @@ def test_criterion_6(acceptance):
 
 
 # ---------------------------------------------------------------------------
-# 7: monotone objective and Fejer distances on every record_every=1 run
+# 7: monotone objective and Fejer distances on every run
 
 
 def test_criterion_7(acceptance, lasso_batch):
@@ -330,7 +325,7 @@ def test_criterion_8(acceptance, lasso_batch):
 
 
 def test_criterion_9(acceptance, lasso_batch, tmp_path):
-    config = SolverConfig(max_iter=100_000, residual_tol=1e-10, record_every=1)
+    config = SolverConfig(max_iter=100_000, residual_tol=1e-10)
     mismatched = []
     for r in lasso_batch.runs:
         stored = tmp_path / f"batch_{r.seed}.csv"

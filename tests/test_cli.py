@@ -291,6 +291,20 @@ def test_run_reports_nonconvergence(tmp_path):
     assert any("without reaching" in w for w in summary["warnings"])
 
 
+def test_run_names_why_the_rate_is_inconclusive(tmp_path):
+    # a 1x1 instance converges in one iteration, leaving no tail to fit
+    text = "[problem]\nsource = synthetic\nm = 1\nn = 1\nseed = 0\n"
+    cfg = parse_experiment_config(
+        write_config(tmp_path, text + f"[output]\ndir = {tmp_path}\n")
+    )
+    code, summary = run_experiment(cfg)
+    assert code == 1
+    assert summary["converged"]
+    assert summary["audits"]["rate"] == "fail"
+    assert summary["rate"]["n_points"] == 0
+    assert summary["warnings"] == ["rate: inconclusive: 0 usable tail points, need >= 8"]
+
+
 def test_run_synthetic_is_deterministic(tmp_path):
     text = """\
 [problem]

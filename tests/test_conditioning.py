@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from oracles import brute_force_scalar_min
 
 from threshgrad.conditioning import (
     PolishError,
-    brute_force_scalar_min,
     estimate_gamma,
     fit_rate,
     polish,
+    rate_rules,
     sublinear_bound_check,
     verify_unique_minimizer,
 )
@@ -67,7 +68,6 @@ def gap_trace(gaps, f_star=0.0, start_n=1):
         converged=True,
         n_iterations=int(ns[-1]),
         final_residual=0.0,
-        record_every=1,
         wall_time=0.0,
     )
 
@@ -187,6 +187,9 @@ def test_polish_with_power_penalty_uses_iterative_fallback():
     x = polish(p, trace.x_final, tol=1e-12)
     lam = 1.0 / p.h.lipschitz
     assert fixed_point_residual(p, lam, x) <= 1e-12
+    # the continuation is a plain run from the input at the default step
+    want = run(p, SolverConfig(residual_tol=1e-12, x0=trace.x_final)).x_final
+    assert x.tobytes() == want.tobytes()
 
 
 def test_polish_error_carries_best_point():
@@ -383,6 +386,7 @@ def test_fit_rate_geometric_sequence():
     assert rep.epsilon == pytest.approx(0.9, abs=1e-6)
     assert rep.r_squared >= 0.999999
     assert rep.window[1] == 200
+    assert rate_rules(rep) == []
 
 
 def test_fit_rate_power_law_sequence():
@@ -422,6 +426,7 @@ def test_fit_rate_too_few_points_is_inconclusive():
     assert rep.epsilon is None and rep.exponent is None
     # the half-fraction tail window of 5 recorded gaps keeps 3 points
     assert rep.n_points == 3
+    assert rate_rules(rep) == ["rate: inconclusive: 3 usable tail points, need >= 8"]
 
 
 def test_fit_rate_converged_at_start_is_inconclusive():
@@ -438,6 +443,10 @@ def test_fit_rate_erratic_sequence_is_inconclusive():
     assert rep.regime == "inconclusive"
     assert rep.r2_linear < 0.99 and rep.r2_loglog < 0.99
     assert rep.window is not None
+    assert rate_rules(rep) == [
+        "rate: inconclusive: no decreasing fit reaches R^2 >= 0.99 "
+        f"(r2_linear {rep.r2_linear:.6g}, r2_loglog {rep.r2_loglog:.6g})"
+    ]
 
 
 def test_fit_rate_window_fraction_validation():

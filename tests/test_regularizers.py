@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import project_interval, soft_interval
 
 from threshgrad.regularizers import (
     CustomPenalty,
@@ -12,10 +13,8 @@ from threshgrad.regularizers import (
     SeparableRegularizer,
     ZeroPenalty,
     g_value,
-    project_interval,
     prox_power_scalar,
     prox_separable,
-    soft_interval,
 )
 
 SYM = Interval(-1.0, 1.0)

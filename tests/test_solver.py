@@ -9,6 +9,7 @@ from threshgrad.solver import (
     fb_step,
     fejer_check,
     fixed_point_residual,
+    read_trace_csv,
     run,
     trace_rules,
     write_trace_csv,
@@ -71,8 +72,6 @@ def test_x0_validation():
     with pytest.raises(ValueError):
         SolverConfig(x0=np.array([np.nan])).resolve(p)
     with pytest.raises(ValueError):
-        SolverConfig(record_every=0).resolve(p)
-    with pytest.raises(ValueError):
         SolverConfig(max_iter=-1).resolve(p)
 
 
@@ -117,6 +116,7 @@ def test_scalar_run_reproduces_geometric_recurrence():
     trace = run(p, cfg, reference=np.array([0.0]))
     assert trace.converged
     assert trace.n_iterations == 34
+    assert np.array_equal(trace.ns, np.arange(trace.n_iterations + 1))
     # the iteration halves x each step, exactly in floating point
     for n, x in enumerate(trace.iterates):
         assert x[0] == 0.5 ** n
@@ -127,7 +127,7 @@ def test_scalar_run_reproduces_geometric_recurrence():
     gaps = trace.objectives - f_star
     want = 0.25 ** trace.ns.astype(float) / 2.0
     assert np.allclose(gaps, want, rtol=0, atol=1e-15)
-    assert all(s == (0,) for s in trace.supports)
+    assert all(s.tolist() == [0] for s in trace.support_rows())
     assert trace_rules(trace.ns, gaps, trace.residuals, None, f_star) == []
     assert fejer_check(trace, np.array([0.0]))
 
@@ -139,7 +139,7 @@ def test_run_started_at_minimizer_stops_immediately():
     assert trace.n_iterations == 0
     assert trace.final_residual == 0.0
     assert list(trace.ns) == [0]
-    assert trace.supports == [()]
+    assert [s.tolist() for s in trace.support_rows()] == [[]]
 
 
 def test_run_out_of_budget_reports_not_converged():
@@ -148,17 +148,8 @@ def test_run_out_of_budget_reports_not_converged():
     trace = run(p, cfg)
     assert not trace.converged
     assert trace.n_iterations == 5
+    assert np.array_equal(trace.ns, np.arange(trace.n_iterations + 1))
     assert trace.x_final[0] == 0.5 ** 5
-
-
-def test_sparse_recording_always_includes_last_row():
-    p = scalar_problem()
-    cfg = SolverConfig(
-        lam=0.5, x0=np.array([1.0]), record_every=10, residual_tol=1e-10
-    )
-    trace = run(p, cfg)
-    assert list(trace.ns) == [0, 10, 20, 30, 34]
-    assert trace.record_every == 10
 
 
 def test_segment_run_converges_in_one_step():
@@ -203,13 +194,6 @@ def test_reference_distances_recorded():
 
 # ---------------------------------------------------------------------------
 # fejer monotonicity checker
-
-
-def test_fejer_check_requires_dense_recording():
-    p = scalar_problem()
-    trace = run(p, SolverConfig(lam=0.5, x0=np.array([1.0]), record_every=2))
-    with pytest.raises(ValueError):
-        fejer_check(trace, np.array([0.0]))
 
 
 def test_fejer_check_rejects_mismatched_reference():
@@ -266,6 +250,22 @@ def test_write_trace_csv_without_reference(tmp_path):
     assert lines[1].endswith(",")  # empty dist column
 
 
+def test_trace_csv_round_trips_the_trace_columns(tmp_path):
+    p = random_problem(5)
+    trace = run(p, SolverConfig(max_iter=500, residual_tol=1e-9))
+    f_star = float(trace.objectives[-1])
+    path = tmp_path / "trace.csv"
+    write_trace_csv(trace, path, f_star)
+    ns, gaps, residuals, dists = read_trace_csv(path)
+    assert np.array_equal(ns, trace.ns)
+    assert np.array(gaps).tobytes() == (trace.objectives - f_star).tobytes()
+    assert np.array(residuals).tobytes() == trace.residuals.tobytes()
+    assert dists is None  # no reference set
+    trace.set_reference(trace.x_final)
+    write_trace_csv(trace, path, f_star)
+    assert np.array(read_trace_csv(path)[3]).tobytes() == trace.dists.tobytes()
+
+
 def test_trace_csv_deterministic_across_runs(tmp_path):
     p = random_problem(11)
     cfg = SolverConfig(max_iter=500, residual_tol=1e-9)
@@ -294,7 +294,9 @@ def test_iterate_log_reproduces_the_dense_iterates():
     assert len(got) == len(want) == len(trace.ns)
     for g, x in zip(got, want):
         assert g.tobytes() == (x + 0.0).tobytes()  # -0.0 is logged as 0.0
-    assert trace.supports == [tuple(np.flatnonzero(x).tolist()) for x in want]
+    assert [s.tolist() for s in trace.support_rows()] == [
+        np.flatnonzero(x).tolist() for x in want
+    ]
     assert np.array_equal(trace.supp_sizes, [np.count_nonzero(x) for x in want])
     assert trace.indices.dtype == np.int32
     assert trace.offsets[-1] == len(trace.indices) == len(trace.values)

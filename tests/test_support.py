@@ -39,7 +39,7 @@ def segment_problem():
     return Problem(g=SeparableRegularizer.uniform(2), h=h)
 
 
-def _mk_trace(ns, supports, record_every=1, x0=None, lam=1.0):
+def _mk_trace(ns, supports, x0=None, lam=1.0):
     ns = np.asarray(ns, dtype=np.int64)
     k = len(ns)
     if x0 is None:
@@ -58,7 +58,6 @@ def _mk_trace(ns, supports, record_every=1, x0=None, lam=1.0):
         converged=True,
         n_iterations=int(ns[-1]),
         final_residual=0.0,
-        record_every=record_every,
         wall_time=0.0,
     )
 
@@ -168,12 +167,6 @@ def test_audit_unsettled_tail_has_no_identification_iteration():
 def test_audit_on_single_row_trace():
     trace = _mk_trace([0], [()])
     assert identification_audit(trace, (0,)) == (0, 1)
-
-
-def test_audit_requires_dense_recording():
-    trace = _mk_trace([0, 2], [(), ()], record_every=2)
-    with pytest.raises(ValueError):
-        identification_audit(trace, (0,))
 
 
 def test_audit_on_real_run():
