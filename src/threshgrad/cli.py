@@ -88,7 +88,7 @@ class ExperimentConfig:
     builtin_name: Optional[str] = None
     matrix_path: Optional[str] = None
     y_path: Optional[str] = None
-    lipschitz: Optional[float] = None  # None = estimate from the operator
+    lipschitz: Optional[float] = None  # None = exact ||A||^2
     m: Optional[int] = None
     n: Optional[int] = None
     seed: Optional[int] = None
@@ -441,11 +441,13 @@ def _build_regularizer(cfg: ExperimentConfig, n: int):
 
 
 def _synthetic_data(m: int, n: int, seed: int, scale: float):
-    """Seeded Gaussian instance: A scaled to ||A||^2 = scale exactly (via
-    SVD), sparse x_true with ceil(n/10) entries of magnitude 10..20, y =
-    A x_true + 0.1 * noise.  Draw order is part of the determinism
-    contract; changing it changes every seeded artifact."""
+    """Seeded Gaussian instance: A scaled to ||A||^2 = scale exactly (by
+    `operator_norm`), sparse x_true with ceil(n/10) entries of magnitude
+    10..20, y = A x_true + 0.1 * noise.  Draw order is part of the
+    determinism contract; changing it changes every seeded artifact."""
     import numpy as np
+
+    from .operators import operator_norm
 
     if m < 1 or n < 1:
         raise ValueError("m and n must be >= 1")
@@ -453,7 +455,7 @@ def _synthetic_data(m: int, n: int, seed: int, scale: float):
         raise ValueError(f"scale must be a finite number > 0, got {scale!r}")
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((m, n))
-    top = np.linalg.svd(a, compute_uv=False)[0]
+    top = operator_norm(a)
     if top == 0.0:
         raise ValueError("degenerate draw: zero matrix")
     a *= math.sqrt(scale) / top
@@ -490,19 +492,28 @@ def _build_problem(cfg: ExperimentConfig):
     if cfg.source == "builtin":
         h = _builtin_smooth(cfg.builtin_name)
     elif cfg.source == "files":
-        from .operators import read_dense_matrix, read_vector
+        from .operators import operator_norm, read_dense_matrix, read_vector
 
         a = read_dense_matrix(cfg.matrix_path)
         y = read_vector(cfg.y_path)
+        # a placeholder L first, so the term rejects non-finite data
+        # before the SVD sees it
+        h = LeastSquaresTerm(a, y, lipschitz=cfg.lipschitz or 1.0)
         if cfg.lipschitz is None:
-            h = LeastSquaresTerm.with_estimated_lipschitz(a, y)
-        else:
-            h = LeastSquaresTerm(a, y, lipschitz=cfg.lipschitz)
+            h = replace(h, lipschitz=operator_norm(h.op) ** 2)
     else:
         a, y, _ = _synthetic_data(cfg.m, cfg.n, cfg.seed, cfg.scale)
         h = LeastSquaresTerm(a, y, lipschitz=cfg.scale)
     n = h.op.shape[1]
     return Problem(g=_build_regularizer(cfg, n), h=h)
+
+
+def _lipschitz_source(cfg: ExperimentConfig) -> str:
+    """Where `_build_problem` takes L from: the builtin's constant, the
+    synthetic `scale`, the config's `lipschitz`, or the exact ||A||^2."""
+    if cfg.source != "files":
+        return cfg.source
+    return "exact" if cfg.lipschitz is None else "config"
 
 
 def _resolve_x0(cfg: ExperimentConfig, n: int):
@@ -544,6 +555,14 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[int, dict]:
 
     from . import conditioning, solver, support
 
+    problem = _build_problem(cfg)
+    solver_cfg = solver.SolverConfig(
+        lam=cfg.lam,
+        max_iter=cfg.max_iter,
+        residual_tol=cfg.residual_tol,
+        x0=_resolve_x0(cfg, problem.n),
+    )
+    solver_cfg.resolve(problem)  # a rejected step or x0 leaves no output behind
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     paths = {
@@ -556,13 +575,6 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[int, dict]:
         )
     }
 
-    problem = _build_problem(cfg)
-    solver_cfg = solver.SolverConfig(
-        lam=cfg.lam,
-        max_iter=cfg.max_iter,
-        residual_tol=cfg.residual_tol,
-        x0=_resolve_x0(cfg, problem.n),
-    )
     trace = solver.run(problem, solver_cfg)
     x_bar = conditioning.polish(problem, trace.x_final, tol=cfg.polish_tol)
     f_star = problem.objective(x_bar)
@@ -597,6 +609,10 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[int, dict]:
             "iterate_log_bytes": sum(
                 a.nbytes for a in (trace.offsets, trace.indices, trace.values)
             ),
+            "lipschitz": {
+                "value": float(problem.h.lipschitz),
+                "source": _lipschitz_source(cfg),
+            },
         },
     }
 
@@ -713,44 +729,34 @@ def parse_gallery_spec(path) -> GallerySpec:
     return spec
 
 
-def _gallery_penalty_object(spec: tuple):
-    from .regularizers import CustomPenalty, prox_power_scalar
-
-    if spec[0] not in ("box", "power_box"):
-        return _penalty_object(spec)
-    if spec[0] == "box":
-        p = w = None
-        a, b = spec[1], spec[2]
-    else:
-        p, w, a, b = spec[1:]
-
-    def value(t: float) -> float:
-        if not a <= t <= b:
-            return math.inf
-        # same convention as PowerPenalty: weight * |t|**p / p
-        return 0.0 if p is None else w * abs(t) ** p / p
-
-    def prox(t: float, lam: float) -> float:
-        s = t if p is None else prox_power_scalar(t, lam, p, w)
-        # the scalar objective is convex, so the constrained minimizer is
-        # the clamp of the unconstrained one
-        return min(max(s, a), b)
-
-    return CustomPenalty(value=value, prox=prox)
-
-
 def emit_prox_gallery(spec: GallerySpec) -> None:
-    """Tabulate prox_{lam*(sigma_I + psi)} over the grid as CSV (t, prox)."""
+    """Tabulate prox_{lam*(sigma_I + psi)} over the grid as CSV (t, prox).
+
+    A `box a b` spec clamps the prox to [a, b]: the scalar objective is
+    convex, so the constrained minimizer is the clamp of the unconstrained
+    one.  The power prox of a boxed spec is taken after the soft-threshold,
+    by `prox_power_scalar`.
+    """
     import numpy as np
 
-    from .regularizers import Interval, SeparableRegularizer, prox_separable
-
-    g = SeparableRegularizer.uniform(
-        1, Interval(*spec.interval), _gallery_penalty_object(spec.penalty)
+    from .regularizers import (
+        Interval,
+        SeparableRegularizer,
+        prox_power_scalar,
+        prox_separable,
     )
+
+    kind = spec.penalty[0]
+    box = spec.penalty[-2:] if kind in ("box", "power_box") else None
+    penalty = _penalty_object(spec.penalty if box is None else ("none",))
+    g = SeparableRegularizer.uniform(1, Interval(*spec.interval), penalty)
     lines = ["t,prox"]
     for t in np.linspace(spec.lo, spec.hi, spec.steps):
         v = prox_separable(np.array([float(t)]), spec.lam, g)[0]
+        if kind == "power_box":
+            v = prox_power_scalar(float(v), spec.lam, *spec.penalty[1:3])
+        if box is not None:
+            v = min(max(v, box[0]), box[1])
         lines.append(f"{repr(float(t))},{repr(float(v))}")
     out = Path(spec.out_path)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -1,6 +1,6 @@
-"""The smooth term h(x) = ||Ax - y||^2 / 2 over a dense matrix A, norm
-estimation, and data ingestion.  A term is immutable and its operations are
-pure, so one is safe to share across concurrent solver runs.
+"""The smooth term h(x) = ||Ax - y||^2 / 2 over a dense matrix A, its exact
+operator norm, and data ingestion.  A term is immutable and its operations
+are pure, so one is safe to share across concurrent solver runs.
 """
 
 from __future__ import annotations
@@ -12,44 +12,16 @@ import numpy as np
 
 __all__ = [
     "LeastSquaresTerm",
-    "operator_norm_sq",
+    "operator_norm",
     "read_dense_matrix",
     "read_vector",
 ]
 
-# fixed internal seed so norm estimates are reproducible run to run
-_POWER_ITER_SEED = 20210607
 
-
-def operator_norm_sq(a: np.ndarray, tol: float = 1e-9, max_iter: int = 5000) -> float:
-    """Upper estimate of ||A||^2 by power iteration on A^T A.
-
-    The converged Rayleigh quotient is multiplied by a safety factor 1.01 so
-    the returned value upper-bounds the true norm in the generic case, which
-    is what a Lipschitz constant needs.  Raises on non-convergence within
-    ``max_iter`` (the caller may then supply L manually).
-    """
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    a = np.asarray(a, dtype=float)
-    n = a.shape[1]
-    rng = np.random.default_rng(_POWER_ITER_SEED)
-    v = rng.random(n) + 0.5  # random positive start
-    v /= np.linalg.norm(v)
-    lam_old = None
-    for _ in range(max_iter):
-        w = a.T @ (a @ v)
-        lam = float(v @ w)
-        norm_w = np.linalg.norm(w)
-        if norm_w == 0.0:
-            return 0.0  # zero matrix
-        if lam_old is not None and abs(lam - lam_old) <= tol * max(abs(lam), 1e-300):
-            return 1.01 * lam
-        lam_old = lam
-        v = w / norm_w
-    raise RuntimeError(
-        f"power iteration did not converge within {max_iter} iterations"
-    )
+def operator_norm(a: np.ndarray) -> float:
+    """sigma_max(A), the exact operator 2-norm: ||A||^2 is the Lipschitz
+    constant of grad h, and synthetic instances are scaled by it."""
+    return np.linalg.svd(a, compute_uv=False)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,16 +46,13 @@ class LeastSquaresTerm:
             raise ValueError(
                 f"data vector must have length {a.shape[0]}, got {y.shape}"
             )
+        for name, v in (("matrix", a), ("data vector", y)):
+            if not np.isfinite(v).all():
+                raise ValueError(f"the {name} has non-finite entries")
         object.__setattr__(self, "op", a)
         object.__setattr__(self, "y", y)
         if not self.lipschitz > 0.0:
             raise ValueError(f"lipschitz must be positive, got {self.lipschitz}")
-
-    @classmethod
-    def with_estimated_lipschitz(
-        cls, a: np.ndarray, y: np.ndarray, tol: float = 1e-9, max_iter: int = 5000
-    ) -> "LeastSquaresTerm":
-        return cls(a, y, operator_norm_sq(a, tol, max_iter))
 
     def value(self, x: np.ndarray) -> float:
         r = self.op @ x - self.y

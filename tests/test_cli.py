@@ -229,6 +229,7 @@ def test_run_segment_builtin(tmp_path):
     assert summary["support"]["esupp"] == [0, 1]
     assert summary["support"]["qualification_holds"] is True
     assert summary["audits"]["rate"] == "off"
+    assert summary["diagnostics"]["lipschitz"] == {"value": 4.0, "source": "builtin"}
     report = json.loads((tmp_path / "seg_support.json").read_text())
     assert report["rho_sol"] is None
     assert report["dual_point"] == pytest.approx([1.0, -1.0], abs=1e-10)
@@ -363,6 +364,7 @@ def test_run_experiment_solves_once_with_fejer(tmp_path, monkeypatch):
     assert diag["matvecs_per_iteration"] == 2
     assert diag["support_changes"] > 0
     assert diag["iterate_log_bytes"] > 0
+    assert diag["lipschitz"] == {"value": 1.0, "source": "synthetic"}
     rows = (tmp_path / "out" / "run_trace.csv").read_text().splitlines()[1:]
     assert all(row.split(",")[4] for row in rows)  # every distance written
 
@@ -406,22 +408,101 @@ dir = {tmp_path / "first"}
     assert first == second
 
 
+def write_files_config(tmp_path, a_path, y_path, extra=""):
+    text = (
+        f"[problem]\nsource = files\nmatrix = {a_path}\ny = {y_path}\n{extra}"
+        f"[output]\ndir = {tmp_path / 'out'}\n"
+    )
+    return write_config(tmp_path, text)
+
+
 def test_run_with_data_files(tmp_path):
     assert main(["gen", "6", "9", "4", "--outdir", str(tmp_path), "--prefix", "inst"]) == 0
-    text = f"""\
-[problem]
-source = files
-matrix = {tmp_path / "inst_A.csv"}
-y = {tmp_path / "inst_y.csv"}
-
-[output]
-dir = {tmp_path / "out"}
-"""
-    cfg = parse_experiment_config(write_config(tmp_path, text))
+    cfg = parse_experiment_config(
+        write_files_config(tmp_path, tmp_path / "inst_A.csv", tmp_path / "inst_y.csv")
+    )
     code, summary = run_experiment(cfg)
     assert code == 0
     assert summary["m"] == 6 and summary["n"] == 9
     assert summary["converged"]
+
+
+def _write_csv(path, rows):
+    path.write_text("".join(",".join(repr(float(v)) for v in row) + "\n" for row in rows))
+    return path
+
+
+def test_run_auto_lipschitz_is_exact_where_power_iteration_stalls(tmp_path):
+    # A's top right singular vector q2 is orthogonal to v, so a power
+    # iteration started at v (seeded as below) stays on q1 and reads
+    # ||A||^2 = 1 instead of 4; the step 1/1.01 > 2/4 then diverges
+    rng = np.random.default_rng(20210607)
+    v = rng.random(3) + 0.5
+    v /= np.linalg.norm(v)
+    e1, e2, e3 = np.eye(3)
+    q, _ = np.linalg.qr(np.column_stack([v, e2, e3]))
+    q1, q2, q3 = q.T
+    a = 2.0 * np.outer(e1, q2) + np.outer(e2, q1) + 0.5 * np.outer(e3, q3)
+    y = a @ np.array([3.0, -2.0, 1.0])
+    cfg = write_files_config(
+        tmp_path,
+        _write_csv(tmp_path / "A.csv", a),
+        _write_csv(tmp_path / "y.csv", y[:, None]),
+        "[regularizer]\nomega = 0.1\n",
+    )
+    assert main(["run", str(cfg)]) == 0
+    summary = json.loads((tmp_path / "out" / "run_summary.json").read_text())
+    assert summary["converged"]
+    assert summary["lam"] == pytest.approx(0.25, rel=1e-14)
+    assert summary["diagnostics"]["lipschitz"]["source"] == "exact"
+
+
+@pytest.mark.parametrize(
+    "extra, source",
+    [("lipschitz = auto\n", "exact"), ("lipschitz = 5.0\n", "config")],
+)
+def test_run_records_where_lipschitz_came_from(tmp_path, extra, source):
+    from threshgrad.operators import operator_norm, read_dense_matrix
+
+    assert main(["gen", "6", "9", "4", "--outdir", str(tmp_path), "--prefix", "inst"]) == 0
+    a_path = tmp_path / "inst_A.csv"
+    cfg = write_files_config(tmp_path, a_path, tmp_path / "inst_y.csv", extra)
+    code, summary = run_experiment(parse_experiment_config(cfg))
+    assert code == 0
+    want = 5.0 if source == "config" else operator_norm(read_dense_matrix(a_path)) ** 2
+    assert summary["diagnostics"]["lipschitz"] == {"value": want, "source": source}
+    on_disk = json.loads((tmp_path / "out" / "run_summary.json").read_text())
+    assert on_disk["diagnostics"]["lipschitz"] == {"value": want, "source": source}
+
+
+@pytest.mark.parametrize(
+    "where, bad, message",
+    [
+        ("A", math.nan, "the matrix has non-finite entries"),
+        ("y", math.inf, "the data vector has non-finite entries"),
+    ],
+)
+def test_run_rejects_non_finite_data_and_writes_nothing(tmp_path, capsys, where, bad, message):
+    assert main(["gen", "4", "5", "1", "--outdir", str(tmp_path), "--prefix", "inst"]) == 0
+    path = tmp_path / f"inst_{where}.csv"
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    rows[1][0] = repr(bad)
+    _write_csv(path, rows)
+    cfg = write_files_config(tmp_path, tmp_path / "inst_A.csv", tmp_path / "inst_y.csv")
+    assert main(["run", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "extra",
+    ["[solver]\nlambda = 2.0\n", "[solver]\nx0 = file:{x0}\n"],
+)
+def test_run_rejects_its_step_or_start_and_writes_nothing(tmp_path, extra):
+    x0 = _write_csv(tmp_path / "x0.csv", [[1.0], [2.0]])  # ex_nocq has n = 1
+    text = MINIMAL + f"[output]\ndir = {tmp_path / 'out'}\n" + extra.format(x0=x0)
+    assert main(["run", str(write_config(tmp_path, text))]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +558,23 @@ def test_gallery_power_box_penalty(tmp_path):
     emit_prox_gallery(spec)
     _, vs = read_curve(tmp_path / "curve.csv")
     assert vs == [-0.25, -0.25, 0.0, 0.0, 0.0, 0.25, 0.25]
+
+
+@pytest.mark.parametrize(
+    "unboxed, lo, hi, tol",
+    [("none", 0.0, 1.0, 0.0), ("none", 0.25, 1.0, 0.0), ("power 1.05 1", -1.0, 1.0, 1e-12)],
+)
+def test_gallery_box_is_the_clamp_of_the_unboxed_curve(tmp_path, unboxed, lo, hi, tol):
+    # the boxed power curve takes the scalar prox, the unboxed one the
+    # vectorized prox; both solve to 1e-13
+    curves = []
+    for name, penalty in (("free", unboxed), ("boxed", f"{unboxed} box {lo} {hi}")):
+        text = f"[regularizer]\npenalty = {penalty.removeprefix('none ')}\n"
+        spec = write_gallery(tmp_path, text, f"{name}.csv", lo=-3, hi=3, steps=61)
+        assert main(["gallery", str(spec)]) == 0
+        curves.append(read_curve(tmp_path / f"{name}.csv")[1])
+    free, boxed = curves
+    assert boxed == pytest.approx(np.clip(free, lo, hi).tolist(), abs=tol, rel=0)
 
 
 def test_gallery_spec_validation(tmp_path):
@@ -542,6 +640,16 @@ def test_generate_synthetic_problem():
     assert np.array_equal(p.h.y, q.h.y)
     with pytest.raises(ValueError):
         generate_synthetic(0, 5, seed=0)
+
+
+@pytest.mark.parametrize("m, n, seed, scale", [(6, 15, 0, 3.0), (20, 50, 7, 1.0), (9, 4, 11, 0.5)])
+def test_synthetic_scaling_is_bitwise_the_full_svd(m, n, seed, scale):
+    # the pinned synthetic artifacts depend on these exact bits
+    from threshgrad.cli import _synthetic_data
+
+    a = np.random.default_rng(seed).standard_normal((m, n))
+    a *= math.sqrt(scale) / np.linalg.svd(a, compute_uv=False)[0]
+    assert _synthetic_data(m, n, seed, scale)[0].tobytes() == a.tobytes()
 
 
 # ---------------------------------------------------------------------------

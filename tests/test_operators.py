@@ -1,4 +1,5 @@
 import gzip
+import math
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from threshgrad.operators import (
     LeastSquaresTerm,
-    operator_norm_sq,
+    operator_norm,
     read_dense_matrix,
     read_vector,
 )
@@ -56,33 +57,33 @@ def test_adjoint_consistency_random_triples():
 
 
 # ---------------------------------------------------------------------------
-# norm estimate
+# exact operator norm
 
 
 def test_norm_sq_identity_exact_margin():
-    assert operator_norm_sq(np.eye(5)) == pytest.approx(1.01, abs=1e-8)
+    assert operator_norm(np.eye(5)) ** 2 == pytest.approx(1.0, abs=1e-8)
 
 
 def test_norm_sq_diagonal():
-    got = operator_norm_sq(np.diag([3.0, 1.0]))
-    assert got == pytest.approx(9.09, rel=1e-6)
+    got = operator_norm(np.diag([3.0, 1.0])) ** 2
+    assert got == pytest.approx(9.0, rel=1e-6)
 
 
 def test_norm_sq_dense_row():
-    got = operator_norm_sq([[1.0, -1.0]])
-    assert got == pytest.approx(2.02, rel=1e-6)
+    got = operator_norm([[1.0, -1.0]]) ** 2
+    assert got == pytest.approx(2.0, rel=1e-6)
 
 
 def test_norm_sq_zero_operator():
-    assert operator_norm_sq([[0.0, 0.0]]) == 0.0
+    assert operator_norm([[0.0, 0.0]]) == 0.0
 
 
 def test_norm_sq_upper_bounds_rayleigh_quotients():
     rng = np.random.default_rng(1)
     a = rng.standard_normal((7, 5))
-    bound = operator_norm_sq(a)
+    bound = operator_norm(a) ** 2
     true = float(np.linalg.norm(a, ord=2) ** 2)
-    assert true <= bound <= 1.02 * true
+    assert bound == pytest.approx(true, rel=1e-14)
     for _ in range(100):
         x = rng.standard_normal(5)
         x /= np.linalg.norm(x)
@@ -90,9 +91,13 @@ def test_norm_sq_upper_bounds_rayleigh_quotients():
         assert float(ax @ ax) <= bound
 
 
-def test_norm_sq_rejects_bad_tol():
-    with pytest.raises(ValueError):
-        operator_norm_sq(np.eye(2), tol=0.0)
+def test_norm_of_the_forward_difference_is_the_closed_form():
+    # I - (shift up) has sigma_max^2 = 4 cos^2(pi / (2n + 1)); its top
+    # singular value sits close to the next one, which stalls power iteration
+    n = 300
+    d = np.eye(n) - np.eye(n, k=1)
+    want = 4.0 * math.cos(math.pi / (2 * n + 1)) ** 2
+    assert operator_norm(d) ** 2 == pytest.approx(want, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +159,16 @@ def test_least_squares_validation():
         LeastSquaresTerm(a, np.zeros(2), 0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_least_squares_rejects_non_finite_data(bad):
+    a = np.eye(2)
+    a[1, 0] = bad
+    with pytest.raises(ValueError, match="the matrix has non-finite entries"):
+        LeastSquaresTerm(a, np.zeros(2), 1.0)
+    with pytest.raises(ValueError, match="the data vector has non-finite entries"):
+        LeastSquaresTerm(np.eye(2), [0.0, bad], 1.0)
+
+
 def test_operator_validation():
     for bad in (np.zeros((0, 3)), np.zeros((3, 0)), np.zeros(3), np.zeros((1, 1, 1))):
         with pytest.raises(ValueError):
@@ -161,11 +176,6 @@ def test_operator_validation():
     h = LeastSquaresTerm([[1, 2, 3], [4, 5, 6]], [0, 0], 1.0)
     assert h.op.dtype == h.y.dtype == np.float64
     assert h.op.shape == (2, 3)
-
-
-def test_with_estimated_lipschitz():
-    h = LeastSquaresTerm.with_estimated_lipschitz(np.diag([2.0, 1.0]), np.zeros(2))
-    assert h.lipschitz == pytest.approx(4.04, rel=1e-6)
 
 
 # ---------------------------------------------------------------------------
