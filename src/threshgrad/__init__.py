@@ -6,12 +6,12 @@ Submodules:
     operators     least-squares term over a dense matrix, exact norm, data input
     solver        the forward-backward iteration, its trace and the trace CSV
     support       support / extended-support analytics and identification
-    conditioning  polishing, growth constants, rate classification
+    conditioning  polishing, uniqueness certificate, growth constants,
+                  rate classification
     cli           experiment runner (`threshgrad` console script)
 
 Nothing is imported eagerly; pull what you need, e.g.
-``from threshgrad.solver import Problem, SolverConfig, run``.  The `cli`
-module relies on this to cap BLAS thread counts before numpy loads.
+``from threshgrad.solver import Problem, SolverConfig, run``.
 """
 
 __version__ = "0.1.0"

@@ -7,9 +7,7 @@ Subcommands:
     audit <trace.csv> <support.json>   recheck emitted artifacts
 
 Config files are INI; the full schema is documented in the README and in
-`parse_experiment_config`.  Setting THRESHGRAD_MAX_THREADS caps the BLAS
-thread pools, which is why this module and the package __init__ import
-numpy only inside functions: the cap must land before numpy loads.
+`parse_experiment_config`.
 """
 
 from __future__ import annotations
@@ -18,11 +16,23 @@ import argparse
 import configparser
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Optional
+
+import numpy as np
+
+from . import conditioning, solver, support
+from .operators import LeastSquaresTerm, operator_norm, read_dense_matrix, read_vector
+from .regularizers import (
+    Interval,
+    PowerPenalty,
+    SeparableRegularizer,
+    ZeroPenalty,
+    prox_power_scalar,
+    prox_separable,
+)
 
 __all__ = [
     "ConfigError",
@@ -35,33 +45,6 @@ __all__ = [
     "emit_prox_gallery",
     "main",
 ]
-
-_THREAD_ENV_VARS = (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-    "VECLIB_MAXIMUM_THREADS",
-)
-
-
-def _cap_threads() -> None:
-    raw = os.environ.get("THRESHGRAD_MAX_THREADS")
-    if raw is None:
-        return
-    try:
-        cap = int(raw)
-        if cap < 1:
-            raise ValueError
-    except ValueError:
-        print(
-            f"ignoring THRESHGRAD_MAX_THREADS={raw!r}: not a positive integer",
-            file=sys.stderr,
-        )
-        return
-    for var in _THREAD_ENV_VARS:
-        os.environ[var] = str(cap)
-
 
 class ConfigError(Exception):
     """Configuration problem, annotated with file and section context."""
@@ -396,8 +379,6 @@ def parse_experiment_config(path) -> ExperimentConfig:
 
 
 def _builtin_smooth(name: str):
-    from .operators import LeastSquaresTerm
-
     if name == "ex_nocq":
         # scalar (x-1)^2/2; with g = |.| the minimizer is 0 and the dual
         # point sits exactly on the interval boundary
@@ -411,8 +392,6 @@ def _builtin_smooth(name: str):
 
 
 def _penalty_object(spec: tuple):
-    from .regularizers import PowerPenalty, ZeroPenalty
-
     if spec[0] == "none":
         return ZeroPenalty()
     if spec[0] == "power":
@@ -421,8 +400,6 @@ def _penalty_object(spec: tuple):
 
 
 def _build_regularizer(cfg: ExperimentConfig, n: int):
-    from .regularizers import Interval, SeparableRegularizer
-
     if cfg.interval is not None:
         lo, hi = cfg.interval
     elif cfg.omega is not None:
@@ -445,10 +422,6 @@ def _synthetic_data(m: int, n: int, seed: int, scale: float):
     `operator_norm`), sparse x_true with ceil(n/10) entries of magnitude
     10..20, y = A x_true + 0.1 * noise.  Draw order is part of the
     determinism contract; changing it changes every seeded artifact."""
-    import numpy as np
-
-    from .operators import operator_norm
-
     if m < 1 or n < 1:
         raise ValueError("m and n must be >= 1")
     if not (math.isfinite(scale) and scale > 0.0):
@@ -475,25 +448,16 @@ def generate_synthetic(m: int, n: int, seed: int, scale: float = 1.0, penalty=No
     The scaling uses the exact largest singular value, so the Lipschitz
     constant is `scale` itself, not an estimate.
     """
-    from .operators import LeastSquaresTerm
-    from .regularizers import SeparableRegularizer, ZeroPenalty
-    from .solver import Problem
-
     a, y, _ = _synthetic_data(m, n, seed, scale)
     h = LeastSquaresTerm(a, y, lipschitz=scale)
     g = SeparableRegularizer.uniform(n, penalty=penalty or ZeroPenalty())
-    return Problem(g=g, h=h)
+    return solver.Problem(g=g, h=h)
 
 
 def _build_problem(cfg: ExperimentConfig):
-    from .operators import LeastSquaresTerm
-    from .solver import Problem
-
     if cfg.source == "builtin":
         h = _builtin_smooth(cfg.builtin_name)
     elif cfg.source == "files":
-        from .operators import operator_norm, read_dense_matrix, read_vector
-
         a = read_dense_matrix(cfg.matrix_path)
         y = read_vector(cfg.y_path)
         # a placeholder L first, so the term rejects non-finite data
@@ -505,7 +469,7 @@ def _build_problem(cfg: ExperimentConfig):
         a, y, _ = _synthetic_data(cfg.m, cfg.n, cfg.seed, cfg.scale)
         h = LeastSquaresTerm(a, y, lipschitz=cfg.scale)
     n = h.op.shape[1]
-    return Problem(g=_build_regularizer(cfg, n), h=h)
+    return solver.Problem(g=_build_regularizer(cfg, n), h=h)
 
 
 def _lipschitz_source(cfg: ExperimentConfig) -> str:
@@ -517,14 +481,10 @@ def _lipschitz_source(cfg: ExperimentConfig) -> str:
 
 
 def _resolve_x0(cfg: ExperimentConfig, n: int):
-    import numpy as np
-
     if cfg.x0 == "zeros":
         return np.zeros(n)
     if cfg.x0 == "ones":
         return np.ones(n)
-    from .operators import read_vector
-
     return read_vector(cfg.x0[5:])
 
 
@@ -548,13 +508,9 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[int, dict]:
 
     Returns (exit_code, summary).  Exit code 0 means the solver converged
     and every audit that ran passed; audits that were skipped for a stated
-    reason (e.g. growth estimation on a non-unique minimizer) do not fail
-    the run.
+    reason (e.g. growth estimation on a minimizer not certified unique)
+    do not fail the run.
     """
-    import numpy as np
-
-    from . import conditioning, solver, support
-
     problem = _build_problem(cfg)
     solver_cfg = solver.SolverConfig(
         lam=cfg.lam,
@@ -655,14 +611,10 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[int, dict]:
     else:
         audits["rate"] = "off"
 
-    audits["fejer"] = "pass" if solver.fejer_check(trace, x_bar) else "fail"
-
     if cfg.gamma:
-        unique, x_check, spread = conditioning.verify_unique_minimizer(
-            problem, seed=cfg.gamma_seed
-        )
+        unique, why = conditioning.verify_unique_minimizer(problem, report.esupp)
         if not unique:
-            audits["gamma"] = f"skipped: minimizer spread {spread:.2e} (not unique)"
+            audits["gamma"] = f"skipped: minimizer not certified unique: {why}"
         else:
             # empty esupp means the active subspace is {0}; sample the
             # whole space instead
@@ -737,15 +689,6 @@ def emit_prox_gallery(spec: GallerySpec) -> None:
     one.  The power prox of a boxed spec is taken after the soft-threshold,
     by `prox_power_scalar`.
     """
-    import numpy as np
-
-    from .regularizers import (
-        Interval,
-        SeparableRegularizer,
-        prox_power_scalar,
-        prox_separable,
-    )
-
     kind = spec.penalty[0]
     box = spec.penalty[-2:] if kind in ("box", "power_box") else None
     penalty = _penalty_object(spec.penalty if box is None else ("none",))
@@ -795,9 +738,6 @@ def cmd_gen(m: int, n: int, seed: int, scale: float, outdir: str, prefix: str) -
 def cmd_audit(trace_path, support_path) -> int:
     """Apply the trace and support report rules to finished artifacts; f*
     comes from the <prefix>_summary.json written beside <prefix>_trace.csv."""
-    from .solver import read_trace_csv, trace_rules
-    from .support import report_rules
-
     problems, trace_path = [], Path(trace_path)
     f_star = None
     try:
@@ -808,13 +748,13 @@ def cmd_audit(trace_path, support_path) -> int:
     except (OSError, ValueError, KeyError, TypeError) as exc:
         problems.append(f"summary: cannot read f_star: {exc!r}")
     try:
-        columns = read_trace_csv(trace_path)
+        columns = solver.read_trace_csv(trace_path)
         if f_star is not None:
-            problems += trace_rules(*columns, f_star)
+            problems += solver.trace_rules(*columns, f_star)
     except (OSError, ValueError) as exc:
         problems.append(f"trace: {exc}")
     try:
-        problems += report_rules(json.loads(Path(support_path).read_text()))
+        problems += support.report_rules(json.loads(Path(support_path).read_text()))
     except (OSError, ValueError, KeyError, TypeError) as exc:
         problems.append(f"support: cannot load: {exc!r}")
     for p in problems:
@@ -853,7 +793,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _cap_threads()
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "run":

@@ -7,10 +7,11 @@ The objective f is p-conditioned with constant gamma on a region when
 Order 2 on sublevel sets gives a linear rate for the forward-backward
 iteration; order p > 2 gives a O(n^{-p/(p-2)}) tail.  This module measures
 both sides empirically: `polish` produces a high-accuracy reference
-minimizer, `estimate_gamma` samples the growth ratio near it, and
-`fit_rate` classifies the decay of the objective gap along a trace.
-No certified lower bound on gamma is attempted; the sampled estimate is an
-upper bound by construction.
+minimizer, `verify_unique_minimizer` certifies by a rank test on its
+extended support that it is the only one, `estimate_gamma` samples the
+growth ratio near it, and `fit_rate` classifies the decay of the objective
+gap along a trace.  No certified lower bound on gamma is attempted; the
+sampled estimate is an upper bound by construction.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from typing import Optional
 
 import numpy as np
 
+from .regularizers import CustomPenalty, PowerPenalty
 from .solver import (
     IterateTrace,
     Problem,
@@ -124,40 +126,32 @@ def polish(
     return _fb_continuation(problem, x_approx, tol, fb_iters)
 
 
-def verify_unique_minimizer(
-    problem: Problem,
-    seed: int = 0,
-    n_starts: int = 5,
-    start_scale: float = 1.0,
-    max_iter: int = 100_000,
-    polish_tol: float = 1e-12,
-    match_tol: float = 1e-8,
-) -> tuple[bool, np.ndarray, float]:
-    """Polish from several random starts and compare the landing points.
+def verify_unique_minimizer(problem: Problem, esupp) -> tuple[bool, str]:
+    """Certify that the minimizer with extended support ``esupp`` is unique.
 
-    Returns (unique, x_bar, spread) with x_bar the best-objective landing
-    point and spread the maximum pairwise distance.  Agreement of all
-    starts within match_tol is a uniqueness surrogate, not a proof; the
-    growth estimator refuses to run without it because its distance term
-    assumes a single minimizer.
+    Every minimizer has the same A x and the same dual point -grad_h, so
+    two minimizers differ by a direction d with A d = 0 and supp d in
+    esupp; d also vanishes wherever psi_k is strictly convex (a power
+    penalty of positive weight).  The minimizer is therefore unique when
+    the columns of A on D = {k in esupp : psi_k = 0} are independent
+    (Tibshirani, The lasso problem and uniqueness, EJS 2013), which
+    `numpy.linalg.matrix_rank` decides with its default tolerance.  An
+    esupp taken with a boundary tolerance can only enlarge D, which keeps
+    the certificate conservative.  A custom penalty leaves uniqueness
+    unchecked.
+
+    Returns (unique, reason), the reason stating the rank and |D|.
     """
-    rng = np.random.default_rng(seed)
-    landings = []
-    for _ in range(n_starts):
-        x0 = start_scale * rng.standard_normal(problem.n)
-        config = SolverConfig(
-            max_iter=max_iter,
-            residual_tol=max(polish_tol, 1e-10),
-            x0=x0,
-        )
-        trace = run(problem, config)
-        landings.append(polish(problem, trace.x_final, tol=polish_tol))
-    spread = 0.0
-    for i in range(n_starts):
-        for j in range(i + 1, n_starts):
-            spread = max(spread, float(np.linalg.norm(landings[i] - landings[j])))
-    x_bar = min(landings, key=problem.objective)
-    return spread <= match_tol, x_bar, spread
+    pens = problem.g.penalties
+    if any(isinstance(pen, CustomPenalty) for pen in pens):
+        return False, "a custom penalty leaves uniqueness unchecked"
+    D = [
+        k
+        for k in esupp
+        if not (isinstance(pens[k], PowerPenalty) and pens[k].weight > 0.0)
+    ]
+    rank = int(np.linalg.matrix_rank(problem.h.op[:, D])) if D else 0
+    return rank == len(D), f"rank(A_D) = {rank} of |D| = {len(D)}"
 
 
 @dataclass(frozen=True)
@@ -205,11 +199,11 @@ def estimate_gamma(
 
     Candidates are uniform on the ball restricted to the J-subspace;
     rejection enforces the sublevel constraint.  ``x_bar`` must be the
-    problem's verified unique minimizer (see `verify_unique_minimizer`)
-    and every interval bounded, the hypotheses under which the growth
-    property is meaningful.  The same seed always produces the same
-    candidate stream, and a longer stream extends a shorter one, so the
-    estimate is nonincreasing in n_samples.
+    problem's unique minimizer, as `verify_unique_minimizer` certifies
+    from its extended support, and every interval bounded: the hypotheses
+    under which the growth property is meaningful.  The same seed always
+    produces the same candidate stream, and a longer stream extends a
+    shorter one, so the estimate is nonincreasing in n_samples.
     """
     x_bar = np.asarray(x_bar, dtype=float)
     if x_bar.shape != (problem.n,):

@@ -6,9 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from threshgrad import solver
 from threshgrad.cli import (
     ConfigError,
-    _cap_threads,
     emit_prox_gallery,
     generate_synthetic,
     main,
@@ -16,6 +16,7 @@ from threshgrad.cli import (
     parse_gallery_spec,
     run_experiment,
 )
+from threshgrad.conditioning import polish
 
 
 def write_config(tmp_path, text, name="exp.ini"):
@@ -209,7 +210,6 @@ def test_run_scalar_builtin_end_to_end(tmp_path):
         "trace": "pass",
         "support": "pass",
         "rate": "pass",
-        "fejer": "pass",
         "gamma": "off",
     }
     for key in ("trace", "support", "rate", "summary"):
@@ -256,7 +256,10 @@ def test_run_gamma_skipped_on_segment(tmp_path):
         prefix="skip",
     )
     assert code == 0
-    assert summary["audits"]["gamma"].startswith("skipped")
+    # the segment's two esupp columns are parallel
+    assert summary["audits"]["gamma"] == (
+        "skipped: minimizer not certified unique: rank(A_D) = 1 of |D| = 2"
+    )
     assert "gamma" not in summary
 
 
@@ -346,8 +349,6 @@ def _counting(monkeypatch, owner, name="run"):
 
 
 def test_run_experiment_solves_once_with_fejer(tmp_path, monkeypatch):
-    from threshgrad import solver
-
     # polish calls the solver through its own binding, so only the solves
     # made by run_experiment itself are counted
     calls = _counting(monkeypatch, solver)
@@ -357,7 +358,9 @@ def test_run_experiment_solves_once_with_fejer(tmp_path, monkeypatch):
     )
     code, summary = run_experiment(cfg)
     assert code == 0
-    assert summary["audits"]["fejer"] == "pass"
+    # the trace rules check the distances for Fejer monotonicity
+    assert summary["audits"]["trace"] == "pass"
+    assert "fejer" not in summary["audits"]
     assert calls == [None]
     diag = summary["diagnostics"]
     assert diag["solves"] == 1
@@ -430,6 +433,44 @@ def test_run_with_data_files(tmp_path):
 def _write_csv(path, rows):
     path.write_text("".join(",".join(repr(float(v)) for v in row) + "\n" for row in rows))
     return path
+
+
+def test_run_gamma_skipped_on_a_duplicated_column(tmp_path):
+    # batch instance seed 3, with a copy of a column where x_bar is nonzero
+    problem = generate_synthetic(20, 50, 3)
+    trace = solver.run(problem, solver.SolverConfig(residual_tol=1e-10))
+    k = int(np.flatnonzero(polish(problem, trace.x_final))[0])
+    a = np.column_stack([problem.h.op, problem.h.op[:, k]])
+    cfg = write_files_config(
+        tmp_path,
+        _write_csv(tmp_path / "A.csv", a),
+        _write_csv(tmp_path / "y.csv", problem.h.y[:, None]),
+        "[analysis]\ngamma = true\n",
+    )
+    code, summary = run_experiment(parse_experiment_config(cfg))
+    assert code == 0
+    assert {k, 50} <= set(summary["support"]["esupp"])
+    assert len(summary["support"]["esupp"]) == 10
+    assert summary["audits"]["gamma"] == (
+        "skipped: minimizer not certified unique: rank(A_D) = 9 of |D| = 10"
+    )
+    assert "gamma" not in summary
+
+
+def test_main_certifies_a_strictly_convex_problem(tmp_path):
+    # A = [[1, 1]]: the columns are parallel, but the power penalty makes
+    # every coordinate strictly convex, so the minimizer is unique
+    cfg = write_files_config(
+        tmp_path,
+        _write_csv(tmp_path / "A.csv", [[1.0, 1.0]]),
+        _write_csv(tmp_path / "y.csv", [[3.0]]),
+        "[regularizer]\ninterval = -0.1 0.1\npenalty = power 2 1e-4\n"
+        "[analysis]\nrate_fit = false\ngamma = true\n",
+    )
+    assert main(["run", str(cfg)]) == 0
+    summary = json.loads((tmp_path / "out" / "run_summary.json").read_text())
+    assert summary["audits"]["gamma"] == "pass"
+    assert summary["gamma"]["gamma"] > 0
 
 
 def test_run_auto_lipschitz_is_exact_where_power_iteration_stalls(tmp_path):
@@ -783,20 +824,3 @@ def test_main_run_exit_codes(tmp_path):
 
 def test_main_gallery_missing_spec():
     assert main(["gallery", "/no/such/spec.ini"]) == 2
-
-
-def test_thread_cap(monkeypatch):
-    monkeypatch.setenv("THRESHGRAD_MAX_THREADS", "2")
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"):
-        monkeypatch.delenv(var, raising=False)
-    _cap_threads()
-    assert os.environ["OMP_NUM_THREADS"] == "2"
-    assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
-
-
-def test_thread_cap_ignores_garbage(monkeypatch, capsys):
-    monkeypatch.setenv("THRESHGRAD_MAX_THREADS", "many")
-    monkeypatch.setenv("OMP_NUM_THREADS", "8")
-    _cap_threads()
-    assert os.environ["OMP_NUM_THREADS"] == "8"
-    assert "ignoring" in capsys.readouterr().err

@@ -14,7 +14,12 @@ from threshgrad.conditioning import (
     verify_unique_minimizer,
 )
 from threshgrad.operators import LeastSquaresTerm
-from threshgrad.regularizers import Interval, PowerPenalty, SeparableRegularizer
+from threshgrad.regularizers import (
+    CustomPenalty,
+    Interval,
+    PowerPenalty,
+    SeparableRegularizer,
+)
 from threshgrad.solver import IterateTrace, Problem, SolverConfig, run
 
 
@@ -250,21 +255,68 @@ def test_polish_validates_input():
 
 
 # ---------------------------------------------------------------------------
-# uniqueness surrogate
+# uniqueness certificate
 
 
 def test_unique_minimizer_confirmed_for_scalar_problem():
-    unique, x_bar, spread = verify_unique_minimizer(scalar_problem())
-    assert unique
+    p = scalar_problem()
+    x_bar = polish(p, np.ones(1))
     assert x_bar[0] == 0.0
-    assert spread == 0.0
+    assert verify_unique_minimizer(p, (0,)) == (True, "rank(A_D) = 1 of |D| = 1")
 
 
 def test_unique_minimizer_rejected_on_segment():
-    unique, x_bar, spread = verify_unique_minimizer(segment_problem())
+    p = segment_problem()
+    # (0.5, 0) and (0, -0.5) are both minimizers; their esupp is {0, 1}
+    for x in ([0.5, 0.0], [0.0, -0.5]):
+        assert p.objective(np.array(x)) == pytest.approx(0.75, abs=1e-12)
+    assert verify_unique_minimizer(p, (0, 1)) == (False, "rank(A_D) = 1 of |D| = 2")
+
+
+def test_unique_minimizer_drops_strictly_convex_coordinates():
+    # the segment's columns, but a positive-weight power penalty on
+    # coordinate 1 pins it: only coordinate 0 is left free
+    s = np.sqrt(2.0)
+    h = LeastSquaresTerm([[s, -s]], np.array([s]), lipschitz=4.0)
+    pens = (PowerPenalty(2.0, 0.0), PowerPenalty(2.0, 1e-4))
+    g = SeparableRegularizer((Interval(-1.0, 1.0),) * 2, pens, 1.0)
+    assert verify_unique_minimizer(Problem(g=g, h=h), (0, 1)) == (
+        True,
+        "rank(A_D) = 1 of |D| = 1",
+    )
+    assert verify_unique_minimizer(quartic_problem(), (0,)) == (
+        True,
+        "rank(A_D) = 0 of |D| = 0",
+    )
+
+
+def test_unique_minimizer_unchecked_under_a_custom_penalty():
+    pen = CustomPenalty(lambda t: 0.0, lambda t, lam: t)  # psi = 0, exactly
+    g = SeparableRegularizer.uniform(1, Interval(-1.0, 1.0), pen)
+    h = LeastSquaresTerm([[1.0]], np.array([1.0]), lipschitz=1.0)
+    unique, why = verify_unique_minimizer(Problem(g=g, h=h), ())
     assert not unique
-    assert spread > 1e-3
-    assert segment_problem().objective(x_bar) == pytest.approx(0.75, abs=1e-12)
+    assert "custom penalty" in why
+
+
+def test_unique_minimizer_runs_no_solver(monkeypatch):
+    from threshgrad import conditioning
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the certificate must not solve")
+
+    monkeypatch.setattr(conditioning, "run", forbidden)
+    monkeypatch.setattr(conditioning, "polish", forbidden)
+    assert verify_unique_minimizer(segment_problem(), (0, 1))[0] is False
+    assert verify_unique_minimizer(scalar_problem(), (0,))[0] is True
+
+
+def test_unique_minimizer_certified_on_every_batch_instance(lasso_batch):
+    for run_ in lasso_batch.runs:
+        unique, why = verify_unique_minimizer(run_.problem, run_.report.esupp)
+        d = len(run_.report.esupp)
+        assert unique, (run_.seed, why)
+        assert why == f"rank(A_D) = {d} of |D| = {d}"
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +336,8 @@ def test_gamma_identity_quadratic():
     h = LeastSquaresTerm([[1.0]], np.array([2.0]), lipschitz=1.0)
     g = SeparableRegularizer.uniform(1, Interval(-1e-9, 1e-9), omega=1e-9)
     p = Problem(g=g, h=h)
-    unique, x_bar, _ = verify_unique_minimizer(p)
-    assert unique
+    x_bar = polish(p, np.zeros(1))
+    assert verify_unique_minimizer(p, (0,))[0]
     est = estimate_gamma(p, (0,), x_bar, delta=0.5, r=0.5, p=2.0)
     assert est.gamma == pytest.approx(1.0, abs=1e-3)
 

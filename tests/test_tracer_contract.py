@@ -41,8 +41,13 @@ def test_every_tracer_target_resolves_in_the_package():
     [
         # a power penalty sends polish down the FB continuation
         ("lasso_power15", lambda t: t.counts["fb_fallbacks"] > 0),
-        # gamma = true polishes from several starts first
-        ("ex_nocq", lambda t: t.calls["conditioning.verify_unique_minimizer"] == 1),
+        # gamma = true certifies uniqueness without a second solve or polish
+        (
+            "ex_nocq",
+            lambda t: t.calls["conditioning.verify_unique_minimizer"] == 1
+            and t.calls["solver.run"] == 1
+            and t.calls["conditioning.polish"] == 1,
+        ),
     ],
 )
 def test_traced_run_reconciles(tmp_path, name, route):
