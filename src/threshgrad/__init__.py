@@ -3,7 +3,7 @@ least squares.
 
 Submodules:
     regularizers  intervals, scalar penalties, soft-thresholding, prox
-    operators     least-squares term over a dense matrix, exact norm, data input
+    operators     least-squares term over a dense matrix, exact norm, CSV input
     solver        the forward-backward iteration, its trace and the trace CSV
     support       support / extended-support analytics and identification
     conditioning  polishing, uniqueness certificate, growth constants,

@@ -77,7 +77,6 @@ class ExperimentConfig:
     seed: Optional[int] = None
     scale: float = 1.0
     # [regularizer]
-    omega: Optional[float] = None
     interval: Optional[tuple[float, float]] = None
     interval_overrides: dict = field(default_factory=dict)
     penalty: tuple = ("none",)
@@ -193,8 +192,7 @@ def _parse_bool(text):
 
 def _parse_interval(text):
     lo, hi = map(float, text.split())
-    if not (lo <= 0.0 <= hi and lo < hi and (math.isfinite(lo) or math.isfinite(hi))):
-        raise ValueError(text)
+    Interval(lo, hi)  # raises ValueError outside lo < 0 < hi
     return lo, hi
 
 
@@ -246,7 +244,7 @@ _TEXT = _Codec(str, "text")
 _FILE = _Codec(_existing, "an existing file")
 _INTERVAL = _Codec(
     _parse_interval,
-    "two numbers lo < hi with lo <= 0 <= hi, at most one of them infinite",
+    "two numbers lo < 0 < hi, at most one of them infinite",
     lambda v: f"{v[0]!r} {v[1]!r}",
 )
 _POWER = "power p [weight] with finite p > 1 and weight >= 0 (default 1)"
@@ -272,7 +270,6 @@ _EXPERIMENT_KEYS = (
     _Key("problem", "n", "n", _integer(1), required=True, source="synthetic"),
     _Key("problem", "seed", "seed", _integer(0), required=True, source="synthetic"),
     _Key("problem", "scale", "scale", _POSITIVE, source="synthetic"),
-    _Key("regularizer", "omega", "omega", _POSITIVE),
     _Key("regularizer", "interval", "interval", _INTERVAL),
     _Key("regularizer", "interval_<k>", "interval_overrides", _INTERVAL),
     _Key("regularizer", "penalty", "penalty", _PENALTY),
@@ -368,10 +365,7 @@ def _read_ini(path, table) -> dict:
 
 def parse_experiment_config(path) -> ExperimentConfig:
     """Parse and validate an experiment INI file."""
-    cfg = ExperimentConfig(**_read_ini(path, _EXPERIMENT_KEYS))
-    if cfg.omega is not None and cfg.interval is not None:
-        raise ConfigError(str(path), "regularizer", "give omega or interval, not both")
-    return cfg
+    return ExperimentConfig(**_read_ini(path, _EXPERIMENT_KEYS))
 
 
 # ---------------------------------------------------------------------------
@@ -400,21 +394,12 @@ def _penalty_object(spec: tuple):
 
 
 def _build_regularizer(cfg: ExperimentConfig, n: int):
-    if cfg.interval is not None:
-        lo, hi = cfg.interval
-    elif cfg.omega is not None:
-        lo, hi = -cfg.omega, cfg.omega
-    else:
-        lo, hi = -1.0, 1.0
-    base = Interval(lo, hi)
-    intervals = [base] * n
-    for k, (olo, ohi) in cfg.interval_overrides.items():
+    intervals = [Interval(*(cfg.interval or (-1.0, 1.0)))] * n
+    for k, (lo, hi) in cfg.interval_overrides.items():
         if not 0 <= k < n:
             raise ValueError(f"interval override index {k} out of range for n={n}")
-        intervals[k] = Interval(olo, ohi)
-    penalty = _penalty_object(cfg.penalty)
-    omega = min(min(-iv.lo, iv.hi) for iv in intervals)
-    return SeparableRegularizer(tuple(intervals), (penalty,) * n, omega)
+        intervals[k] = Interval(lo, hi)
+    return SeparableRegularizer(tuple(intervals), (_penalty_object(cfg.penalty),) * n)
 
 
 def _synthetic_data(m: int, n: int, seed: int, scale: float):

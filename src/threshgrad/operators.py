@@ -1,12 +1,11 @@
 """The smooth term h(x) = ||Ax - y||^2 / 2 over a dense matrix A, its exact
-operator norm, and data ingestion.  A term is immutable and its operations
+operator norm, and CSV data ingestion.  A term is immutable and its operations
 are pure, so one is safe to share across concurrent solver runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -71,17 +70,8 @@ class LeastSquaresTerm:
 
 
 def read_dense_matrix(path) -> np.ndarray:
-    """Dense matrix from a Matrix Market file (array or coordinate, real,
-    general) or a headerless CSV with one matrix row per line."""
-    path = Path(path)
-    if path.name.lower().endswith((".mtx", ".mm", ".mtx.gz")):
-        from scipy.io import mmread
-
-        m = mmread(str(path))
-        m = m.toarray() if hasattr(m, "toarray") else np.asarray(m)
-        return np.atleast_2d(np.asarray(m, dtype=float))
-    data = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
-    return data
+    """Dense matrix from a headerless CSV with one matrix row per line."""
+    return np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
 
 
 def read_vector(path) -> np.ndarray:

@@ -1,10 +1,12 @@
 """Separable regularizers built from closed intervals and scalar smooth penalties.
 
 A regularizer is a sum g(x) = sum_k g_k(x_k) with g_k = psi_k + sigma_{I_k},
-where sigma_{I_k} is the support function of a proper closed interval I_k
-containing [-omega, omega] and psi_k is a convex scalar penalty with
-psi_k(0) = 0 and psi_k'(0) = 0.  The proximal operator of g factors through
-the soft-thresholder of the interval followed by the prox of the penalty:
+where sigma_{I_k} is the support function of a closed interval
+I_k = [lo_k, hi_k] with lo_k < 0 < hi_k, and psi_k is a convex scalar
+penalty with psi_k(0) = 0 and psi_k'(0) = 0.  Every I_k then contains
+[-omega, omega] for the margin omega = min_k min(-lo_k, hi_k) > 0.  The
+proximal operator of g factors through the soft-thresholder of the
+interval followed by the prox of the penalty:
 
     prox_{lam*g}(x)_k = prox_{lam*psi_k}( soft_{lam*I_k}(x_k) )
 
@@ -39,7 +41,8 @@ _PROX_MAX_ITER = 200
 
 @dataclass(frozen=True)
 class Interval:
-    """A proper closed interval [lo, hi] with lo <= 0 <= hi.
+    """A closed interval [lo, hi] with lo < 0 < hi: 0 is interior, with
+    margin min(-lo, hi) > 0.
 
     Endpoints may be infinite on one side.  A doubly infinite interval is
     rejected: its support function degenerates to the indicator of {0} and
@@ -53,12 +56,8 @@ class Interval:
         lo, hi = float(self.lo), float(self.hi)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-        if math.isnan(lo) or math.isnan(hi):
-            raise ValueError("interval endpoints must not be NaN")
-        if not (lo <= 0.0 <= hi):
-            raise ValueError(f"interval [{lo}, {hi}] must contain 0")
-        if not lo < hi:
-            raise ValueError(f"interval [{lo}, {hi}] is not proper")
+        if not lo < 0.0 < hi:  # also false for NaN
+            raise ValueError(f"interval [{lo}, {hi}] must have lo < 0 < hi")
         if math.isinf(lo) and math.isinf(hi):
             raise ValueError("doubly infinite interval is not supported")
 
@@ -125,14 +124,10 @@ def _penalty_group_key(pen: ScalarPenalty):
 
 @dataclass(frozen=True, eq=False)
 class SeparableRegularizer:
-    """Per-coordinate (interval, penalty) pairs with a global margin omega.
-
-    Every interval must contain [-omega, omega] for the stored omega > 0.
-    """
+    """Per-coordinate (interval, penalty) pairs."""
 
     intervals: tuple[Interval, ...]
     penalties: tuple[ScalarPenalty, ...]
-    omega: float
 
     _los: np.ndarray = field(init=False, repr=False)
     _his: np.ndarray = field(init=False, repr=False)
@@ -143,14 +138,6 @@ class SeparableRegularizer:
             raise ValueError("regularizer needs at least one coordinate")
         if len(self.intervals) != len(self.penalties):
             raise ValueError("intervals and penalties must have equal length")
-        if not self.omega > 0.0:
-            raise ValueError(f"omega must be positive, got {self.omega}")
-        for k, iv in enumerate(self.intervals):
-            if iv.lo > -self.omega or iv.hi < self.omega:
-                raise ValueError(
-                    f"interval {k} = [{iv.lo}, {iv.hi}] does not contain "
-                    f"[-{self.omega}, {self.omega}]"
-                )
         object.__setattr__(
             self, "_los", np.array([iv.lo for iv in self.intervals], dtype=float)
         )
@@ -182,6 +169,12 @@ class SeparableRegularizer:
         return self._his
 
     @property
+    def omega(self) -> float:
+        """The global margin min_k min(-lo_k, hi_k) > 0: every interval
+        contains [-omega, omega]."""
+        return float(min(-self._los.max(), self._his.min()))
+
+    @property
     def all_zero_psi(self) -> bool:
         return all(
             _penalty_group_key(p) == ("zero",) for p in self.penalties
@@ -193,11 +186,8 @@ class SeparableRegularizer:
         n: int,
         interval: Interval = Interval(-1.0, 1.0),
         penalty: ScalarPenalty = ZeroPenalty(),
-        omega: float | None = None,
     ) -> "SeparableRegularizer":
-        if omega is None:
-            omega = min(-interval.lo, interval.hi)
-        return cls((interval,) * n, (penalty,) * n, float(omega))
+        return cls((interval,) * n, (penalty,) * n)
 
 
 # ---------------------------------------------------------------------------

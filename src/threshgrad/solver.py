@@ -131,7 +131,6 @@ class IterateTrace:
     n_iterations: int
     final_residual: float
     wall_time: float
-    reference: Optional[np.ndarray] = None
 
     def support_rows(self) -> list:
         """Exact support of each recorded iterate, as a view into the log."""
@@ -159,7 +158,6 @@ class IterateTrace:
     def set_reference(self, reference: np.ndarray) -> None:
         """Record the distance of every logged iterate to ``reference``."""
         self.dists = self.distances_to(reference)
-        self.reference = np.asarray(reference, dtype=float)
 
 
 def _nonincreasing(values, slack: float) -> bool:
@@ -185,16 +183,14 @@ def fixed_point_residual(problem: Problem, lam: float, x: np.ndarray) -> float:
     return float(np.linalg.norm(x - fb_step(problem, lam, x))) / lam
 
 
-def run(
-    problem: Problem, config: SolverConfig, reference: Optional[np.ndarray] = None
-) -> IterateTrace:
+def run(problem: Problem, config: SolverConfig) -> IterateTrace:
     """Iterate fb_step until the fixed-point residual drops below tolerance
     or the budget is exhausted.
 
     Returns the first iterate whose own residual is below tolerance, so the
     residual reported for the final point is genuinely its fixed-point
-    residual.  Every iterate is recorded in the trace's log; with
-    ``reference`` the distances to it are set after the run.
+    residual.  Every iterate is recorded in the trace's log;
+    `IterateTrace.set_reference` adds the distances to a point afterwards.
     """
     lam, x = config.resolve(problem)
     x0 = x.copy()
@@ -224,7 +220,7 @@ def run(
         x = x_next
         n += 1
 
-    trace = IterateTrace(
+    return IterateTrace(
         ns=np.arange(n + 1, dtype=np.int64),
         objectives=np.array(objectives, dtype=float),
         residuals=np.array(residuals, dtype=float),
@@ -240,26 +236,12 @@ def run(
         final_residual=res,
         wall_time=time.perf_counter() - t0,
     )
-    if reference is not None:
-        trace.set_reference(reference)
-    return trace
 
 
-def fejer_check(
-    trace: IterateTrace, reference: np.ndarray, slack: float = FEJER_SLACK
-) -> bool:
-    """Whether ||x^{n+1} - ref|| <= ||x^n - ref|| + slack along the trace.
-
-    A trace whose distances were set against one reference is audited
-    against that reference only.
-    """
-    if trace.reference is None:
-        d = trace.distances_to(reference)
-    elif np.array_equal(trace.reference, reference):
-        d = trace.dists
-    else:
-        raise ValueError("trace distances were set against a different reference")
-    return _nonincreasing(d, slack)
+def fejer_check(trace: IterateTrace, reference: np.ndarray) -> bool:
+    """Whether ||x^{n+1} - ref|| <= ||x^n - ref|| + FEJER_SLACK along the
+    trace, with the distances taken from the iterate log."""
+    return _nonincreasing(trace.distances_to(reference), FEJER_SLACK)
 
 
 def trace_rules(ns, gaps, residuals, dists, f_star: float) -> list:

@@ -47,50 +47,36 @@ __all__ = [
 ]
 
 
+def _indices(mask: np.ndarray) -> tuple:
+    return tuple(int(k) for k in np.flatnonzero(mask))
+
+
 def support(x: np.ndarray) -> tuple:
     """Indices with x_k != 0, exactly (no magnitude threshold)."""
-    return tuple(int(k) for k in np.flatnonzero(np.asarray(x)))
+    return _indices(np.asarray(x))
 
 
-def _default_boundary_tol(g: SeparableRegularizer) -> tuple[np.ndarray, np.ndarray]:
-    # solutions are only known to solver precision; scale the membership
-    # test by the endpoint magnitude
-    tlo = 1e-8 * np.maximum(1.0, np.abs(g.lower_endpoints))
-    thi = 1e-8 * np.maximum(1.0, np.abs(g.upper_endpoints))
-    return tlo, thi
-
-
-def _boundary_mask(
-    u: np.ndarray, g: SeparableRegularizer, tol: Optional[float]
-) -> np.ndarray:
-    # coordinates where u touches a finite endpoint of its interval
-    los, his = g.lower_endpoints, g.upper_endpoints
-    if tol is None:
-        tlo, thi = _default_boundary_tol(g)
-    else:
-        tlo = thi = float(tol)
-    near_lo = np.isfinite(los) & (np.abs(u - los) <= tlo)
-    near_hi = np.isfinite(his) & (np.abs(u - his) <= thi)
-    return near_lo | near_hi
+def _boundary_mask(u: np.ndarray, g: SeparableRegularizer) -> np.ndarray:
+    """Coordinates where u lies within 1e-8 * max(1, |endpoint|) of a finite
+    endpoint of its interval.  Solutions are only known to solver
+    precision, so the test scales with the endpoint magnitude."""
+    near = np.zeros(len(u), dtype=bool)
+    for ends in (g.lower_endpoints, g.upper_endpoints):
+        tol = 1e-8 * np.maximum(1.0, np.abs(ends))
+        near |= np.isfinite(ends) & (np.abs(u - ends) <= tol)
+    return near
 
 
 def extended_support(
-    x: np.ndarray,
-    grad: np.ndarray,
-    g: SeparableRegularizer,
-    boundary_tol: Optional[float] = None,
+    x: np.ndarray, grad: np.ndarray, g: SeparableRegularizer
 ) -> tuple:
     """supp(x) plus coordinates where -grad lies on the interval boundary.
 
     ``grad`` is grad_h(x), supplied by the caller.  Infinite endpoints
-    contribute no boundary points.  ``boundary_tol=None`` uses the default
-    1e-8 * max(1, |endpoint|) per endpoint.
+    contribute no boundary points; the boundary test is `_boundary_mask`'s.
     """
-    x = np.asarray(x, dtype=float)
-    u = -np.asarray(grad, dtype=float)
-    mask = _boundary_mask(u, g, boundary_tol)
-    idx = set(support(x)) | {int(k) for k in np.flatnonzero(mask)}
-    return tuple(sorted(idx))
+    mask = _boundary_mask(-np.asarray(grad, dtype=float), g)
+    return _indices((np.asarray(x, dtype=float) != 0.0) | mask)
 
 
 def rho(u: np.ndarray, g: SeparableRegularizer) -> float:
@@ -161,9 +147,7 @@ def dual_point(problem: Problem, x: np.ndarray) -> np.ndarray:
     return -np.asarray(problem.h.gradient(x), dtype=float)
 
 
-def active_constraints(
-    u: np.ndarray, g: SeparableRegularizer, tol: Optional[float] = None
-) -> tuple:
+def active_constraints(u: np.ndarray, g: SeparableRegularizer) -> tuple:
     """Coordinates where u touches a finite interval endpoint.
 
     For psi identically zero this is the active-constraint set of the dual
@@ -172,16 +156,21 @@ def active_constraints(
     """
     if not g.all_zero_psi:
         raise ValueError("active constraints are defined for psi == 0 only")
-    u = np.asarray(u, dtype=float)
-    mask = _boundary_mask(u, g, tol)
-    return tuple(int(k) for k in np.flatnonzero(mask))
+    return _indices(_boundary_mask(np.asarray(u, dtype=float), g))
+
+
+def _unattested(g: SeparableRegularizer) -> Optional[int]:
+    # first penalty not known to be differentiable, or None
+    for k, pen in enumerate(g.penalties):
+        if not isinstance(pen, (ZeroPenalty, PowerPenalty)) and not getattr(
+            pen, "differentiable", False
+        ):
+            return k
+    return None
 
 
 def qualification_check(
-    x_bar: np.ndarray,
-    grad: np.ndarray,
-    g: SeparableRegularizer,
-    tol: Optional[float] = None,
+    x_bar: np.ndarray, grad: np.ndarray, g: SeparableRegularizer
 ) -> bool:
     """supp(xbar) == esupp(xbar): the implementable form of the
     qualification condition for differentiable psi.
@@ -189,15 +178,13 @@ def qualification_check(
     Raises for custom penalties without a differentiability attestation;
     the equivalence is only known to hold in the differentiable case.
     """
-    for k, pen in enumerate(g.penalties):
-        if not isinstance(pen, (ZeroPenalty, PowerPenalty)) and not getattr(
-            pen, "differentiable", False
-        ):
-            raise ValueError(
-                f"penalty {k} has no differentiability attestation; "
-                "the support equality test does not apply"
-            )
-    return support(x_bar) == extended_support(x_bar, grad, g, tol)
+    k = _unattested(g)
+    if k is not None:
+        raise ValueError(
+            f"penalty {k} has no differentiability attestation; "
+            "the support equality test does not apply"
+        )
+    return support(x_bar) == extended_support(x_bar, grad, g)
 
 
 @dataclass(eq=False)
@@ -214,26 +201,26 @@ class SupportReport:
 
 
 def build_support_report(
-    problem: Problem,
-    trace: IterateTrace,
-    x_bar: np.ndarray,
-    boundary_tol: Optional[float] = None,
+    problem: Problem, trace: IterateTrace, x_bar: np.ndarray
 ) -> SupportReport:
-    """Full support analysis of a run against its polished solution."""
+    """Full support analysis of a run against its polished solution.
+
+    esupp, the qualification verdict and the active constraints all read
+    one boundary mask of the dual point.
+    """
     g = problem.g
-    grad = np.asarray(problem.h.gradient(x_bar), dtype=float)
-    u = -grad
+    x_bar = np.asarray(x_bar, dtype=float)
+    u = dual_point(problem, x_bar)
+    mask = _boundary_mask(u, g)
     supp = support(x_bar)
-    esupp = extended_support(x_bar, grad, g, boundary_tol)
+    esupp = _indices((x_bar != 0.0) | mask)
     rho_sol = rho(u, g)
     dist0 = float(np.linalg.norm(trace.x0 - x_bar))
     bound = identification_bound(rho_sol, trace.lam, dist0)
     violations, ident_iter = identification_audit(trace, esupp)
-    try:
-        qual = qualification_check(x_bar, grad, g, boundary_tol)
-    except ValueError:
-        qual = None  # custom psi without attestation
-    active = active_constraints(u, g, boundary_tol) if g.all_zero_psi else None
+    # None: a custom psi without attestation
+    qual = supp == esupp if _unattested(g) is None else None
+    active = _indices(mask) if g.all_zero_psi else None
     return SupportReport(
         supp=supp,
         esupp=esupp,

@@ -43,11 +43,10 @@ def segment_problem():
 
 
 def _solve_builtin(problem, **config_kwargs):
-    """run -> polish -> rerun against the polished reference."""
-    config = SolverConfig(residual_tol=1e-10, **config_kwargs)
-    first = run(problem, config)
-    x_bar = polish(problem, first.x_final, tol=1e-12)
-    trace = run(problem, config, reference=x_bar)
+    """run -> polish -> distances to the polished reference."""
+    trace = run(problem, SolverConfig(residual_tol=1e-10, **config_kwargs))
+    x_bar = polish(problem, trace.x_final, tol=1e-12)
+    trace.set_reference(x_bar)
     return trace, x_bar
 
 
@@ -280,7 +279,7 @@ def test_criterion_7(acceptance, lasso_batch):
         worst_ascent = max(worst_ascent, ascent)
         if ascent > 1e-12:
             bad_descent.append(label)
-        if not fejer_check(trace, x_bar, slack=1e-10):
+        if not fejer_check(trace, x_bar):
             bad_fejer.append(label)
     ok = not bad_descent and not bad_fejer
     detail = f"{len(runs)} runs, max objective increase={worst_ascent:.1e}"
@@ -308,8 +307,8 @@ def test_criterion_8(acceptance, lasso_batch):
     bad = []
     for label, problem, x_bar in instances:
         grad = problem.h.gradient(x_bar)
-        esupp = extended_support(x_bar, grad, problem.g, boundary_tol=1e-8)
-        via_dual = active_constraints(dual_point(problem, x_bar), problem.g, tol=1e-8)
+        esupp = extended_support(x_bar, grad, problem.g)
+        via_dual = active_constraints(dual_point(problem, x_bar), problem.g)
         if esupp != via_dual:
             bad.append(label)
     ok = not bad
@@ -332,9 +331,9 @@ def test_criterion_9(acceptance, lasso_batch, tmp_path):
         write_trace_csv(r.trace, stored, r.f_star)
 
         problem = generate_synthetic(20, 50, r.seed)
-        first = run(problem, config)
-        x_bar = polish(problem, first.x_final, tol=1e-12)
-        trace = run(problem, config, reference=x_bar)
+        trace = run(problem, config)
+        x_bar = polish(problem, trace.x_final, tol=1e-12)
+        trace.set_reference(x_bar)
         fresh = tmp_path / f"fresh_{r.seed}.csv"
         write_trace_csv(trace, fresh, problem.objective(x_bar))
 

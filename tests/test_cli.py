@@ -96,7 +96,7 @@ prefix = exp
         ("[problem]\nsource = builtin\nname = ex_cq\nm = 5\n", "not valid"),
         (MINIMAL + "[typo]\nx = 1\n", "unknown section"),
         (MINIMAL + "[solver]\nstep = 0.5\n", "unknown key"),
-        (MINIMAL + "[regularizer]\nomega = 1.0\ninterval = -1 1\n", "not both"),
+        (MINIMAL + "[regularizer]\nomega = 1.0\n", "unknown key 'omega'"),
         (MINIMAL + "[regularizer]\npenalty = cubic\n", "penalty"),
         (MINIMAL + "[regularizer]\ninterval_x = -1 1\n", "bad key"),
         (MINIMAL + "[solver]\nrecord_every = 5\n", "unknown key 'record_every'"),
@@ -489,7 +489,7 @@ def test_run_auto_lipschitz_is_exact_where_power_iteration_stalls(tmp_path):
         tmp_path,
         _write_csv(tmp_path / "A.csv", a),
         _write_csv(tmp_path / "y.csv", y[:, None]),
-        "[regularizer]\nomega = 0.1\n",
+        "[regularizer]\ninterval = -0.1 0.1\n",
     )
     assert main(["run", str(cfg)]) == 0
     summary = json.loads((tmp_path / "out" / "run_summary.json").read_text())
@@ -532,6 +532,16 @@ def test_run_rejects_non_finite_data_and_writes_nothing(tmp_path, capsys, where,
     cfg = write_files_config(tmp_path, tmp_path / "inst_A.csv", tmp_path / "inst_y.csv")
     assert main(["run", str(cfg)]) == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_rejects_a_matrix_market_file_and_writes_nothing(tmp_path, capsys):
+    # matrix input is CSV only: the Matrix Market header is not a number
+    a_path = tmp_path / "A.mtx"
+    a_path.write_text("%%MatrixMarket matrix array real general\n2 1\n1.0\n2.0\n")
+    y_path = _write_csv(tmp_path / "y.csv", [[1.0], [2.0]])
+    assert main(["run", str(write_files_config(tmp_path, a_path, y_path))]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "out").exists()
 
 
@@ -824,3 +834,27 @@ def test_main_run_exit_codes(tmp_path):
 
 def test_main_gallery_missing_spec():
     assert main(["gallery", "/no/such/spec.ini"]) == 2
+
+
+def test_main_rejects_a_zero_endpoint_at_parse_time(tmp_path, capsys):
+    # lo < 0 < hi: an endpoint at 0 leaves no margin omega > 0
+    out = tmp_path / "out"
+    cases = [
+        ("run", "ex_nocq", "interval = 0 1"),
+        ("run", "ex_cq", "interval_1 = -1 0"),
+        ("gallery", None, "interval = 0 1"),
+    ]
+    for command, name, line in cases:
+        if command == "run":
+            head = f"[problem]\nsource = builtin\nname = {name}\n"
+            tail = f"[output]\ndir = {out}\n"
+        else:
+            head = "[grid]\nlo = -1\nhi = 1\nsteps = 5\n"
+            tail = f"[output]\npath = {out / 'curve.csv'}\n"
+        path = write_config(tmp_path, f"{head}[regularizer]\n{line}\n{tail}")
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        key = line.split(" = ")[0]
+        assert err.startswith("config error: ")
+        assert f"[regularizer] {key} must be two numbers lo < 0 < hi" in err
+        assert not out.exists()

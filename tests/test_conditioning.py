@@ -49,7 +49,7 @@ def quartic_problem(weight=1.0):
     """Pure quartic growth at 0: negligible interval, penalty |x|^4/4."""
     h = LeastSquaresTerm([[0.0]], np.array([0.0]), lipschitz=1.0)
     g = SeparableRegularizer.uniform(
-        1, Interval(-1e-9, 1e-9), PowerPenalty(4.0, weight), omega=1e-9
+        1, Interval(-1e-9, 1e-9), PowerPenalty(4.0, weight)
     )
     return Problem(g=g, h=h)
 
@@ -279,7 +279,7 @@ def test_unique_minimizer_drops_strictly_convex_coordinates():
     s = np.sqrt(2.0)
     h = LeastSquaresTerm([[s, -s]], np.array([s]), lipschitz=4.0)
     pens = (PowerPenalty(2.0, 0.0), PowerPenalty(2.0, 1e-4))
-    g = SeparableRegularizer((Interval(-1.0, 1.0),) * 2, pens, 1.0)
+    g = SeparableRegularizer((Interval(-1.0, 1.0),) * 2, pens)
     assert verify_unique_minimizer(Problem(g=g, h=h), (0, 1)) == (
         True,
         "rank(A_D) = 1 of |D| = 1",
@@ -334,7 +334,7 @@ def test_gamma_quadratic_growth_of_scalar_problem():
 
 def test_gamma_identity_quadratic():
     h = LeastSquaresTerm([[1.0]], np.array([2.0]), lipschitz=1.0)
-    g = SeparableRegularizer.uniform(1, Interval(-1e-9, 1e-9), omega=1e-9)
+    g = SeparableRegularizer.uniform(1, Interval(-1e-9, 1e-9))
     p = Problem(g=g, h=h)
     x_bar = polish(p, np.zeros(1))
     assert verify_unique_minimizer(p, (0,))[0]
@@ -393,7 +393,7 @@ def test_gamma_rejects_bad_region_arguments():
 
 def test_gamma_requires_bounded_intervals():
     h = LeastSquaresTerm([[1.0]], np.array([1.0]), lipschitz=1.0)
-    g = SeparableRegularizer.uniform(1, Interval(-1.0, math.inf), omega=1.0)
+    g = SeparableRegularizer.uniform(1, Interval(-1.0, math.inf))
     p = Problem(g=g, h=h)
     with pytest.raises(ValueError):
         estimate_gamma(p, (0,), np.zeros(1), delta=1.0, r=1.0, p=2.0)
@@ -414,7 +414,7 @@ def test_gamma_detects_wrong_reference_point():
 
 def test_gamma_detects_flat_objective():
     h = LeastSquaresTerm([[0.0, 0.0]], np.array([0.0]), lipschitz=1.0)
-    g = SeparableRegularizer.uniform(2, Interval(-1e-300, 1e-300), omega=1e-300)
+    g = SeparableRegularizer.uniform(2, Interval(-1e-300, 1e-300))
     p = Problem(g=g, h=h)
     with pytest.raises(RuntimeError, match="non-unique"):
         estimate_gamma(p, (0, 1), np.zeros(2), delta=1.0, r=1.0, p=2.0)

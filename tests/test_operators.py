@@ -1,4 +1,3 @@
-import gzip
 import math
 
 import numpy as np
@@ -189,36 +188,6 @@ def test_read_csv_matrix_roundtrip(tmp_path):
         "\n".join(",".join(repr(float(v)) for v in row) for row in a) + "\n"
     )
     assert np.array_equal(read_dense_matrix(path), a)
-
-
-def test_read_matrix_market_array(tmp_path):
-    from scipy.io import mmwrite
-
-    a = np.array([[1.0, 0.0], [2.5, -3.0], [0.0, 4.0]])
-    path = tmp_path / "a.mtx"
-    mmwrite(str(path), a)
-    assert np.allclose(read_dense_matrix(path), a, atol=0)
-
-
-def test_read_matrix_market_coordinate(tmp_path):
-    from scipy.io import mmwrite
-    from scipy.sparse import csr_matrix
-
-    a = np.array([[0.0, 1.0], [2.0, 0.0]])
-    path = tmp_path / "a.mtx"
-    mmwrite(str(path), csr_matrix(a))
-    assert np.array_equal(read_dense_matrix(path), a)
-
-
-def test_read_matrix_market_gzipped(tmp_path):
-    from scipy.io import mmwrite
-
-    a = np.array([[1.0, 2.0]])
-    plain = tmp_path / "a.mtx"
-    mmwrite(str(plain), a)
-    gz = tmp_path / "a.mtx.gz"
-    gz.write_bytes(gzip.compress(plain.read_bytes()))
-    assert np.array_equal(read_dense_matrix(gz), a)
 
 
 def test_read_vector_one_column_csv(tmp_path):

@@ -210,7 +210,7 @@ def test_vectorized_prox_matches_scalar(p):
     x = rng.uniform(-20, 20, size=200)
     lam, w = 0.7, 1.3
     g = SeparableRegularizer.uniform(
-        200, Interval(-1e-12, 1e-12), PowerPenalty(p, w), omega=1e-12
+        200, Interval(-1e-12, 1e-12), PowerPenalty(p, w)
     )
     # tiny interval so the thresholding stage is a near-identity and the
     # penalty prox is exercised over the full input range
@@ -313,14 +313,14 @@ def test_g_value_with_power_penalty():
 
 
 def test_g_value_infinite_one_sided():
-    g = SeparableRegularizer.uniform(1, Interval(-1.0, math.inf), omega=1.0)
+    g = SeparableRegularizer.uniform(1, Interval(-1.0, math.inf))
     assert g_value(np.array([1.0]), g) == math.inf
     assert g_value(np.array([-2.0]), g) == 2.0
     assert g_value(np.array([0.0]), g) == 0.0
 
 
 def test_g_value_asymmetric_box():
-    g = SeparableRegularizer.uniform(1, Interval(-0.5, 2.0), omega=0.5)
+    g = SeparableRegularizer.uniform(1, Interval(-0.5, 2.0))
     assert g_value(np.array([3.0]), g) == 6.0
     assert g_value(np.array([-3.0]), g) == 1.5
 
@@ -334,18 +334,23 @@ def test_uniform_default_omega_is_smaller_margin():
     assert g.omega == 0.25
 
 
-def test_regularizer_rejects_interval_narrower_than_omega():
-    with pytest.raises(ValueError):
-        SeparableRegularizer.uniform(2, Interval(-0.1, 0.1), omega=0.5)
-    with pytest.raises(ValueError):
-        SeparableRegularizer.uniform(2, omega=0.0)
+def test_omega_is_the_smallest_margin_and_needs_a_nonzero_endpoint():
+    g = SeparableRegularizer(
+        (Interval(-0.5, 2.0), Interval(-3.0, 0.25), Interval(-1.0, math.inf)),
+        (ZeroPenalty(),) * 3,
+    )
+    assert g.omega == 0.25
+    with pytest.raises(ValueError, match="lo < 0 < hi"):
+        Interval(0.0, 1.0)
+    with pytest.raises(ValueError, match="lo < 0 < hi"):
+        Interval(-1.0, 0.0)
 
 
 def test_regularizer_rejects_length_mismatch():
     with pytest.raises(ValueError):
-        SeparableRegularizer((SYM, SYM), (ZeroPenalty(),), 1.0)
+        SeparableRegularizer((SYM, SYM), (ZeroPenalty(),))
     with pytest.raises(ValueError):
-        SeparableRegularizer((), (), 1.0)
+        SeparableRegularizer((), ())
 
 
 def test_all_zero_psi_includes_weightless_power():

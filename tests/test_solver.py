@@ -112,7 +112,7 @@ def test_fb_step_raises_on_nonfinite_gradient():
 def test_scalar_run_reproduces_geometric_recurrence():
     p = scalar_problem()
     cfg = SolverConfig(lam=0.5, x0=np.array([1.0]), residual_tol=1e-10)
-    trace = run(p, cfg, reference=np.array([0.0]))
+    trace = run(p, cfg)
     assert trace.converged
     assert trace.n_iterations == 34
     assert np.array_equal(trace.ns, np.arange(trace.n_iterations + 1))
@@ -183,23 +183,14 @@ def test_large_step_still_descends():
 
 def test_reference_distances_recorded():
     p = scalar_problem()
-    ref = np.array([0.0])
-    trace = run(p, SolverConfig(lam=0.5, x0=np.array([1.0])), reference=ref)
-    assert trace.dists is not None
+    trace = run(p, SolverConfig(lam=0.5, x0=np.array([1.0])))
+    assert trace.dists is None
+    trace.set_reference(np.array([0.0]))
     assert np.allclose(trace.dists, 0.5 ** trace.ns.astype(float), atol=0)
-    with pytest.raises(ValueError):
-        run(p, SolverConfig(lam=0.5), reference=np.zeros(2))
 
 
 # ---------------------------------------------------------------------------
 # fejer monotonicity checker
-
-
-def test_fejer_check_rejects_mismatched_reference():
-    p = scalar_problem()
-    trace = run(p, SolverConfig(lam=0.5, x0=np.array([1.0])), reference=np.array([0.0]))
-    with pytest.raises(ValueError):
-        fejer_check(trace, np.array([1.0]))
 
 
 def test_fejer_check_reads_distances_from_the_iterate_log():
@@ -217,7 +208,7 @@ def test_fejer_holds_against_any_minimizer_of_the_segment():
     for t in (0.0, 0.125, 0.25, 0.5):
         ref = np.array([t, t - 0.5])  # on the solution segment x1 - x2 = 1/2
         assert fixed_point_residual(p, 0.25, ref) <= 1e-15
-        trace = run(p, cfg, reference=ref)
+        trace = run(p, cfg)
         assert fejer_check(trace, ref)
 
 
@@ -228,7 +219,8 @@ def test_fejer_holds_against_any_minimizer_of_the_segment():
 def test_write_trace_csv_golden(tmp_path):
     p = scalar_problem()
     cfg = SolverConfig(lam=0.5, x0=np.array([1.0]), max_iter=2, residual_tol=0.0)
-    trace = run(p, cfg, reference=np.array([0.0]))
+    trace = run(p, cfg)
+    trace.set_reference(np.array([0.0]))
     path = tmp_path / "trace.csv"
     write_trace_csv(trace, path, f_star=0.5)
     want = (
@@ -307,8 +299,8 @@ def test_distances_to_matches_dense_norms_bitwise():
     r = np.random.default_rng(0).standard_normal(p.n)
     want = np.array([np.linalg.norm(x - r) for x in trace.iterates])
     assert trace.distances_to(r).tobytes() == want.tobytes()
-    with_ref = run(p, SolverConfig(max_iter=500, residual_tol=1e-9), reference=r)
-    assert with_ref.dists.tobytes() == want.tobytes()
+    trace.set_reference(r)
+    assert trace.dists.tobytes() == want.tobytes()
     with pytest.raises(ValueError):
         trace.distances_to(np.zeros(p.n + 1))
 

@@ -81,16 +81,16 @@ def test_extended_support_adds_boundary_dual_coordinates():
     assert extended_support(np.array([0.5]), np.array([0.2]), g) == (0,)
 
 
-def test_extended_support_default_tolerance_scales_with_endpoint():
-    g = SeparableRegularizer.uniform(1, Interval(-1e6, 1e6), omega=1.0)
+def test_extended_support_tolerance_scales_with_endpoint():
+    g = SeparableRegularizer.uniform(1, Interval(-1e6, 1e6))
     x = np.array([0.0])
     grad = np.array([-(1e6 - 1e-3)])  # within 1e-8 * 1e6 of the endpoint
     assert extended_support(x, grad, g) == (0,)
-    assert extended_support(x, grad, g, boundary_tol=1e-8) == ()
+    assert extended_support(x, np.array([-(1e6 - 1e-1)]), g) == ()
 
 
 def test_extended_support_ignores_infinite_endpoints():
-    g = SeparableRegularizer.uniform(1, Interval(-1.0, math.inf), omega=1.0)
+    g = SeparableRegularizer.uniform(1, Interval(-1.0, math.inf))
     assert extended_support(np.array([0.0]), np.array([-1e12]), g) == ()
     assert extended_support(np.array([0.0]), np.array([1.0]), g) == (0,)
 
@@ -115,7 +115,7 @@ def test_rho_at_zero():
 
 
 def test_rho_with_one_sided_infinite_interval():
-    g = SeparableRegularizer.uniform(1, Interval(-1.0, math.inf), omega=1.0)
+    g = SeparableRegularizer.uniform(1, Interval(-1.0, math.inf))
     assert rho(np.array([0.5]), g) == 1.5
 
 
