@@ -190,6 +190,14 @@ def test_read_csv_matrix_roundtrip(tmp_path):
     assert np.array_equal(read_dense_matrix(path), a)
 
 
+def test_read_dense_matrix_rejects_a_matrix_market_file(tmp_path):
+    # CSV only: the Matrix Market header and size line are not CSV numbers
+    path = tmp_path / "a.mtx"
+    path.write_text("%%MatrixMarket matrix array real general\n2 1\n1.0\n2.0\n")
+    with pytest.raises(ValueError):
+        read_dense_matrix(path)
+
+
 def test_read_vector_one_column_csv(tmp_path):
     path = tmp_path / "y.csv"
     path.write_text("1.5\n-2.0\n0.0\n")

@@ -189,6 +189,16 @@ def test_reference_distances_recorded():
     assert np.allclose(trace.dists, 0.5 ** trace.ns.astype(float), atol=0)
 
 
+def test_set_reference_rejects_a_mismatched_shape():
+    p = scalar_problem()
+    trace = run(p, SolverConfig(lam=0.5, x0=np.array([1.0])))
+    with pytest.raises(ValueError):
+        trace.set_reference(np.zeros(2))
+    assert trace.dists is None  # nothing recorded on failure
+    with pytest.raises(ValueError):
+        fejer_check(trace, np.zeros(2))
+
+
 # ---------------------------------------------------------------------------
 # fejer monotonicity checker
 

@@ -89,6 +89,15 @@ def test_extended_support_tolerance_scales_with_endpoint():
     assert extended_support(x, np.array([-(1e6 - 1e-1)]), g) == ()
 
 
+def test_extended_support_tolerance_is_1e_8_on_unit_intervals():
+    g = SeparableRegularizer.uniform(1)
+    x = np.array([0.0])
+    assert extended_support(x, np.array([-(1.0 - 0.5e-8)]), g) == (0,)
+    assert extended_support(x, np.array([-(1.0 - 2e-8)]), g) == ()
+    assert extended_support(x, np.array([1.0 - 0.5e-8]), g) == (0,)
+    assert extended_support(x, np.array([1.0 - 2e-8]), g) == ()
+
+
 def test_extended_support_ignores_infinite_endpoints():
     g = SeparableRegularizer.uniform(1, Interval(-1.0, math.inf))
     assert extended_support(np.array([0.0]), np.array([-1e12]), g) == ()
@@ -282,6 +291,29 @@ def test_report_for_segment_problem():
     assert rep.qualification_holds is True
     assert rep.rho_sol == math.inf  # both dual coordinates on the boundary
     assert rep.identification_bound == 0.0
+
+
+def test_report_reads_one_boundary_mask(monkeypatch):
+    from threshgrad import support as support_module
+
+    p = segment_problem()
+    trace = run(p, SolverConfig(residual_tol=1e-12))
+    x_bar = np.array([0.25, -0.25])
+    calls = []
+    original = support_module._boundary_mask
+
+    def counted(u, g):
+        calls.append(1)
+        return original(u, g)
+
+    monkeypatch.setattr(support_module, "_boundary_mask", counted)
+    rep = build_support_report(p, trace, x_bar)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    grad = p.h.gradient(x_bar)
+    assert rep.esupp == extended_support(x_bar, grad, p.g)
+    assert rep.active_constraints == active_constraints(rep.dual_point, p.g)
+    assert rep.qualification_holds == qualification_check(x_bar, grad, p.g)
 
 
 def test_report_with_custom_penalty_leaves_qualification_open():
