@@ -21,9 +21,8 @@ from threshgrad.support import build_support_report
 
 def audit_seed(seed: int, m: int, n: int) -> dict:
     problem = generate_synthetic(m, n, seed)
-    config = SolverConfig(max_iter=100_000, residual_tol=1e-10)
-    trace = run(problem, config)
-    x_bar = polish(problem, trace.x_final, tol=1e-12)
+    trace = run(problem, SolverConfig())
+    x_bar = polish(problem, trace.x_final)
     report = build_support_report(problem, trace, x_bar)
     rate = fit_rate(trace, problem.objective(x_bar))
     return {

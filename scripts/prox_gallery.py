@@ -7,27 +7,29 @@ Equivalent to `threshgrad gallery <spec.ini>` for each spec.
 import sys
 
 from threshgrad.cli import GallerySpec, emit_prox_gallery
+from threshgrad.regularizers import Interval, PowerPenalty, ZeroPenalty
 
 CURVES = [
-    # name, interval, penalty spec
-    ("l1", (-1.0, 1.0), ("none",)),
-    ("asymmetric_box", (-0.5, 1.5), ("none",)),
-    ("power2", (-1.0, 1.0), ("power", 2.0, 1.0)),
-    ("power4", (-1.0, 1.0), ("power", 4.0, 1.0)),
-    ("power15_box", (-1.0, 1.0), ("power_box", 1.5, 1.0, -1.0, 1.0)),
+    # name, interval, penalty, box
+    ("l1", Interval(-1.0, 1.0), ZeroPenalty(), None),
+    ("asymmetric_box", Interval(-0.5, 1.5), ZeroPenalty(), None),
+    ("power2", Interval(-1.0, 1.0), PowerPenalty(2.0), None),
+    ("power4", Interval(-1.0, 1.0), PowerPenalty(4.0), None),
+    ("power15_box", Interval(-1.0, 1.0), PowerPenalty(1.5), (-1.0, 1.0)),
 ]
 
 
 def main() -> int:
-    for name, interval, penalty in CURVES:
+    for name, interval, penalty, box in CURVES:
         spec = GallerySpec(
             lo=-3.0,
             hi=3.0,
             steps=601,
+            out_path=f"results/gallery/{name}.csv",
             lam=0.5,
             interval=interval,
             penalty=penalty,
-            out_path=f"results/gallery/{name}.csv",
+            box=box,
         )
         emit_prox_gallery(spec)
         print(f"wrote {spec.out_path}")

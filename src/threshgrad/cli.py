@@ -19,7 +19,7 @@ import math
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -62,8 +62,9 @@ class ExperimentConfig:
     """Parsed experiment description; the INI schema is `_EXPERIMENT_KEYS`
     (documented in the README).
 
-    Exactly one problem source is active.  ``penalty`` is a parsed spec
-    tuple: ("none",) or ("power", p, weight).
+    Exactly one problem source is active.  The solver tolerance, the polish
+    tolerance, the rate-fit window and the growth sampling parameters are
+    the library defaults; library callers can pass other values.
     """
 
     # [problem]
@@ -77,24 +78,16 @@ class ExperimentConfig:
     seed: Optional[int] = None
     scale: float = 1.0
     # [regularizer]
-    interval: Optional[tuple[float, float]] = None
-    interval_overrides: dict = field(default_factory=dict)
-    penalty: tuple = ("none",)
+    interval: Interval = Interval(-1.0, 1.0)
+    interval_overrides: dict = field(default_factory=dict)  # index -> Interval
+    penalty: Union[ZeroPenalty, PowerPenalty] = ZeroPenalty()
     # [solver]
     lam: Optional[float] = None  # None = 1/L
     max_iter: int = 100_000
-    residual_tol: float = 1e-10
     x0: str = "zeros"  # zeros | ones | file:<path>
     # [analysis]
     rate_fit: bool = True
     gamma: bool = False
-    gamma_delta: float = 0.5
-    gamma_r: float = 0.5
-    gamma_p: float = 2.0
-    gamma_samples: int = 10_000
-    gamma_seed: int = 0
-    window_fraction: float = 0.5
-    polish_tol: float = 1e-12
     # [output]
     outdir: str = "."
     prefix: str = "run"
@@ -192,34 +185,23 @@ def _parse_bool(text):
 
 def _parse_interval(text):
     lo, hi = map(float, text.split())
-    Interval(lo, hi)  # raises ValueError outside lo < 0 < hi
-    return lo, hi
+    return Interval(lo, hi)  # raises ValueError outside lo < 0 < hi
 
 
 def _parse_penalty(text):
     toks = text.split()
     if toks == ["none"]:
-        return ("none",)
+        return ZeroPenalty()
     if toks[:1] != ["power"] or len(toks) not in (2, 3):
         raise ValueError(text)
-    p, w = float(toks[1]), float(toks[2]) if len(toks) == 3 else 1.0
-    if not (math.isfinite(p) and p > 1.0 and math.isfinite(w) and w >= 0.0):
-        raise ValueError(text)
-    return ("power", p, w)
+    return PowerPenalty(*map(float, toks[1:]))  # raises ValueError out of range
 
 
-def _parse_gallery_penalty(text):
-    """The experiment grammar plus a trailing 'box a b' (domain
-    constraint): none | power p [w] | power p w box a b | box a b."""
-    toks = text.split()
-    if "box" not in toks:
-        return _parse_penalty(text)
-    i = toks.index("box")
-    a, b = map(float, toks[i + 1:])
+def _parse_box(text):
+    a, b = map(float, text.split())
     if not a < b:
         raise ValueError(text)
-    inner = _parse_penalty(" ".join(toks[:i]) or "none")
-    return ("box", a, b) if inner == ("none",) else ("power_box", *inner[1:], a, b)
+    return a, b
 
 
 def _existing(path: str) -> str:
@@ -238,27 +220,23 @@ def _parse_x0(text):
 
 _FINITE = _real("a finite number")
 _POSITIVE = _real("a finite number > 0", lambda v: v > 0.0)
-_NONNEGATIVE = _real("a finite number >= 0", lambda v: v >= 0.0)
 _BOOL = _Codec(_parse_bool, "true or false", lambda v: "true" if v else "false")
 _TEXT = _Codec(str, "text")
 _FILE = _Codec(_existing, "an existing file")
 _INTERVAL = _Codec(
     _parse_interval,
     "two numbers lo < 0 < hi, at most one of them infinite",
-    lambda v: f"{v[0]!r} {v[1]!r}",
+    lambda v: f"{v.lo!r} {v.hi!r}",
 )
-_POWER = "power p [weight] with finite p > 1 and weight >= 0 (default 1)"
 _PENALTY = _Codec(
-    _parse_penalty, f"none or {_POWER}", lambda v: " ".join(str(t) for t in v)
+    _parse_penalty,
+    "none or power p [weight] with finite p > 1 and finite weight >= 0 (default 1)",
+    lambda v: f"power {v.p!r} {v.weight!r}" if isinstance(v, PowerPenalty) else "none",
 )
-_GALLERY_PENALTY = _Codec(
-    _parse_gallery_penalty, f"none, {_POWER}, optionally followed by box a b, a < b"
-)
+_BOX = _Codec(_parse_box, "two numbers a < b")
 _SOURCE = _choice("builtin", "files", "synthetic")
 _BUILTIN = _choice("ex_cq", "ex_nocq")
 _X0 = _Codec(_parse_x0, "zeros, ones or file:<path>")
-_GAMMA_P = _real("a finite number > 1", lambda v: v > 1.0)
-_FRACTION = _real("a number in (0, 1]", lambda v: 0.0 < v <= 1.0)
 
 _EXPERIMENT_KEYS = (
     _Key("problem", "source", "source", _SOURCE, required=True),
@@ -275,17 +253,9 @@ _EXPERIMENT_KEYS = (
     _Key("regularizer", "penalty", "penalty", _PENALTY),
     _Key("solver", "lambda", "lam", _auto(_POSITIVE)),
     _Key("solver", "max_iter", "max_iter", _integer(0)),
-    _Key("solver", "residual_tol", "residual_tol", _NONNEGATIVE),
     _Key("solver", "x0", "x0", _X0),
     _Key("analysis", "rate_fit", "rate_fit", _BOOL),
     _Key("analysis", "gamma", "gamma", _BOOL),
-    _Key("analysis", "gamma_delta", "gamma_delta", _POSITIVE),
-    _Key("analysis", "gamma_r", "gamma_r", _POSITIVE),
-    _Key("analysis", "gamma_p", "gamma_p", _GAMMA_P),
-    _Key("analysis", "gamma_samples", "gamma_samples", _integer(1)),
-    _Key("analysis", "gamma_seed", "gamma_seed", _integer(0)),
-    _Key("analysis", "window_fraction", "window_fraction", _FRACTION),
-    _Key("analysis", "polish_tol", "polish_tol", _NONNEGATIVE),
     _Key("output", "dir", "outdir", _TEXT),
     _Key("output", "prefix", "prefix", _TEXT),
 )
@@ -296,7 +266,8 @@ _GALLERY_KEYS = (
     _Key("grid", "steps", "steps", _integer(2), required=True),
     _Key("grid", "lam", "lam", _POSITIVE),
     _Key("regularizer", "interval", "interval", _INTERVAL),
-    _Key("regularizer", "penalty", "penalty", _GALLERY_PENALTY),
+    _Key("regularizer", "penalty", "penalty", _PENALTY),
+    _Key("regularizer", "box", "box", _BOX),
     _Key("output", "path", "out_path", _TEXT, required=True),
 )
 
@@ -333,6 +304,7 @@ def _read_ini(path, table) -> dict:
 
     rows = {(row.section, row.key): row for row in table}
     values: dict = {}
+    index_keys: dict = {}  # (field, index) -> the key that set it
     for sec in cp.sections():
         if not any(row.section == sec for row in table):
             raise ConfigError(origin, sec, "unknown section")
@@ -344,8 +316,12 @@ def _read_ini(path, table) -> dict:
             if row.key == key:
                 values[row.field] = _decode(row, key, text, origin)
             elif index.isdecimal():
-                by_index = values.setdefault(row.field, {})
-                by_index[int(index)] = _decode(row, key, text, origin)
+                k = int(index)
+                first = index_keys.setdefault((row.field, k), key)
+                if first != key:
+                    message = f"keys {first!r} and {key!r} both set index {k}"
+                    raise ConfigError(origin, sec, message)
+                values.setdefault(row.field, {})[k] = _decode(row, key, text, origin)
             else:
                 raise ConfigError(origin, sec, f"bad key {key!r}")
 
@@ -385,21 +361,13 @@ def _builtin_smooth(name: str):
     raise ValueError(f"unknown builtin problem {name!r}")
 
 
-def _penalty_object(spec: tuple):
-    if spec[0] == "none":
-        return ZeroPenalty()
-    if spec[0] == "power":
-        return PowerPenalty(p=spec[1], weight=spec[2])
-    raise ValueError(f"unknown penalty spec {spec!r}")
-
-
 def _build_regularizer(cfg: ExperimentConfig, n: int):
-    intervals = [Interval(*(cfg.interval or (-1.0, 1.0)))] * n
-    for k, (lo, hi) in cfg.interval_overrides.items():
+    intervals = [cfg.interval] * n
+    for k, interval in cfg.interval_overrides.items():
         if not 0 <= k < n:
             raise ValueError(f"interval override index {k} out of range for n={n}")
-        intervals[k] = Interval(lo, hi)
-    return SeparableRegularizer(tuple(intervals), (_penalty_object(cfg.penalty),) * n)
+        intervals[k] = interval
+    return SeparableRegularizer(tuple(intervals), (cfg.penalty,) * n)
 
 
 def _synthetic_data(m: int, n: int, seed: int, scale: float):
@@ -498,10 +466,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[int, dict]:
     """
     problem = _build_problem(cfg)
     solver_cfg = solver.SolverConfig(
-        lam=cfg.lam,
-        max_iter=cfg.max_iter,
-        residual_tol=cfg.residual_tol,
-        x0=_resolve_x0(cfg, problem.n),
+        lam=cfg.lam, max_iter=cfg.max_iter, x0=_resolve_x0(cfg, problem.n)
     )
     solver_cfg.resolve(problem)  # a rejected step or x0 leaves no output behind
     outdir = Path(cfg.outdir)
@@ -517,7 +482,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[int, dict]:
     }
 
     trace = solver.run(problem, solver_cfg)
-    x_bar = conditioning.polish(problem, trace.x_final, tol=cfg.polish_tol)
+    x_bar = conditioning.polish(problem, trace.x_final)
     f_star = problem.objective(x_bar)
     trace.set_reference(x_bar)
     solver.write_trace_csv(trace, paths["trace"], f_star)
@@ -574,14 +539,12 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[int, dict]:
         )
 
     if cfg.rate_fit:
-        rate = conditioning.fit_rate(trace, f_star, cfg.window_fraction)
+        rate = conditioning.fit_rate(trace, f_star)
         rate_dict = rate.to_dict()
-        if cfg.penalty[0] == "power" and cfg.penalty[1] > 2.0:
-            p = cfg.penalty[1]
+        if isinstance(cfg.penalty, PowerPenalty) and cfg.penalty.p > 2.0:
+            p = cfg.penalty.p
             try:
-                c1, slope = conditioning.sublinear_bound_check(
-                    trace, f_star, p, cfg.window_fraction
-                )
+                c1, slope = conditioning.sublinear_bound_check(trace, f_star, p)
                 rate_dict["tail_bound"] = {
                     "exponent": p / (p - 2.0),
                     "constant": c1,
@@ -605,16 +568,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[int, dict]:
             # whole space instead
             region = report.esupp or tuple(range(problem.n))
             try:
-                est = conditioning.estimate_gamma(
-                    problem,
-                    region,
-                    x_bar,
-                    delta=cfg.gamma_delta,
-                    r=cfg.gamma_r,
-                    p=cfg.gamma_p,
-                    n_samples=cfg.gamma_samples,
-                    seed=cfg.gamma_seed,
-                )
+                est = conditioning.estimate_gamma(problem, region, x_bar)
                 summary["gamma"] = est.to_dict()
                 audits["gamma"] = "pass" if est.gamma > 0 else "fail"
             except (RuntimeError, ValueError) as exc:
@@ -628,7 +582,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[int, dict]:
     if not trace.converged:
         warnings.append(
             f"solver stopped at residual {trace.final_residual:.3e} without "
-            f"reaching {cfg.residual_tol:.1e}"
+            f"reaching {solver_cfg.residual_tol:.1e}"
         )
     summary["audits"] = audits
     summary["warnings"] = warnings
@@ -646,21 +600,21 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[int, dict]:
 
 @dataclass
 class GallerySpec:
-    """Grid and scalar regularizer for a prox curve CSV."""
+    """Grid, scalar regularizer and optional box [a, b] for a prox curve CSV."""
 
     lo: float
     hi: float
     steps: int
-    lam: float
-    interval: tuple[float, float]
-    penalty: tuple
     out_path: str
+    lam: float = 1.0
+    interval: Interval = Interval(-1.0, 1.0)
+    penalty: Union[ZeroPenalty, PowerPenalty] = ZeroPenalty()
+    box: Optional[tuple[float, float]] = None
 
 
 def parse_gallery_spec(path) -> GallerySpec:
     """Parse and validate a gallery INI file."""
-    defaults = {"lam": 1.0, "interval": (-1.0, 1.0), "penalty": ("none",)}
-    spec = GallerySpec(**{**defaults, **_read_ini(path, _GALLERY_KEYS)})
+    spec = GallerySpec(**_read_ini(path, _GALLERY_KEYS))
     if not spec.lo < spec.hi:
         raise ConfigError(str(path), "grid", "need lo < hi")
     return spec
@@ -669,22 +623,23 @@ def parse_gallery_spec(path) -> GallerySpec:
 def emit_prox_gallery(spec: GallerySpec) -> None:
     """Tabulate prox_{lam*(sigma_I + psi)} over the grid as CSV (t, prox).
 
-    A `box a b` spec clamps the prox to [a, b]: the scalar objective is
+    A box [a, b] clamps the prox to [a, b]: the scalar objective is
     convex, so the constrained minimizer is the clamp of the unconstrained
     one.  The power prox of a boxed spec is taken after the soft-threshold,
     by `prox_power_scalar`.
     """
-    kind = spec.penalty[0]
-    box = spec.penalty[-2:] if kind in ("box", "power_box") else None
-    penalty = _penalty_object(spec.penalty if box is None else ("none",))
-    g = SeparableRegularizer.uniform(1, Interval(*spec.interval), penalty)
+    pen = spec.penalty
+    boxed_power = spec.box is not None and isinstance(pen, PowerPenalty)
+    g = SeparableRegularizer.uniform(
+        1, spec.interval, ZeroPenalty() if boxed_power else pen
+    )
     lines = ["t,prox"]
     for t in np.linspace(spec.lo, spec.hi, spec.steps):
         v = prox_separable(np.array([float(t)]), spec.lam, g)[0]
-        if kind == "power_box":
-            v = prox_power_scalar(float(v), spec.lam, *spec.penalty[1:3])
-        if box is not None:
-            v = min(max(v, box[0]), box[1])
+        if boxed_power:
+            v = prox_power_scalar(float(v), spec.lam, pen.p, pen.weight)
+        if spec.box is not None:
+            v = min(max(v, spec.box[0]), spec.box[1])
         lines.append(f"{repr(float(t))},{repr(float(v))}")
     out = Path(spec.out_path)
     out.parent.mkdir(parents=True, exist_ok=True)

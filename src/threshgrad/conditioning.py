@@ -188,9 +188,9 @@ def estimate_gamma(
     problem: Problem,
     J,
     x_bar: np.ndarray,
-    delta: float,
-    r: float,
-    p: float,
+    delta: float = 0.5,
+    r: float = 0.5,
+    p: float = 2.0,
     n_samples: int = 10_000,
     seed: int = 0,
 ) -> GammaEstimate:

@@ -69,16 +69,18 @@ class ZeroPenalty:
 
 @dataclass(frozen=True)
 class PowerPenalty:
-    """psi(t) = weight * |t|**p / p with p > 1, weight >= 0."""
+    """psi(t) = weight * |t|**p / p with finite p > 1 and finite weight >= 0."""
 
     p: float
     weight: float = 1.0
 
     def __post_init__(self):
-        if not self.p > 1.0:
-            raise ValueError(f"power penalty needs p > 1, got {self.p}")
-        if not self.weight >= 0.0:
-            raise ValueError(f"power penalty needs weight >= 0, got {self.weight}")
+        if not (math.isfinite(self.p) and self.p > 1.0):
+            raise ValueError(f"power penalty needs finite p > 1, got {self.p}")
+        if not (math.isfinite(self.weight) and self.weight >= 0.0):
+            raise ValueError(
+                f"power penalty needs finite weight >= 0, got {self.weight}"
+            )
 
 
 @dataclass(frozen=True)

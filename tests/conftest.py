@@ -76,9 +76,8 @@ def _run_instance(seed: int) -> BatchRun:
     from threshgrad.support import build_support_report
 
     problem = generate_synthetic(20, 50, seed)
-    config = SolverConfig(max_iter=100_000, residual_tol=1e-10)
-    trace = run(problem, config)
-    x_bar = polish(problem, trace.x_final, tol=1e-12)
+    trace = run(problem, SolverConfig())
+    x_bar = polish(problem, trace.x_final)
     f_star = problem.objective(x_bar)
     trace.set_reference(x_bar)
     report = build_support_report(problem, trace, x_bar)

@@ -17,6 +17,7 @@ from threshgrad.cli import (
     run_experiment,
 )
 from threshgrad.conditioning import polish
+from threshgrad.regularizers import Interval, PowerPenalty, ZeroPenalty
 
 
 def write_config(tmp_path, text, name="exp.ini"):
@@ -41,7 +42,9 @@ def test_parse_minimal_builtin_config(tmp_path):
     assert cfg.source == "builtin"
     assert cfg.builtin_name == "ex_nocq"
     assert cfg.lam is None
-    assert cfg.penalty == ("none",)
+    assert cfg.interval == Interval(-1.0, 1.0)
+    assert cfg.interval_overrides == {}
+    assert cfg.penalty == ZeroPenalty()
     assert cfg.rate_fit
     assert not cfg.gamma
 
@@ -63,13 +66,11 @@ penalty = power 4 0.5
 [solver]
 lambda = 0.25
 max_iter = 5000
-residual_tol = 1e-8
 x0 = ones
 
 [analysis]
+rate_fit = false
 gamma = true
-gamma_p = 4.0
-window_fraction = 0.25
 
 [output]
 dir = out
@@ -77,13 +78,11 @@ prefix = exp
 """
     cfg = parse_experiment_config(write_config(tmp_path, text))
     assert (cfg.m, cfg.n, cfg.seed, cfg.scale) == (20, 50, 7, 2.0)
-    assert cfg.interval == (-0.5, 1.5)
-    assert cfg.interval_overrides == {3: (-2.0, 2.0)}
-    assert cfg.penalty == ("power", 4.0, 0.5)
-    assert cfg.lam == 0.25
-    assert cfg.x0 == "ones"
-    assert cfg.gamma and cfg.gamma_p == 4.0
-    assert cfg.window_fraction == 0.25
+    assert cfg.interval == Interval(-0.5, 1.5)
+    assert cfg.interval_overrides == {3: Interval(-2.0, 2.0)}
+    assert cfg.penalty == PowerPenalty(4.0, 0.5)
+    assert (cfg.lam, cfg.max_iter, cfg.x0) == (0.25, 5000, "ones")
+    assert not cfg.rate_fit and cfg.gamma
     assert cfg.outdir == "out" and cfg.prefix == "exp"
 
 
@@ -105,14 +104,25 @@ prefix = exp
             "unknown key 'support_audit'",
         ),
         (MINIMAL + "[analysis]\nfejer = false\n", "unknown key 'fejer'"),
-        (MINIMAL + "[analysis]\nwindow_fraction = 0\n", "window_fraction"),
         (MINIMAL + "[solver]\nx0 = file:/does/not/exist.csv\n", "not found"),
         ("[solver]\nlambda = 0.5\n", "required"),
-        (MINIMAL + "[solver]\nresidual_tol = nan\n", "residual_tol"),
-        (MINIMAL + "[analysis]\ngamma_samples = 0\n", "gamma_samples"),
-        (MINIMAL + "[analysis]\ngamma_delta = -1\n", "gamma_delta"),
-        (MINIMAL + "[regularizer]\npenalty = power inf\n", "penalty"),
-        (MINIMAL + "[analysis]\npolish_tol = nan\n", "polish_tol"),
+        # the analysis tolerances and sampling parameters are library defaults
+        (MINIMAL + "[solver]\nresidual_tol = 1e-8\n", "unknown key 'residual_tol'"),
+        (MINIMAL + "[analysis]\nwindow_fraction = 0.5\n", "unknown key 'window_fraction'"),
+        (MINIMAL + "[analysis]\ngamma_samples = 10\n", "unknown key 'gamma_samples'"),
+        (MINIMAL + "[analysis]\ngamma_delta = 0.5\n", "unknown key 'gamma_delta'"),
+        (MINIMAL + "[analysis]\ngamma_r = 0.5\n", "unknown key 'gamma_r'"),
+        (MINIMAL + "[analysis]\ngamma_p = 2\n", "unknown key 'gamma_p'"),
+        (MINIMAL + "[analysis]\ngamma_seed = 1\n", "unknown key 'gamma_seed'"),
+        (MINIMAL + "[analysis]\npolish_tol = 1e-12\n", "unknown key 'polish_tol'"),
+        (MINIMAL + "[regularizer]\npenalty = power inf\n", "penalty must be"),
+        (MINIMAL + "[regularizer]\npenalty = power 2 inf\n", "penalty must be"),
+        (MINIMAL + "[regularizer]\npenalty = power 1.5 1.0 box -1 1\n", "penalty must be"),
+        (MINIMAL + "[regularizer]\ninterval = -1 1 2\n", "interval must be"),
+        (
+            MINIMAL + "[regularizer]\ninterval_3 = -2 2\ninterval_03 = -0.5 0.5\n",
+            "keys 'interval_3' and 'interval_03' both set index 3",
+        ),
     ],
 )
 def test_parse_rejects_bad_configs(tmp_path, text, needle):
@@ -149,12 +159,13 @@ lambda = 0.125
 
 [analysis]
 gamma = true
-gamma_delta = 0.1
 
 [output]
 prefix = round
 """
     cfg = parse_experiment_config(write_config(tmp_path, text))
+    assert cfg.interval_overrides == {2: Interval(-3.0, 3.0)}
+    assert cfg.penalty == PowerPenalty(1.5, 2.0)
     echoed = parse_experiment_config(write_config(tmp_path, cfg.to_ini(), "echo.ini"))
     assert echoed == cfg
 
@@ -594,8 +605,9 @@ def test_gallery_quadratic_penalty_halves_soft_output(tmp_path):
 
 def test_gallery_box_constrained_curve(tmp_path):
     spec = parse_gallery_spec(
-        write_gallery(tmp_path, "[regularizer]\npenalty = box -0.5 0.75\n")
+        write_gallery(tmp_path, "[regularizer]\nbox = -0.5 0.75\n")
     )
+    assert (spec.penalty, spec.box) == (ZeroPenalty(), (-0.5, 0.75))
     emit_prox_gallery(spec)
     _, vs = read_curve(tmp_path / "curve.csv")
     assert vs == [-0.5, -0.5, 0.0, 0.0, 0.0, 0.75, 0.75]
@@ -603,9 +615,9 @@ def test_gallery_box_constrained_curve(tmp_path):
 
 def test_gallery_power_box_penalty(tmp_path):
     spec = parse_gallery_spec(
-        write_gallery(tmp_path, "[regularizer]\npenalty = power 2 1 box -0.25 0.25\n")
+        write_gallery(tmp_path, "[regularizer]\npenalty = power 2 1\nbox = -0.25 0.25\n")
     )
-    assert spec.penalty == ("power_box", 2.0, 1.0, -0.25, 0.25)
+    assert (spec.penalty, spec.box) == (PowerPenalty(2.0, 1.0), (-0.25, 0.25))
     emit_prox_gallery(spec)
     _, vs = read_curve(tmp_path / "curve.csv")
     assert vs == [-0.25, -0.25, 0.0, 0.0, 0.0, 0.25, 0.25]
@@ -619,8 +631,8 @@ def test_gallery_box_is_the_clamp_of_the_unboxed_curve(tmp_path, unboxed, lo, hi
     # the boxed power curve takes the scalar prox, the unboxed one the
     # vectorized prox; both solve to 1e-13
     curves = []
-    for name, penalty in (("free", unboxed), ("boxed", f"{unboxed} box {lo} {hi}")):
-        text = f"[regularizer]\npenalty = {penalty.removeprefix('none ')}\n"
+    for name, box in (("free", ""), ("boxed", f"box = {lo} {hi}\n")):
+        text = f"[regularizer]\npenalty = {unboxed}\n{box}"
         spec = write_gallery(tmp_path, text, f"{name}.csv", lo=-3, hi=3, steps=61)
         assert main(["gallery", str(spec)]) == 0
         curves.append(read_curve(tmp_path / f"{name}.csv")[1])
@@ -633,7 +645,12 @@ def test_gallery_spec_validation(tmp_path):
         "[grid]\nlo = 0\nhi = 1\nsteps = 1\n[output]\npath = x.csv\n",
         "[grid]\nlo = 1\nhi = 0\nsteps = 5\n[output]\npath = x.csv\n",
         "[grid]\nlo = 0\nhi = 1\nsteps = 5\n",
-        "[grid]\nlo = 0\nhi = 1\nsteps = 5\n[regularizer]\npenalty = box 1 0\n"
+        "[grid]\nlo = 0\nhi = 1\nsteps = 5\n[regularizer]\nbox = 1 0\n"
+        "[output]\npath = x.csv\n",
+        "[grid]\nlo = 0\nhi = 1\nsteps = 5\n[regularizer]\nbox = 0\n"
+        "[output]\npath = x.csv\n",
+        # the box is its own key, not a penalty form
+        "[grid]\nlo = 0\nhi = 1\nsteps = 5\n[regularizer]\npenalty = box 0 1\n"
         "[output]\npath = x.csv\n",
         "[grid]\nhi = 1\nsteps = 5\n[output]\npath = x.csv\n",
         "[grid]\nlo = 0\nsteps = 5\n[output]\npath = x.csv\n",

@@ -365,6 +365,10 @@ def test_power_penalty_validation():
         PowerPenalty(1.0)
     with pytest.raises(ValueError):
         PowerPenalty(2.0, -1.0)
+    # non-finite parameters would make g_value nan instead of failing
+    for p, weight in ((math.inf, 1.0), (math.nan, 1.0), (2.0, math.inf), (2.0, math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            PowerPenalty(p, weight)
 
 
 def test_custom_penalty_validation():
