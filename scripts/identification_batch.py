@@ -1,30 +1,27 @@
 """Identification-bound audit over a batch of seeded synthetic instances.
 
-For every seed: solve, polish, and compare the observed count of iterates
-whose support escapes the extended support of the limit against the
-a-priori budget ceil(rho^-2 lambda^-2 ||x0 - x_bar||^2).  Also records the
-fitted tail rate.  One CSV row per seed; floats use repr so reruns are
+For every seed, `threshgrad.analysis.analyze` solves and polishes the
+instance once; the row compares the observed count of iterates whose
+support escapes the extended support of the limit against the a-priori
+budget ceil(rho^-2 lambda^-2 ||x0 - x_bar||^2), and records the fitted
+tail rate.  One CSV row per seed; floats use repr so reruns are
 byte-identical.
 """
 
 import argparse
+import csv
 import math
 import sys
 import time
 from pathlib import Path
 
-from threshgrad.cli import generate_synthetic
-from threshgrad.conditioning import fit_rate, polish
-from threshgrad.solver import SolverConfig, run
-from threshgrad.support import build_support_report
+from threshgrad.analysis import analyze, generate_synthetic
+from threshgrad.solver import SolverConfig
 
 
 def audit_seed(seed: int, m: int, n: int) -> dict:
-    problem = generate_synthetic(m, n, seed)
-    trace = run(problem, SolverConfig())
-    x_bar = polish(problem, trace.x_final)
-    report = build_support_report(problem, trace, x_bar)
-    rate = fit_rate(trace, problem.objective(x_bar))
+    result = analyze(generate_synthetic(m, n, seed), SolverConfig())
+    report, rate = result.report, result.rate
     return {
         "seed": seed,
         "violations": report.observed_violations,
@@ -51,15 +48,11 @@ def main() -> int:
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    cols = list(rows[0])
-    with open(out, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in rows:
-            cells = [
-                repr(v) if isinstance(v, float) else ("" if v is None else str(v))
-                for v in (row[c] for c in cols)
-            ]
-            fh.write(",".join(cells) + "\n")
+    with open(out, "w", newline="") as fh:
+        # csv writes floats by repr and None as an empty cell
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
 
     over = [r["seed"] for r in rows if r["violations"] > r["budget"]]
     linear = sum(r["regime"] == "linear" for r in rows)

@@ -1,0 +1,102 @@
+"""The problem builders and `analyze`, the one chain every claim of a run
+is read from: solve, polish, f* = f(x_bar), distances to x_bar, support
+report, rate fit and their rules."""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from . import conditioning, solver, support
+from .operators import LeastSquaresTerm, operator_norm
+from .regularizers import SeparableRegularizer, ZeroPenalty
+
+__all__ = ["Analysis", "analyze", "generate_synthetic"]
+
+
+def _builtin_smooth(name: str):
+    if name == "ex_nocq":
+        # scalar (x-1)^2/2; with g = |.| the minimizer is 0 and the dual
+        # point sits exactly on the interval boundary
+        return LeastSquaresTerm([[1.0]], [1.0], lipschitz=1.0)
+    if name == "ex_cq":
+        # (x1 - x2 - 1)^2 written as least squares; argmin of f is the
+        # segment between (0.5, 0) and (0, -0.5)
+        s = math.sqrt(2.0)
+        return LeastSquaresTerm([[s, -s]], [s], lipschitz=4.0)
+    raise ValueError(f"unknown builtin problem {name!r}")
+
+
+def _synthetic_data(m: int, n: int, seed: int, scale: float):
+    """Seeded Gaussian instance: A scaled to ||A||^2 = scale exactly (by
+    `operator_norm`), sparse x_true with ceil(n/10) entries of magnitude
+    10..20, y = A x_true + 0.1 * noise.  Draw order is part of the
+    determinism contract; changing it changes every seeded artifact."""
+    if m < 1 or n < 1:
+        raise ValueError("m and n must be >= 1")
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise ValueError(f"scale must be a finite number > 0, got {scale!r}")
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((m, n))
+    top = operator_norm(a)
+    if top == 0.0:
+        raise ValueError("degenerate draw: zero matrix")
+    a *= math.sqrt(scale) / top
+    k = math.ceil(n / 10)
+    idx = rng.choice(n, size=k, replace=False)
+    signs = rng.choice([-1.0, 1.0], size=k)
+    mags = rng.uniform(10.0, 20.0, size=k)
+    x_true = np.zeros(n)
+    x_true[idx] = signs * mags
+    y = a @ x_true + 0.1 * rng.standard_normal(m)
+    return a, y, x_true
+
+
+def generate_synthetic(m: int, n: int, seed: int, scale: float = 1.0, penalty=None):
+    """Seeded random least-squares Problem with intervals [-1, 1].
+
+    The scaling uses the exact largest singular value, so the Lipschitz
+    constant is `scale` itself, not an estimate.
+    """
+    a, y, _ = _synthetic_data(m, n, seed, scale)
+    h = LeastSquaresTerm(a, y, lipschitz=scale)
+    g = SeparableRegularizer.uniform(n, penalty=penalty or ZeroPenalty())
+    return solver.Problem(g=g, h=h)
+
+
+@dataclass(eq=False)
+class Analysis:
+    """One solve of a problem and what was read off it.  The trace holds
+    the distances to ``x_bar``, ``f_star`` is f(x_bar), and ``failures``
+    maps "trace", "support" and "rate" to their failed rules (empty: passed).
+    """
+
+    problem: solver.Problem
+    trace: solver.IterateTrace
+    x_bar: np.ndarray
+    f_star: float
+    report: support.SupportReport
+    rate: conditioning.RateReport
+    failures: dict
+
+
+def analyze(problem: solver.Problem, solver_cfg: solver.SolverConfig) -> Analysis:
+    """Solve, polish, measure the trace against the polished point and
+    apply the trace, support and rate rules, each step once.  A step size
+    or starting point the problem rejects raises ValueError first."""
+    trace = solver.run(problem, solver_cfg)
+    x_bar = conditioning.polish(problem, trace.x_final)
+    f_star = problem.objective(x_bar)
+    trace.set_reference(x_bar)
+    report = support.build_support_report(problem, trace, x_bar)
+    rate = conditioning.fit_rate(trace, f_star)
+    failures = {
+        "trace": solver.trace_rules(
+            trace.ns, trace.objectives - f_star, trace.residuals, trace.dists, f_star
+        ),
+        "support": support.report_rules(support.report_to_dict(report)),
+        "rate": conditioning.rate_rules(rate),
+    }
+    return Analysis(problem, trace, x_bar, f_star, report, rate, failures)

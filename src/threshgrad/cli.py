@@ -24,6 +24,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from . import conditioning, solver, support
+from .analysis import _builtin_smooth, _synthetic_data, analyze, generate_synthetic
 from .operators import LeastSquaresTerm, operator_norm, read_dense_matrix, read_vector
 from .regularizers import (
     Interval,
@@ -40,7 +41,7 @@ __all__ = [
     "GallerySpec",
     "parse_experiment_config",
     "parse_gallery_spec",
-    "generate_synthetic",
+    "generate_synthetic",  # from analysis; perfbench builds its instances here
     "run_experiment",
     "emit_prox_gallery",
     "main",
@@ -199,8 +200,6 @@ def _parse_penalty(text):
 
 def _parse_box(text):
     a, b = map(float, text.split())
-    if not a < b:
-        raise ValueError(text)
     return a, b
 
 
@@ -348,19 +347,6 @@ def parse_experiment_config(path) -> ExperimentConfig:
 # problem construction
 
 
-def _builtin_smooth(name: str):
-    if name == "ex_nocq":
-        # scalar (x-1)^2/2; with g = |.| the minimizer is 0 and the dual
-        # point sits exactly on the interval boundary
-        return LeastSquaresTerm([[1.0]], [1.0], lipschitz=1.0)
-    if name == "ex_cq":
-        # (x1 - x2 - 1)^2 written as least squares; argmin of f is the
-        # segment between (0.5, 0) and (0, -0.5)
-        s = math.sqrt(2.0)
-        return LeastSquaresTerm([[s, -s]], [s], lipschitz=4.0)
-    raise ValueError(f"unknown builtin problem {name!r}")
-
-
 def _build_regularizer(cfg: ExperimentConfig, n: int):
     intervals = [cfg.interval] * n
     for k, interval in cfg.interval_overrides.items():
@@ -368,43 +354,6 @@ def _build_regularizer(cfg: ExperimentConfig, n: int):
             raise ValueError(f"interval override index {k} out of range for n={n}")
         intervals[k] = interval
     return SeparableRegularizer(tuple(intervals), (cfg.penalty,) * n)
-
-
-def _synthetic_data(m: int, n: int, seed: int, scale: float):
-    """Seeded Gaussian instance: A scaled to ||A||^2 = scale exactly (by
-    `operator_norm`), sparse x_true with ceil(n/10) entries of magnitude
-    10..20, y = A x_true + 0.1 * noise.  Draw order is part of the
-    determinism contract; changing it changes every seeded artifact."""
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be >= 1")
-    if not (math.isfinite(scale) and scale > 0.0):
-        raise ValueError(f"scale must be a finite number > 0, got {scale!r}")
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((m, n))
-    top = operator_norm(a)
-    if top == 0.0:
-        raise ValueError("degenerate draw: zero matrix")
-    a *= math.sqrt(scale) / top
-    k = math.ceil(n / 10)
-    idx = rng.choice(n, size=k, replace=False)
-    signs = rng.choice([-1.0, 1.0], size=k)
-    mags = rng.uniform(10.0, 20.0, size=k)
-    x_true = np.zeros(n)
-    x_true[idx] = signs * mags
-    y = a @ x_true + 0.1 * rng.standard_normal(m)
-    return a, y, x_true
-
-
-def generate_synthetic(m: int, n: int, seed: int, scale: float = 1.0, penalty=None):
-    """Seeded random least-squares Problem with intervals [-1, 1].
-
-    The scaling uses the exact largest singular value, so the Lipschitz
-    constant is `scale` itself, not an estimate.
-    """
-    a, y, _ = _synthetic_data(m, n, seed, scale)
-    h = LeastSquaresTerm(a, y, lipschitz=scale)
-    g = SeparableRegularizer.uniform(n, penalty=penalty or ZeroPenalty())
-    return solver.Problem(g=g, h=h)
 
 
 def _build_problem(cfg: ExperimentConfig):
@@ -419,8 +368,7 @@ def _build_problem(cfg: ExperimentConfig):
         if cfg.lipschitz is None:
             h = replace(h, lipschitz=operator_norm(h.op) ** 2)
     else:
-        a, y, _ = _synthetic_data(cfg.m, cfg.n, cfg.seed, cfg.scale)
-        h = LeastSquaresTerm(a, y, lipschitz=cfg.scale)
+        h = generate_synthetic(cfg.m, cfg.n, cfg.seed, cfg.scale).h
     n = h.op.shape[1]
     return solver.Problem(g=_build_regularizer(cfg, n), h=h)
 
@@ -457,7 +405,7 @@ def _verdict(problems: list, warnings: list) -> str:
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[int, dict]:
-    """Solve, polish, run the audits, write artifacts.
+    """Build the problem, `analyze` it, run the growth audit, write artifacts.
 
     Returns (exit_code, summary).  Exit code 0 means the solver converged
     and every audit that ran passed; audits that were skipped for a stated
@@ -468,7 +416,9 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[int, dict]:
     solver_cfg = solver.SolverConfig(
         lam=cfg.lam, max_iter=cfg.max_iter, x0=_resolve_x0(cfg, problem.n)
     )
-    solver_cfg.resolve(problem)  # a rejected step or x0 leaves no output behind
+    # a rejected step or x0 raises here and leaves no output behind
+    result = analyze(problem, solver_cfg)
+    trace, report = result.trace, result.report
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     paths = {
@@ -480,18 +430,11 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[int, dict]:
             ("summary", "json"),
         )
     }
-
-    trace = solver.run(problem, solver_cfg)
-    x_bar = conditioning.polish(problem, trace.x_final)
-    f_star = problem.objective(x_bar)
-    trace.set_reference(x_bar)
-    solver.write_trace_csv(trace, paths["trace"], f_star)
+    solver.write_trace_csv(trace, paths["trace"], result.f_star)
     rows = trace.support_rows()
 
     warnings: list = []
-    gaps = trace.objectives - f_star
-    rules = solver.trace_rules(trace.ns, gaps, trace.residuals, trace.dists, f_star)
-    audits: dict = {"trace": _verdict(rules, warnings)}
+    audits = {k: _verdict(result.failures[k], warnings) for k in ("trace", "support")}
     summary: dict = {
         "config_ini": cfg.to_ini(),
         "source": cfg.source,
@@ -502,10 +445,10 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[int, dict]:
         "converged": trace.converged,
         "final_residual": trace.final_residual,
         "wall_time": trace.wall_time,
-        "f_star": f_star,
+        "f_star": result.f_star,
         "f_final": float(trace.objectives[-1]),
-        "x_bar": [float(v) for v in x_bar],
-        "artifacts": {"trace": str(paths["trace"])},
+        "x_bar": [float(v) for v in result.x_bar],
+        "artifacts": {k: str(paths[k]) for k in ("trace", "support")},
         "diagnostics": {
             "solves": 1,
             "matvecs_per_iteration": 2,
@@ -522,12 +465,8 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[int, dict]:
         },
     }
 
-    report = support.build_support_report(problem, trace, x_bar)
     support.write_support_report(report, paths["support"])
-    summary["artifacts"]["support"] = str(paths["support"])
-    rep = support.report_to_dict(report)
-    audits["support"] = _verdict(support.report_rules(rep), warnings)
-    summary["support"] = dict(rep)
+    summary["support"] = support.report_to_dict(report)
     del summary["support"]["active_constraints"], summary["support"]["dual_point"]
     if cfg.source == "files" and problem.n - 1 in report.esupp:
         # only user data can be a truncation of a larger problem;
@@ -539,12 +478,11 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[int, dict]:
         )
 
     if cfg.rate_fit:
-        rate = conditioning.fit_rate(trace, f_star)
-        rate_dict = rate.to_dict()
+        rate_dict = result.rate.to_dict()
         if isinstance(cfg.penalty, PowerPenalty) and cfg.penalty.p > 2.0:
             p = cfg.penalty.p
             try:
-                c1, slope = conditioning.sublinear_bound_check(trace, f_star, p)
+                c1, slope = conditioning.sublinear_bound_check(trace, result.f_star, p)
                 rate_dict["tail_bound"] = {
                     "exponent": p / (p - 2.0),
                     "constant": c1,
@@ -555,7 +493,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[int, dict]:
         _json_dump(rate_dict, paths["rate"])
         summary["artifacts"]["rate"] = str(paths["rate"])
         summary["rate"] = rate_dict
-        audits["rate"] = _verdict(conditioning.rate_rules(rate), warnings)
+        audits["rate"] = _verdict(result.failures["rate"], warnings)
     else:
         audits["rate"] = "off"
 
@@ -568,7 +506,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[int, dict]:
             # whole space instead
             region = report.esupp or tuple(range(problem.n))
             try:
-                est = conditioning.estimate_gamma(problem, region, x_bar)
+                est = conditioning.estimate_gamma(problem, region, result.x_bar)
                 summary["gamma"] = est.to_dict()
                 audits["gamma"] = "pass" if est.gamma > 0 else "fail"
             except (RuntimeError, ValueError) as exc:
@@ -611,13 +549,22 @@ class GallerySpec:
     penalty: Union[ZeroPenalty, PowerPenalty] = ZeroPenalty()
     box: Optional[tuple[float, float]] = None
 
+    def __post_init__(self):
+        if not -math.inf < self.lo < self.hi < math.inf:
+            raise ValueError(f"need finite lo < hi, got {self.lo!r} and {self.hi!r}")
+        if self.steps < 2:
+            raise ValueError(f"need steps >= 2, got {self.steps!r}")
+        if self.box is not None and not self.box[0] < self.box[1]:
+            raise ValueError(f"need a box a < b, got {self.box!r}")
+
 
 def parse_gallery_spec(path) -> GallerySpec:
     """Parse and validate a gallery INI file."""
-    spec = GallerySpec(**_read_ini(path, _GALLERY_KEYS))
-    if not spec.lo < spec.hi:
-        raise ConfigError(str(path), "grid", "need lo < hi")
-    return spec
+    values = _read_ini(path, _GALLERY_KEYS)
+    try:
+        return GallerySpec(**values)
+    except ValueError as exc:
+        raise ConfigError(str(path), "-", str(exc))
 
 
 def emit_prox_gallery(spec: GallerySpec) -> None:

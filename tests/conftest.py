@@ -9,8 +9,10 @@ import re
 import time
 from dataclasses import dataclass
 
-import numpy as np
 import pytest
+
+from threshgrad.analysis import analyze, generate_synthetic
+from threshgrad.solver import SolverConfig
 
 _ACCEPTANCE: dict = {}
 _EXPECTED: set = set()
@@ -53,36 +55,9 @@ def pytest_terminal_summary(terminalreporter):
 
 
 @dataclass
-class BatchRun:
-    seed: int
-    problem: object
-    trace: object  # every iterate, distances against x_bar
-    x_bar: np.ndarray
-    f_star: float
-    report: object
-    rate: object
-
-
-@dataclass
 class Batch:
-    runs: list
+    runs: list  # the `Analysis` of instance seed i at index i
     elapsed: float
-
-
-def _run_instance(seed: int) -> BatchRun:
-    from threshgrad.cli import generate_synthetic
-    from threshgrad.conditioning import fit_rate, polish
-    from threshgrad.solver import SolverConfig, run
-    from threshgrad.support import build_support_report
-
-    problem = generate_synthetic(20, 50, seed)
-    trace = run(problem, SolverConfig())
-    x_bar = polish(problem, trace.x_final)
-    f_star = problem.objective(x_bar)
-    trace.set_reference(x_bar)
-    report = build_support_report(problem, trace, x_bar)
-    rate = fit_rate(trace, f_star)
-    return BatchRun(seed, problem, trace, x_bar, f_star, report, rate)
 
 
 @pytest.fixture(scope="session")
@@ -90,5 +65,5 @@ def lasso_batch() -> Batch:
     """100 seeded 20x50 instances solved, polished and analyzed once per
     session; several acceptance criteria quantify over this batch."""
     t0 = time.perf_counter()
-    runs = [_run_instance(seed) for seed in range(100)]
+    runs = [analyze(generate_synthetic(20, 50, s), SolverConfig()) for s in range(100)]
     return Batch(runs=runs, elapsed=time.perf_counter() - t0)

@@ -95,3 +95,10 @@ def brute_force_scalar_min(
         if f < best_f:
             best_x, best_f = x, f
     return best_x, best_f
+
+
+def distances_by_row(trace, reference) -> np.ndarray:
+    """||x - reference|| for every iterate of ``trace``, one dense row and
+    one `np.linalg.norm` at a time: the reference for
+    `IterateTrace.distances_to`."""
+    return np.array([np.linalg.norm(x - reference) for x in trace.iterates])

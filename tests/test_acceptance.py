@@ -11,43 +11,34 @@ import time
 import numpy as np
 from oracles import brute_force_scalar_min, soft_interval
 
-from threshgrad.cli import generate_synthetic
-from threshgrad.conditioning import fit_rate, polish, sublinear_bound_check
-from threshgrad.operators import LeastSquaresTerm
+from threshgrad.analysis import _builtin_smooth, analyze, generate_synthetic
+from threshgrad.conditioning import sublinear_bound_check
 from threshgrad.regularizers import (
     Interval,
     PowerPenalty,
     SeparableRegularizer,
     prox_separable,
 )
-from threshgrad.solver import Problem, SolverConfig, fejer_check, run, write_trace_csv
-from threshgrad.support import (
-    active_constraints,
-    build_support_report,
-    dual_point,
-    extended_support,
-)
+from threshgrad.solver import Problem, SolverConfig, fejer_check, write_trace_csv
+from threshgrad.support import active_constraints, dual_point, extended_support
 
 
 def scalar_problem():
-    """min |x| + (x-1)^2/2: minimizer 0, residual gradient on the boundary."""
-    h = LeastSquaresTerm([[1.0]], np.array([1.0]), lipschitz=1.0)
-    return Problem(g=SeparableRegularizer.uniform(1), h=h)
+    """ex_nocq: |x| + (x-1)^2/2, minimizer 0, dual point on the boundary."""
+    return Problem(g=SeparableRegularizer.uniform(1), h=_builtin_smooth("ex_nocq"))
 
 
 def segment_problem():
-    """min |x1|+|x2| + (x1-x2-1)^2: minimizers {(t, t-1/2) : t in [0, 1/2]}."""
-    s = np.sqrt(2.0)
-    h = LeastSquaresTerm([[s, -s]], np.array([s]), lipschitz=4.0)
-    return Problem(g=SeparableRegularizer.uniform(2), h=h)
+    """ex_cq: |x1|+|x2| + (x1-x2-1)^2, minimizers {(t, t-1/2) : 0 <= t <= 1/2}."""
+    return Problem(g=SeparableRegularizer.uniform(2), h=_builtin_smooth("ex_cq"))
 
 
-def _solve_builtin(problem, **config_kwargs):
-    """run -> polish -> distances to the polished reference."""
-    trace = run(problem, SolverConfig(residual_tol=1e-10, **config_kwargs))
-    x_bar = polish(problem, trace.x_final, tol=1e-12)
-    trace.set_reference(x_bar)
-    return trace, x_bar
+def builtin_analyses():
+    """Both examples analyzed, the scalar one from x0 = 1 with lam = 1/2."""
+    return [
+        ("scalar", analyze(scalar_problem(), SolverConfig(lam=0.5, x0=np.ones(1)))),
+        ("segment", analyze(segment_problem(), SolverConfig())),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -56,11 +47,8 @@ def _solve_builtin(problem, **config_kwargs):
 
 def test_criterion_1(acceptance):
     t0 = time.perf_counter()
-    problem = scalar_problem()
-    config = SolverConfig(lam=0.5, x0=np.ones(1), residual_tol=1e-10)
-    trace = run(problem, config)
-    x_bar = polish(problem, trace.x_final, tol=1e-12)
-    report = build_support_report(problem, trace, x_bar)
+    result = analyze(scalar_problem(), SolverConfig(lam=0.5, x0=np.ones(1)))
+    trace, report = result.trace, result.report
     elapsed = time.perf_counter() - t0
 
     recurrence = max(
@@ -93,15 +81,13 @@ def test_criterion_1(acceptance):
 
 def test_criterion_2(acceptance):
     t0 = time.perf_counter()
-    problem = segment_problem()
-    trace, x_bar = _solve_builtin(problem)
-    report = build_support_report(problem, trace, x_bar)
+    result = analyze(segment_problem(), SolverConfig())
+    x_bar, report, f_val = result.x_bar, result.report, result.f_star
     elapsed = time.perf_counter() - t0
 
     # nearest point of the solution segment {(t, t - 1/2) : t in [0, 1/2]}
     tc = min(max((x_bar[0] + x_bar[1] + 0.5) / 2.0, 0.0), 0.5)
     seg_dist = float(np.hypot(x_bar[0] - tc, x_bar[1] - (tc - 0.5)))
-    f_val = problem.objective(x_bar)
     dual_err = float(np.max(np.abs(report.dual_point - np.array([1.0, -1.0]))))
 
     checks = {
@@ -128,10 +114,10 @@ def test_criterion_2(acceptance):
 
 def test_criterion_3(acceptance, lasso_batch):
     bad = []
-    for r in lasso_batch.runs:
+    for seed, r in enumerate(lasso_batch.runs):
         allowed = math.ceil(r.report.identification_bound)
         if r.report.observed_violations > allowed:
-            bad.append(r.seed)
+            bad.append(seed)
     within_time = lasso_batch.elapsed <= 120.0
     ok = not bad and within_time
     detail = (
@@ -151,7 +137,7 @@ def test_criterion_3(acceptance, lasso_batch):
 def test_criterion_4(acceptance, lasso_batch):
     bad = []
     r2s, eps = [], []
-    for r in lasso_batch.runs:
+    for seed, r in enumerate(lasso_batch.runs):
         rate = r.rate
         if not (
             rate.regime == "linear"
@@ -160,7 +146,7 @@ def test_criterion_4(acceptance, lasso_batch):
             and rate.epsilon is not None
             and 0.0 < rate.epsilon < 1.0
         ):
-            bad.append((r.seed, rate.regime))
+            bad.append((seed, rate.regime))
         else:
             r2s.append(rate.r_squared)
             eps.append(rate.epsilon)
@@ -181,21 +167,14 @@ def test_criterion_4(acceptance, lasso_batch):
 
 
 def test_criterion_5(acceptance):
-    config = SolverConfig(max_iter=20_000, residual_tol=1e-10)
-    slopes = []
+    config = SolverConfig(max_iter=20_000)
+    slopes, regimes = [], []
     for seed in range(10):
-        problem = generate_synthetic(20, 50, seed, penalty=PowerPenalty(4.0, 1.0))
-        trace = run(problem, config)
-        x_bar = polish(problem, trace.x_final, tol=1e-12)
-        _, slope = sublinear_bound_check(trace, problem.objective(x_bar), 4.0)
-        slopes.append(slope)
-
-    regimes = []
-    for seed in range(10):
-        problem = generate_synthetic(20, 50, seed, penalty=PowerPenalty(1.5, 1.0))
-        trace = run(problem, config)
-        x_bar = polish(problem, trace.x_final, tol=1e-12)
-        regimes.append(fit_rate(trace, problem.objective(x_bar)).regime)
+        quartic = generate_synthetic(20, 50, seed, penalty=PowerPenalty(4.0, 1.0))
+        result = analyze(quartic, config)
+        slopes.append(sublinear_bound_check(result.trace, result.f_star, 4.0)[1])
+        p15 = generate_synthetic(20, 50, seed, penalty=PowerPenalty(1.5, 1.0))
+        regimes.append(analyze(p15, config).rate.regime)
 
     quartic_ok = all(s <= 0.02 for s in slopes)
     p15_ok = all(reg == "linear" for reg in regimes)
@@ -263,23 +242,17 @@ def test_criterion_6(acceptance):
 
 
 def test_criterion_7(acceptance, lasso_batch):
-    runs = [(r.seed, r.trace, r.x_bar) for r in lasso_batch.runs]
-    scalar = scalar_problem()
-    trace, x_bar = _solve_builtin(scalar, lam=0.5, x0=np.ones(1))
-    runs.append(("scalar", trace, x_bar))
-    segment = segment_problem()
-    trace, x_bar = _solve_builtin(segment)
-    runs.append(("segment", trace, x_bar))
+    runs = list(enumerate(lasso_batch.runs)) + builtin_analyses()
 
     bad_descent = []
     bad_fejer = []
     worst_ascent = -np.inf
-    for label, trace, x_bar in runs:
-        ascent = float(np.max(np.diff(trace.objectives), initial=-np.inf))
+    for label, r in runs:
+        ascent = float(np.max(np.diff(r.trace.objectives), initial=-np.inf))
         worst_ascent = max(worst_ascent, ascent)
         if ascent > 1e-12:
             bad_descent.append(label)
-        if not fejer_check(trace, x_bar):
+        if not fejer_check(r.trace, r.x_bar):
             bad_fejer.append(label)
     ok = not bad_descent and not bad_fejer
     detail = f"{len(runs)} runs, max objective increase={worst_ascent:.1e}"
@@ -296,19 +269,13 @@ def test_criterion_7(acceptance, lasso_batch):
 
 
 def test_criterion_8(acceptance, lasso_batch):
-    instances = [(r.seed, r.problem, r.x_bar) for r in lasso_batch.runs]
-    scalar = scalar_problem()
-    _, x_bar = _solve_builtin(scalar, lam=0.5, x0=np.ones(1))
-    instances.append(("scalar", scalar, x_bar))
-    segment = segment_problem()
-    _, x_bar = _solve_builtin(segment)
-    instances.append(("segment", segment, x_bar))
+    instances = list(enumerate(lasso_batch.runs)) + builtin_analyses()
 
     bad = []
-    for label, problem, x_bar in instances:
-        grad = problem.h.gradient(x_bar)
-        esupp = extended_support(x_bar, grad, problem.g)
-        via_dual = active_constraints(dual_point(problem, x_bar), problem.g)
+    for label, r in instances:
+        grad = r.problem.h.gradient(r.x_bar)
+        esupp = extended_support(r.x_bar, grad, r.problem.g)
+        via_dual = active_constraints(dual_point(r.problem, r.x_bar), r.problem.g)
         if esupp != via_dual:
             bad.append(label)
     ok = not bad
@@ -324,21 +291,17 @@ def test_criterion_8(acceptance, lasso_batch):
 
 
 def test_criterion_9(acceptance, lasso_batch, tmp_path):
-    config = SolverConfig(max_iter=100_000, residual_tol=1e-10)
     mismatched = []
-    for r in lasso_batch.runs:
-        stored = tmp_path / f"batch_{r.seed}.csv"
+    for seed, r in enumerate(lasso_batch.runs):
+        stored = tmp_path / f"batch_{seed}.csv"
         write_trace_csv(r.trace, stored, r.f_star)
 
-        problem = generate_synthetic(20, 50, r.seed)
-        trace = run(problem, config)
-        x_bar = polish(problem, trace.x_final, tol=1e-12)
-        trace.set_reference(x_bar)
-        fresh = tmp_path / f"fresh_{r.seed}.csv"
-        write_trace_csv(trace, fresh, problem.objective(x_bar))
+        again = analyze(generate_synthetic(20, 50, seed), SolverConfig())
+        fresh = tmp_path / f"fresh_{seed}.csv"
+        write_trace_csv(again.trace, fresh, again.f_star)
 
         if stored.read_bytes() != fresh.read_bytes():
-            mismatched.append(r.seed)
+            mismatched.append(seed)
     ok = not mismatched
     detail = f"{100 - len(mismatched)}/100 trace CSVs byte-identical"
     if mismatched:

@@ -9,6 +9,7 @@ import pytest
 from threshgrad import solver
 from threshgrad.cli import (
     ConfigError,
+    GallerySpec,
     emit_prox_gallery,
     generate_synthetic,
     main,
@@ -391,9 +392,11 @@ def test_identification_batch_solves_once_per_seed(monkeypatch):
     spec = importlib.util.spec_from_file_location("identification_batch", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    calls = _counting(monkeypatch, script)
+    calls = _counting(monkeypatch, solver)
+    # the benchmark serves prebuilt instances through this module global
+    built = _counting(monkeypatch, script, "generate_synthetic")
     row = script.audit_seed(0, 20, 50)
-    assert calls == [None]
+    assert calls == [None] and built == [None]
     assert row["violations"] <= row["budget"]
     assert row["regime"] == "linear"
 
@@ -665,6 +668,22 @@ def test_gallery_spec_validation(tmp_path):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        dict(lo=1.0, hi=0.0),
+        dict(lo=0.0, hi=0.0),
+        dict(lo=-math.inf, hi=1.0),
+        dict(steps=1),
+        dict(box=(1.0, 0.0)),
+        dict(box=(0.5, 0.5)),
+    ],
+)
+def test_gallery_spec_built_in_code_checks_itself(fields):
+    with pytest.raises(ValueError):
+        GallerySpec(**{"lo": -2.0, "hi": 2.0, "steps": 5, "out_path": "x.csv", **fields})
+
+
 # ---------------------------------------------------------------------------
 # instance generation
 
@@ -713,7 +732,7 @@ def test_generate_synthetic_problem():
 @pytest.mark.parametrize("m, n, seed, scale", [(6, 15, 0, 3.0), (20, 50, 7, 1.0), (9, 4, 11, 0.5)])
 def test_synthetic_scaling_is_bitwise_the_full_svd(m, n, seed, scale):
     # the pinned synthetic artifacts depend on these exact bits
-    from threshgrad.cli import _synthetic_data
+    from threshgrad.analysis import _synthetic_data
 
     a = np.random.default_rng(seed).standard_normal((m, n))
     a *= math.sqrt(scale) / np.linalg.svd(a, compute_uv=False)[0]

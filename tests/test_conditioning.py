@@ -312,10 +312,10 @@ def test_unique_minimizer_runs_no_solver(monkeypatch):
 
 
 def test_unique_minimizer_certified_on_every_batch_instance(lasso_batch):
-    for run_ in lasso_batch.runs:
+    for seed, run_ in enumerate(lasso_batch.runs):
         unique, why = verify_unique_minimizer(run_.problem, run_.report.esupp)
         d = len(run_.report.esupp)
-        assert unique, (run_.seed, why)
+        assert unique, (seed, why)
         assert why == f"rank(A_D) = {d} of |D| = {d}"
 
 

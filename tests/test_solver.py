@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from oracles import distances_by_row
 
 from threshgrad.operators import LeastSquaresTerm
 from threshgrad.regularizers import Interval, PowerPenalty, SeparableRegularizer
@@ -307,12 +310,36 @@ def test_distances_to_matches_dense_norms_bitwise():
     p = random_problem(9)
     trace = run(p, SolverConfig(max_iter=500, residual_tol=1e-9))
     r = np.random.default_rng(0).standard_normal(p.n)
-    want = np.array([np.linalg.norm(x - r) for x in trace.iterates])
+    want = distances_by_row(trace, r)
     assert trace.distances_to(r).tobytes() == want.tobytes()
     trace.set_reference(r)
     assert trace.dists.tobytes() == want.tobytes()
     with pytest.raises(ValueError):
         trace.distances_to(np.zeros(p.n + 1))
+
+
+@pytest.mark.parametrize(
+    "n, sizes",
+    [
+        # 2**18 // n = 8 rows per dense block: empty, full and ragged rows
+        # on both sides of each block boundary
+        (2**15, [0, 3, 0, 2**15, 5, 0, 0, 7, 0, 2, 1, 0, 9, 0, 0, 4, 0, 6, 0]),
+        # past 2**18 entries a block is one row
+        (2**18 + 3, [4, 0, 2**18 + 3, 0, 1]),
+    ],
+)
+def test_distances_to_is_bitwise_the_row_loop_on_ragged_logs(n, sizes):
+    rng = np.random.default_rng(n)
+    rows = [np.sort(rng.choice(n, size=k, replace=False)) for k in sizes]
+    trace = replace(
+        run(scalar_problem(), SolverConfig(max_iter=0)),
+        offsets=np.cumsum([0] + sizes, dtype=np.int64),
+        indices=np.concatenate(rows).astype(np.int32),
+        values=rng.standard_normal(sum(sizes)) * 10.0 ** rng.integers(-8, 8, sum(sizes)),
+        x0=np.zeros(n),
+    )
+    r = rng.standard_normal(n)
+    assert trace.distances_to(r).tobytes() == distances_by_row(trace, r).tobytes()
 
 
 def test_run_does_two_matvecs_per_step():
