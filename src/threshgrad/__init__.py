@@ -8,8 +8,9 @@ Submodules:
     support       support / extended-support analytics and identification
     conditioning  polishing, uniqueness certificate, growth constants,
                   rate classification
-    analysis      problem builders and `analyze`: solve, polish, support
-                  report and rate fit, once each
+    analysis      problem builders, `analyze` (solve, polish, support
+                  report, rate fit and tail bound, once each) and
+                  `growth_audit`
     cli           experiment runner (`threshgrad` console script)
 
 Nothing is imported eagerly; pull what you need, e.g.

@@ -1,19 +1,20 @@
-"""The problem builders and `analyze`, the one chain every claim of a run
-is read from: solve, polish, f* = f(x_bar), distances to x_bar, support
-report, rate fit and their rules."""
+"""The problem builders, `analyze`, the one chain every claim of a run
+is read from (solve, polish, f* = f(x_bar), distances to x_bar, support
+report, rate fit with the power-law tail bound, and their rules), and
+`growth_audit`, the opt-in growth-constant check on its result."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import conditioning, solver, support
 from .operators import LeastSquaresTerm, operator_norm
-from .regularizers import SeparableRegularizer, ZeroPenalty
+from .regularizers import PowerPenalty, SeparableRegularizer, ZeroPenalty
 
-__all__ = ["Analysis", "analyze", "generate_synthetic"]
+__all__ = ["Analysis", "analyze", "growth_audit", "generate_synthetic"]
 
 
 def _builtin_smooth(name: str):
@@ -84,14 +85,22 @@ class Analysis:
 
 def analyze(problem: solver.Problem, solver_cfg: solver.SolverConfig) -> Analysis:
     """Solve, polish, measure the trace against the polished point and
-    apply the trace, support and rate rules, each step once.  A step size
-    or starting point the problem rejects raises ValueError first."""
+    apply the trace, support and rate rules, each step once; under one power
+    penalty of order p > 2 the rate also carries the tail bound.  A step
+    size or starting point the problem rejects raises ValueError first."""
     trace = solver.run(problem, solver_cfg)
     x_bar = conditioning.polish(problem, trace.x_final)
     f_star = problem.objective(x_bar)
     trace.set_reference(x_bar)
     report = support.build_support_report(problem, trace, x_bar)
     rate = conditioning.fit_rate(trace, f_star)
+    (_, pen), *others = problem.g._groups
+    if not others and isinstance(pen, PowerPenalty) and pen.p > 2.0:
+        try:
+            bound = conditioning.sublinear_bound_check(trace, f_star, pen.p)
+            rate = replace(rate, tail_bound=bound)
+        except ValueError as exc:
+            rate = replace(rate, tail_skipped=f"tail bound check skipped: {exc}")
     failures = {
         "trace": solver.trace_rules(
             trace.ns, trace.objectives - f_star, trace.residuals, trace.dists, f_star
@@ -100,3 +109,21 @@ def analyze(problem: solver.Problem, solver_cfg: solver.SolverConfig) -> Analysi
         "rate": conditioning.rate_rules(rate),
     }
     return Analysis(problem, trace, x_bar, f_star, report, rate, failures)
+
+
+def growth_audit(result: Analysis) -> tuple:
+    """The `gamma` audit of an analysis: (verdict, GammaEstimate or None,
+    warnings).  It samples only around a minimizer that
+    `verify_unique_minimizer` certifies (else the verdict is "skipped: ..."),
+    over the whole space when esupp is empty (the active subspace is {0});
+    a sampling error fails the audit and is named in the warnings."""
+    problem, esupp = result.problem, result.report.esupp
+    unique, why = conditioning.verify_unique_minimizer(problem, esupp)
+    if not unique:
+        return f"skipped: minimizer not certified unique: {why}", None, []
+    region = esupp or tuple(range(problem.n))
+    try:
+        est = conditioning.estimate_gamma(problem, region, result.x_bar)
+    except (RuntimeError, ValueError) as exc:
+        return "fail", None, [f"gamma estimation failed: {exc}"]
+    return ("pass" if est.gamma > 0 else "fail"), est, []

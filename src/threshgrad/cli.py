@@ -1,7 +1,9 @@
-"""Experiment runner for the `threshgrad` console script.
+"""Experiment runner for the `threshgrad` console script: INI parsing,
+problem construction from a config, and artifact writing.  Every analysis
+comes from `threshgrad.analysis` (`analyze`, `growth_audit`).
 
 Subcommands:
-    run <config.ini>      solve, polish, audit, emit artifacts
+    run <config.ini>      build, analyze, audit, emit artifacts
     gallery <spec.ini>    tabulate a scalar prox curve as CSV
     gen <m> <n> <seed>    write a seeded synthetic instance to CSV files
     audit <trace.csv> <support.json>   recheck emitted artifacts
@@ -23,8 +25,9 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from . import conditioning, solver, support
-from .analysis import _builtin_smooth, _synthetic_data, analyze, generate_synthetic
+from . import solver, support
+from .analysis import _builtin_smooth, _synthetic_data, analyze, growth_audit
+from .analysis import generate_synthetic
 from .operators import LeastSquaresTerm, operator_norm, read_dense_matrix, read_vector
 from .regularizers import (
     Interval,
@@ -184,11 +187,6 @@ def _parse_bool(text):
     raise ValueError(text)
 
 
-def _parse_interval(text):
-    lo, hi = map(float, text.split())
-    return Interval(lo, hi)  # raises ValueError outside lo < 0 < hi
-
-
 def _parse_penalty(text):
     toks = text.split()
     if toks == ["none"]:
@@ -198,7 +196,7 @@ def _parse_penalty(text):
     return PowerPenalty(*map(float, toks[1:]))  # raises ValueError out of range
 
 
-def _parse_box(text):
+def _parse_pair(text):
     a, b = map(float, text.split())
     return a, b
 
@@ -223,7 +221,7 @@ _BOOL = _Codec(_parse_bool, "true or false", lambda v: "true" if v else "false")
 _TEXT = _Codec(str, "text")
 _FILE = _Codec(_existing, "an existing file")
 _INTERVAL = _Codec(
-    _parse_interval,
+    lambda text: Interval(*_parse_pair(text)),  # ValueError outside lo < 0 < hi
     "two numbers lo < 0 < hi, at most one of them infinite",
     lambda v: f"{v.lo!r} {v.hi!r}",
 )
@@ -232,7 +230,7 @@ _PENALTY = _Codec(
     "none or power p [weight] with finite p > 1 and finite weight >= 0 (default 1)",
     lambda v: f"power {v.p!r} {v.weight!r}" if isinstance(v, PowerPenalty) else "none",
 )
-_BOX = _Codec(_parse_box, "two numbers a < b")
+_BOX = _Codec(_parse_pair, "two numbers a < b")
 _SOURCE = _choice("builtin", "files", "synthetic")
 _BUILTIN = _choice("ex_cq", "ex_nocq")
 _X0 = _Codec(_parse_x0, "zeros, ones or file:<path>")
@@ -357,6 +355,10 @@ def _build_regularizer(cfg: ExperimentConfig, n: int):
 
 
 def _build_problem(cfg: ExperimentConfig):
+    """The config's problem and where its L comes from: the builtin's
+    constant, the synthetic `scale`, the config's `lipschitz` ("config"),
+    or the exact ||A||^2 ("exact")."""
+    l_source = cfg.source
     if cfg.source == "builtin":
         h = _builtin_smooth(cfg.builtin_name)
     elif cfg.source == "files":
@@ -365,20 +367,14 @@ def _build_problem(cfg: ExperimentConfig):
         # a placeholder L first, so the term rejects non-finite data
         # before the SVD sees it
         h = LeastSquaresTerm(a, y, lipschitz=cfg.lipschitz or 1.0)
+        l_source = "config"
         if cfg.lipschitz is None:
             h = replace(h, lipschitz=operator_norm(h.op) ** 2)
+            l_source = "exact"
     else:
         h = generate_synthetic(cfg.m, cfg.n, cfg.seed, cfg.scale).h
     n = h.op.shape[1]
-    return solver.Problem(g=_build_regularizer(cfg, n), h=h)
-
-
-def _lipschitz_source(cfg: ExperimentConfig) -> str:
-    """Where `_build_problem` takes L from: the builtin's constant, the
-    synthetic `scale`, the config's `lipschitz`, or the exact ||A||^2."""
-    if cfg.source != "files":
-        return cfg.source
-    return "exact" if cfg.lipschitz is None else "config"
+    return solver.Problem(g=_build_regularizer(cfg, n), h=h), l_source
 
 
 def _resolve_x0(cfg: ExperimentConfig, n: int):
@@ -405,14 +401,15 @@ def _verdict(problems: list, warnings: list) -> str:
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[int, dict]:
-    """Build the problem, `analyze` it, run the growth audit, write artifacts.
+    """Build the problem, `analyze` it, run `growth_audit` when `gamma` is
+    on, and write the artifacts.
 
     Returns (exit_code, summary).  Exit code 0 means the solver converged
     and every audit that ran passed; audits that were skipped for a stated
     reason (e.g. growth estimation on a minimizer not certified unique)
     do not fail the run.
     """
-    problem = _build_problem(cfg)
+    problem, l_source = _build_problem(cfg)
     solver_cfg = solver.SolverConfig(
         lam=cfg.lam, max_iter=cfg.max_iter, x0=_resolve_x0(cfg, problem.n)
     )
@@ -422,13 +419,8 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[int, dict]:
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     paths = {
-        kind: outdir / f"{cfg.prefix}_{kind}.{ext}"
-        for kind, ext in (
-            ("trace", "csv"),
-            ("support", "json"),
-            ("rate", "json"),
-            ("summary", "json"),
-        )
+        kind: outdir / f"{cfg.prefix}_{kind}.{'csv' if kind == 'trace' else 'json'}"
+        for kind in ("trace", "support", "rate", "summary")
     }
     solver.write_trace_csv(trace, paths["trace"], result.f_star)
     rows = trace.support_rows()
@@ -458,10 +450,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[int, dict]:
             "iterate_log_bytes": sum(
                 a.nbytes for a in (trace.offsets, trace.indices, trace.values)
             ),
-            "lipschitz": {
-                "value": float(problem.h.lipschitz),
-                "source": _lipschitz_source(cfg),
-            },
+            "lipschitz": {"value": float(problem.h.lipschitz), "source": l_source},
         },
     }
 
@@ -472,46 +461,25 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[int, dict]:
         # only user data can be a truncation of a larger problem;
         # builtins and synthetic instances are intrinsically finite
         warnings.append(
-            "extended support touches the last coordinate; if this "
-            "instance truncates a larger problem, the truncation is "
-            "too short"
+            "extended support touches the last coordinate; if this instance "
+            "truncates a larger problem, the truncation is too short"
         )
 
     if cfg.rate_fit:
-        rate_dict = result.rate.to_dict()
-        if isinstance(cfg.penalty, PowerPenalty) and cfg.penalty.p > 2.0:
-            p = cfg.penalty.p
-            try:
-                c1, slope = conditioning.sublinear_bound_check(trace, result.f_star, p)
-                rate_dict["tail_bound"] = {
-                    "exponent": p / (p - 2.0),
-                    "constant": c1,
-                    "trend_slope": slope,
-                }
-            except ValueError as exc:
-                warnings.append(f"tail bound check skipped: {exc}")
-        _json_dump(rate_dict, paths["rate"])
+        if result.rate.tail_skipped:
+            warnings.append(result.rate.tail_skipped)
+        summary["rate"] = result.rate.to_dict()
+        _json_dump(summary["rate"], paths["rate"])
         summary["artifacts"]["rate"] = str(paths["rate"])
-        summary["rate"] = rate_dict
         audits["rate"] = _verdict(result.failures["rate"], warnings)
     else:
         audits["rate"] = "off"
 
     if cfg.gamma:
-        unique, why = conditioning.verify_unique_minimizer(problem, report.esupp)
-        if not unique:
-            audits["gamma"] = f"skipped: minimizer not certified unique: {why}"
-        else:
-            # empty esupp means the active subspace is {0}; sample the
-            # whole space instead
-            region = report.esupp or tuple(range(problem.n))
-            try:
-                est = conditioning.estimate_gamma(problem, region, result.x_bar)
-                summary["gamma"] = est.to_dict()
-                audits["gamma"] = "pass" if est.gamma > 0 else "fail"
-            except (RuntimeError, ValueError) as exc:
-                audits["gamma"] = "fail"
-                warnings.append(f"gamma estimation failed: {exc}")
+        audits["gamma"], est, gamma_warnings = growth_audit(result)
+        warnings += gamma_warnings
+        if est is not None:
+            summary["gamma"] = est.to_dict()
     else:
         audits["gamma"] = "off"
 
@@ -605,16 +573,11 @@ def _write_csv_matrix(a, path) -> None:
 
 def cmd_gen(m: int, n: int, seed: int, scale: float, outdir: str, prefix: str) -> int:
     a, y, x_true = _synthetic_data(m, n, seed, scale)
-    outdir_p = Path(outdir)
-    outdir_p.mkdir(parents=True, exist_ok=True)
-    targets = {
-        "A": (a, f"{prefix}_A.csv"),
-        "y": (y.reshape(-1, 1), f"{prefix}_y.csv"),
-        "x_true": (x_true.reshape(-1, 1), f"{prefix}_x_true.csv"),
-    }
-    for data, name in targets.values():
-        _write_csv_matrix(data, outdir_p / name)
-        print(outdir_p / name)
+    Path(outdir).mkdir(parents=True, exist_ok=True)
+    for name, data in (("A", a), ("y", y[:, None]), ("x_true", x_true[:, None])):
+        path = Path(outdir) / f"{prefix}_{name}.csv"
+        _write_csv_matrix(data, path)
+        print(path)
     return 0
 
 

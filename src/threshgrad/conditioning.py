@@ -295,7 +295,9 @@ class RateReport:
     regime 'linear' carries epsilon = exp(slope of log gap vs n) in (0,1);
     'sublinear' carries exponent q > 0 and constant from gap ~ C * n^-q;
     'inconclusive' carries only the diagnostics.  r2_linear / r2_loglog are
-    reported side by side regardless of the verdict.
+    reported side by side regardless of the verdict.  `analysis.analyze`
+    sets ``tail_bound`` to the `sublinear_bound_check` result when it applies,
+    or ``tail_skipped`` to the warning when the tail is too short for it.
     """
 
     regime: str
@@ -307,9 +309,11 @@ class RateReport:
     exponent: Optional[float] = None
     constant: Optional[float] = None
     r_squared: Optional[float] = None
+    tail_bound: Optional[dict] = None
+    tail_skipped: Optional[str] = None
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "regime": self.regime,
             "epsilon": self.epsilon,
             "exponent": self.exponent,
@@ -320,6 +324,9 @@ class RateReport:
             "window": None if self.window is None else list(self.window),
             "n_points": self.n_points,
         }
+        if self.tail_bound is not None:
+            out["tail_bound"] = self.tail_bound
+        return out
 
 
 def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
@@ -411,13 +418,14 @@ def rate_rules(rate: RateReport) -> list:
 
 def sublinear_bound_check(
     trace: IterateTrace, f_star: float, p: float, window_fraction: float = 0.5
-) -> tuple[float, float]:
+) -> dict:
     """Consistency with a gap <= C1 * n^(-p/(p-2)) tail bound.
 
-    Returns (C1, slope): C1 is the max of gap * n^(p/(p-2)) over the tail
-    window and slope is the log-log trend of that product, which should be
-    <= 0 up to fit noise when the bound holds.  Decay faster than the bound
-    (very negative slope) is consistent: the rate theorem is one-sided.
+    Returns {"exponent": p/(p-2), "constant": C1, "trend_slope": slope}: C1
+    is the max of gap * n^(p/(p-2)) over the tail window and slope is the
+    log-log trend of that product, which should be <= 0 up to fit noise
+    when the bound holds.  Decay faster than the bound (very negative
+    slope) is consistent: the rate theorem is one-sided.
     """
     if not p > 2.0:
         raise ValueError("the power-law tail bound applies for p > 2 only")
@@ -430,4 +438,4 @@ def sublinear_bound_check(
     q = p / (p - 2.0)
     z = gaps * ns ** q
     slope, _, _ = _ols(np.log(ns), np.log(z))
-    return float(np.max(z)), slope
+    return {"exponent": q, "constant": float(np.max(z)), "trend_slope": slope}

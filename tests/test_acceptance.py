@@ -12,7 +12,6 @@ import numpy as np
 from oracles import brute_force_scalar_min, soft_interval
 
 from threshgrad.analysis import _builtin_smooth, analyze, generate_synthetic
-from threshgrad.conditioning import sublinear_bound_check
 from threshgrad.regularizers import (
     Interval,
     PowerPenalty,
@@ -172,7 +171,7 @@ def test_criterion_5(acceptance):
     for seed in range(10):
         quartic = generate_synthetic(20, 50, seed, penalty=PowerPenalty(4.0, 1.0))
         result = analyze(quartic, config)
-        slopes.append(sublinear_bound_check(result.trace, result.f_star, 4.0)[1])
+        slopes.append(result.rate.tail_bound["trend_slope"])
         p15 = generate_synthetic(20, 50, seed, penalty=PowerPenalty(1.5, 1.0))
         regimes.append(analyze(p15, config).rate.regime)
 

@@ -2,6 +2,7 @@ import json
 import math
 import os
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from threshgrad import solver
 from threshgrad.cli import (
     ConfigError,
+    ExperimentConfig,
     GallerySpec,
     emit_prox_gallery,
     generate_synthetic,
@@ -321,6 +323,68 @@ def test_run_names_why_the_rate_is_inconclusive(tmp_path):
     assert summary["warnings"] == ["rate: inconclusive: 0 usable tail points, need >= 8"]
 
 
+@pytest.mark.parametrize("rate_fit", [True, False])
+def test_run_names_why_the_tail_bound_is_skipped(tmp_path, rate_fit):
+    # the 1x1 instance leaves no tail; the tail bound is a rate artifact
+    cfg = ExperimentConfig(
+        source="synthetic", m=1, n=1, seed=0, penalty=PowerPenalty(4.0)
+    )
+    cfg.rate_fit, cfg.outdir = rate_fit, str(tmp_path)
+    code, summary = run_experiment(cfg)
+    assert code == (1 if rate_fit else 0)
+    skipped = (
+        "tail bound check skipped: only 0 usable points in the tail window, "
+        "need >= 8"
+    )
+    assert (skipped in summary["warnings"]) is rate_fit
+    if rate_fit:
+        assert summary["warnings"].index(skipped) == 0
+        assert "tail_bound" not in summary["rate"]
+
+
+@pytest.mark.parametrize(
+    "penalty, exponent",
+    [
+        (PowerPenalty(4.0), 2.0),
+        (PowerPenalty(3.0, 0.0), 3.0),  # weight 0 still names the order
+        (PowerPenalty(2.0), None),
+        (ZeroPenalty(), None),
+    ],
+)
+def test_run_writes_the_tail_bound_for_power_penalties_above_two(
+    tmp_path, penalty, exponent
+):
+    cfg = ExperimentConfig(
+        source="synthetic", m=12, n=30, seed=5, penalty=penalty, outdir=str(tmp_path)
+    )
+    code, summary = run_experiment(cfg)
+    assert code == 0
+    on_disk = json.loads((tmp_path / "run_rate.json").read_text())
+    assert on_disk == summary["rate"]
+    if exponent is None:
+        assert "tail_bound" not in on_disk
+    else:
+        bound = on_disk["tail_bound"]
+        assert bound["exponent"] == exponent
+        assert bound["constant"] > 0.0
+        assert math.isfinite(bound["trend_slope"])
+
+
+def test_run_fails_gamma_on_an_unbounded_interval(tmp_path):
+    code, summary = run_builtin(
+        tmp_path,
+        "ex_nocq",
+        "[regularizer]\ninterval = -1 inf\n[analysis]\ngamma = true\n",
+        prefix="unb",
+    )
+    assert code == 1
+    assert summary["audits"]["gamma"] == "fail"
+    assert "gamma" not in summary
+    assert summary["warnings"][-1] == (
+        "gamma estimation failed: growth estimation requires bounded intervals"
+    )
+
+
 def test_run_synthetic_is_deterministic(tmp_path):
     text = """\
 [problem]
@@ -348,16 +412,16 @@ seed = 5
 
 
 def _counting(monkeypatch, owner, name="run"):
-    """Replace ``owner.name`` by a wrapper that counts its calls."""
-    calls = []
+    """Replace ``owner.name`` by a wrapper that counts its calls in ``.n``."""
+    count = SimpleNamespace(n=0)
     original = getattr(owner, name)
 
     def counted(*args, **kwargs):
-        calls.append(kwargs.get("reference"))
+        count.n += 1
         return original(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counted)
-    return calls
+    return count
 
 
 def test_run_experiment_solves_once_with_fejer(tmp_path, monkeypatch):
@@ -373,7 +437,7 @@ def test_run_experiment_solves_once_with_fejer(tmp_path, monkeypatch):
     # the trace rules check the distances for Fejer monotonicity
     assert summary["audits"]["trace"] == "pass"
     assert "fejer" not in summary["audits"]
-    assert calls == [None]
+    assert calls.n == 1
     diag = summary["diagnostics"]
     assert diag["solves"] == 1
     assert diag["matvecs_per_iteration"] == 2
@@ -396,7 +460,7 @@ def test_identification_batch_solves_once_per_seed(monkeypatch):
     # the benchmark serves prebuilt instances through this module global
     built = _counting(monkeypatch, script, "generate_synthetic")
     row = script.audit_seed(0, 20, 50)
-    assert calls == [None] and built == [None]
+    assert calls.n == 1 and built.n == 1
     assert row["violations"] <= row["budget"]
     assert row["regime"] == "linear"
 
@@ -447,6 +511,23 @@ def test_run_with_data_files(tmp_path):
 def _write_csv(path, rows):
     path.write_text("".join(",".join(repr(float(v)) for v in row) + "\n" for row in rows))
     return path
+
+
+@pytest.mark.parametrize("y, warned", [([0.5, 3.0], True), ([3.0, 0.5], False)])
+def test_run_warns_when_esupp_touches_the_last_coordinate(tmp_path, y, warned):
+    # A = I: x_bar is y soft-thresholded, so esupp is where |y_k| >= 1
+    cfg = write_files_config(
+        tmp_path,
+        _write_csv(tmp_path / "A.csv", [[1.0, 0.0], [0.0, 1.0]]),
+        _write_csv(tmp_path / "y.csv", [[v] for v in y]),
+    )
+    _, summary = run_experiment(parse_experiment_config(cfg))
+    assert summary["support"]["esupp"] == ([1] if warned else [0])
+    message = (
+        "extended support touches the last coordinate; if this instance "
+        "truncates a larger problem, the truncation is too short"
+    )
+    assert (message in summary["warnings"]) is warned
 
 
 def test_run_gamma_skipped_on_a_duplicated_column(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from oracles import brute_force_scalar_min
 
+from threshgrad.analysis import analyze, generate_synthetic, growth_audit
 from threshgrad.conditioning import (
     PolishError,
     estimate_gamma,
@@ -19,6 +20,7 @@ from threshgrad.regularizers import (
     Interval,
     PowerPenalty,
     SeparableRegularizer,
+    ZeroPenalty,
 )
 from threshgrad.solver import IterateTrace, Problem, SolverConfig, run
 
@@ -524,20 +526,21 @@ def test_fit_rate_report_serializes():
 
 def test_tail_bound_exact_power_law():
     n = np.arange(1, 201, dtype=float)
-    c1, slope = sublinear_bound_check(gap_trace(5.0 * n ** -2.0), 0.0, p=4.0)
-    assert c1 == pytest.approx(5.0, rel=1e-12)
-    assert abs(slope) <= 1e-8
+    bound = sublinear_bound_check(gap_trace(5.0 * n ** -2.0), 0.0, p=4.0)
+    assert bound["exponent"] == 2.0
+    assert bound["constant"] == pytest.approx(5.0, rel=1e-12)
+    assert abs(bound["trend_slope"]) <= 1e-8
 
 
 def test_tail_bound_faster_decay_is_consistent():
-    c1, slope = sublinear_bound_check(gap_trace(0.5 ** np.arange(1, 101)), 0.0, p=4.0)
-    assert slope < 0.0
+    bound = sublinear_bound_check(gap_trace(0.5 ** np.arange(1, 101)), 0.0, p=4.0)
+    assert bound["trend_slope"] < 0.0
 
 
 def test_tail_bound_flags_slower_decay():
     n = np.arange(1, 201, dtype=float)
-    _, slope = sublinear_bound_check(gap_trace(n ** -1.0), 0.0, p=4.0)
-    assert slope == pytest.approx(1.0, abs=1e-6)
+    bound = sublinear_bound_check(gap_trace(n ** -1.0), 0.0, p=4.0)
+    assert bound["trend_slope"] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_tail_bound_needs_p_above_two():
@@ -549,3 +552,32 @@ def test_tail_bound_needs_p_above_two():
 def test_tail_bound_needs_enough_points():
     with pytest.raises(ValueError):
         sublinear_bound_check(gap_trace([0.5, 0.25]), 0.0, p=4.0)
+
+
+
+def test_analyze_applies_the_tail_bound_to_one_power_penalty_only():
+    quartic = generate_synthetic(12, 30, 5, penalty=PowerPenalty(4.0))
+    result = analyze(quartic, SolverConfig())
+    assert result.rate.tail_bound == sublinear_bound_check(
+        result.trace, result.f_star, 4.0
+    )
+    assert result.rate.tail_skipped is None
+    # a mixed regularizer has no single order p
+    pens = (PowerPenalty(4.0),) * 29 + (ZeroPenalty(),)
+    mixed = Problem(g=SeparableRegularizer(quartic.g.intervals, pens), h=quartic.h)
+    rate = analyze(mixed, SolverConfig()).rate
+    assert (rate.tail_bound, rate.tail_skipped) == (None, None)
+    assert "tail_bound" not in rate.to_dict()
+
+
+def test_growth_audit_verdicts():
+    scalar = analyze(scalar_problem(), SolverConfig())
+    verdict, est, warnings = growth_audit(scalar)
+    assert (verdict, warnings) == ("pass", [])
+    assert est.gamma > 0 and est.J == (0,)
+    segment = analyze(segment_problem(), SolverConfig())
+    assert growth_audit(segment) == (
+        "skipped: minimizer not certified unique: rank(A_D) = 1 of |D| = 2",
+        None,
+        [],
+    )
