@@ -12,7 +12,7 @@ import numpy as np
 
 from . import conditioning, solver, support
 from .operators import LeastSquaresTerm, operator_norm
-from .regularizers import PowerPenalty, SeparableRegularizer, ZeroPenalty
+from .regularizers import PowerPenalty, SeparableRegularizer
 
 __all__ = ["Analysis", "analyze", "growth_audit", "generate_synthetic"]
 
@@ -55,15 +55,15 @@ def _synthetic_data(m: int, n: int, seed: int, scale: float):
     return a, y, x_true
 
 
-def generate_synthetic(m: int, n: int, seed: int, scale: float = 1.0, penalty=None):
-    """Seeded random least-squares Problem with intervals [-1, 1].
+def generate_synthetic(m: int, n: int, seed: int, scale: float = 1.0):
+    """Seeded random least-squares Problem with intervals [-1, 1] and psi = 0.
 
     The scaling uses the exact largest singular value, so the Lipschitz
     constant is `scale` itself, not an estimate.
     """
     a, y, _ = _synthetic_data(m, n, seed, scale)
     h = LeastSquaresTerm(a, y, lipschitz=scale)
-    g = SeparableRegularizer.uniform(n, penalty=penalty or ZeroPenalty())
+    g = SeparableRegularizer.uniform(n)
     return solver.Problem(g=g, h=h)
 
 

@@ -442,8 +442,6 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[int, dict]:
         "x_bar": [float(v) for v in result.x_bar],
         "artifacts": {k: str(paths[k]) for k in ("trace", "support")},
         "diagnostics": {
-            "solves": 1,
-            "matvecs_per_iteration": 2,
             "support_changes": sum(
                 not np.array_equal(a, b) for a, b in zip(rows, rows[1:])
             ),
@@ -545,17 +543,18 @@ def emit_prox_gallery(spec: GallerySpec) -> None:
     """
     pen = spec.penalty
     boxed_power = spec.box is not None and isinstance(pen, PowerPenalty)
+    ts = np.linspace(spec.lo, spec.hi, spec.steps)
     g = SeparableRegularizer.uniform(
-        1, spec.interval, ZeroPenalty() if boxed_power else pen
+        spec.steps, spec.interval, ZeroPenalty() if boxed_power else pen
     )
-    lines = ["t,prox"]
-    for t in np.linspace(spec.lo, spec.hi, spec.steps):
-        v = prox_separable(np.array([float(t)]), spec.lam, g)[0]
-        if boxed_power:
-            v = prox_power_scalar(float(v), spec.lam, pen.p, pen.weight)
-        if spec.box is not None:
-            v = min(max(v, spec.box[0]), spec.box[1])
-        lines.append(f"{repr(float(t))},{repr(float(v))}")
+    vs = prox_separable(ts, spec.lam, g)
+    if boxed_power:
+        vs = np.array(
+            [prox_power_scalar(float(v), spec.lam, pen.p, pen.weight) for v in vs]
+        )
+    if spec.box is not None:
+        vs = np.clip(vs, *spec.box)
+    lines = ["t,prox"] + [f"{repr(float(t))},{repr(float(v))}" for t, v in zip(ts, vs)]
     out = Path(spec.out_path)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text("\n".join(lines) + "\n")

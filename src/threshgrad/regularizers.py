@@ -131,8 +131,8 @@ class SeparableRegularizer:
     intervals: tuple[Interval, ...]
     penalties: tuple[ScalarPenalty, ...]
 
-    _los: np.ndarray = field(init=False, repr=False)
-    _his: np.ndarray = field(init=False, repr=False)
+    lower_endpoints: np.ndarray = field(init=False, repr=False)
+    upper_endpoints: np.ndarray = field(init=False, repr=False)
     _groups: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -140,12 +140,10 @@ class SeparableRegularizer:
             raise ValueError("regularizer needs at least one coordinate")
         if len(self.intervals) != len(self.penalties):
             raise ValueError("intervals and penalties must have equal length")
-        object.__setattr__(
-            self, "_los", np.array([iv.lo for iv in self.intervals], dtype=float)
-        )
-        object.__setattr__(
-            self, "_his", np.array([iv.hi for iv in self.intervals], dtype=float)
-        )
+        los = np.array([iv.lo for iv in self.intervals], dtype=float)
+        his = np.array([iv.hi for iv in self.intervals], dtype=float)
+        object.__setattr__(self, "lower_endpoints", los)
+        object.__setattr__(self, "upper_endpoints", his)
         groups: dict = {}
         for k, pen in enumerate(self.penalties):
             groups.setdefault(_penalty_group_key(pen), []).append(k)
@@ -163,18 +161,10 @@ class SeparableRegularizer:
         return len(self.intervals)
 
     @property
-    def lower_endpoints(self) -> np.ndarray:
-        return self._los
-
-    @property
-    def upper_endpoints(self) -> np.ndarray:
-        return self._his
-
-    @property
     def omega(self) -> float:
         """The global margin min_k min(-lo_k, hi_k) > 0: every interval
         contains [-omega, omega]."""
-        return float(min(-self._los.max(), self._his.min()))
+        return float(min(-self.lower_endpoints.max(), self.upper_endpoints.min()))
 
     @property
     def all_zero_psi(self) -> bool:
@@ -358,8 +348,8 @@ def prox_separable(x: np.ndarray, lam: float, g: SeparableRegularizer) -> np.nda
         raise ValueError(f"expected shape ({g.n},), got {x.shape}")
     if not lam > 0.0:
         raise ValueError(f"lam must be positive, got {lam}")
-    llo = lam * g._los
-    lhi = lam * g._his
+    llo = lam * g.lower_endpoints
+    lhi = lam * g.upper_endpoints
     u = np.where(x < llo, x - llo, np.where(x > lhi, x - lhi, 0.0))
     out = np.empty_like(u)
     for idx, pen in g._groups:
@@ -391,8 +381,8 @@ def g_value(x: np.ndarray, g: SeparableRegularizer) -> float:
     # sigma part via masks so 0 * inf never arises
     pos = x > 0.0
     neg = x < 0.0
-    total += float(np.sum(x[pos] * g._his[pos])) if pos.any() else 0.0
-    total += float(np.sum(x[neg] * g._los[neg])) if neg.any() else 0.0
+    total += float(np.sum(x[pos] * g.upper_endpoints[pos])) if pos.any() else 0.0
+    total += float(np.sum(x[neg] * g.lower_endpoints[neg])) if neg.any() else 0.0
     for idx, pen in g._groups:
         if isinstance(pen, PowerPenalty) and pen.weight > 0.0:
             total += float(np.sum(_power_value(pen, x[idx])))

@@ -6,6 +6,9 @@ The extended support of a point x is
 
 the set of coordinates that are either active or about to be: at a
 minimizer it coincides with the active-constraint set of the dual problem.
+`build_support_report` alone reads the dual point -grad_h(xbar) and
+derives esupp, the active constraints and the qualification verdict from
+one boundary mask of it.
 Iterate supports can escape esupp of the limit only finitely often, and the
 number of such violations is at most
 
@@ -33,13 +36,10 @@ from .solver import IterateTrace, Problem
 __all__ = [
     "SupportReport",
     "support",
-    "extended_support",
     "rho",
     "identification_bound",
     "identification_audit",
     "dual_point",
-    "active_constraints",
-    "qualification_check",
     "build_support_report",
     "report_to_dict",
     "report_rules",
@@ -65,18 +65,6 @@ def _boundary_mask(u: np.ndarray, g: SeparableRegularizer) -> np.ndarray:
         tol = 1e-8 * np.maximum(1.0, np.abs(ends))
         near |= np.isfinite(ends) & (np.abs(u - ends) <= tol)
     return near
-
-
-def extended_support(
-    x: np.ndarray, grad: np.ndarray, g: SeparableRegularizer
-) -> tuple:
-    """supp(x) plus coordinates where -grad lies on the interval boundary.
-
-    ``grad`` is grad_h(x), supplied by the caller.  Infinite endpoints
-    contribute no boundary points; the boundary test is `_boundary_mask`'s.
-    """
-    mask = _boundary_mask(-np.asarray(grad, dtype=float), g)
-    return _indices((np.asarray(x, dtype=float) != 0.0) | mask)
 
 
 def rho(u: np.ndarray, g: SeparableRegularizer) -> float:
@@ -147,48 +135,10 @@ def dual_point(problem: Problem, x: np.ndarray) -> np.ndarray:
     return -np.asarray(problem.h.gradient(x), dtype=float)
 
 
-def active_constraints(u: np.ndarray, g: SeparableRegularizer) -> tuple:
-    """Coordinates where u touches a finite interval endpoint.
-
-    For psi identically zero this is the active-constraint set of the dual
-    problem, and at u = -grad_h(xbar) it equals esupp(xbar); raises for
-    nonzero psi, where the dual feasible set is not a box.
-    """
-    if not g.all_zero_psi:
-        raise ValueError("active constraints are defined for psi == 0 only")
-    return _indices(_boundary_mask(np.asarray(u, dtype=float), g))
-
-
-def _unattested(g: SeparableRegularizer) -> Optional[int]:
-    # first penalty not known to be differentiable, or None
-    for k, pen in enumerate(g.penalties):
-        if not isinstance(pen, (ZeroPenalty, PowerPenalty)) and not getattr(
-            pen, "differentiable", False
-        ):
-            return k
-    return None
-
-
-def qualification_check(
-    x_bar: np.ndarray, grad: np.ndarray, g: SeparableRegularizer
-) -> bool:
-    """supp(xbar) == esupp(xbar): the implementable form of the
-    qualification condition for differentiable psi.
-
-    Raises for custom penalties without a differentiability attestation;
-    the equivalence is only known to hold in the differentiable case.
-    """
-    k = _unattested(g)
-    if k is not None:
-        raise ValueError(
-            f"penalty {k} has no differentiability attestation; "
-            "the support equality test does not apply"
-        )
-    return support(x_bar) == extended_support(x_bar, grad, g)
-
-
 @dataclass(eq=False)
 class SupportReport:
+    """The support analysis of a run; see `build_support_report`."""
+
     supp: tuple
     esupp: tuple
     rho_sol: float
@@ -205,8 +155,14 @@ def build_support_report(
 ) -> SupportReport:
     """Full support analysis of a run against its polished solution.
 
-    esupp, the qualification verdict and the active constraints all read
-    one boundary mask of the dual point.
+    The only reader of the dual point u = -grad_h(x_bar).  One boundary
+    mask of u (`_boundary_mask`) gives esupp = supp(x_bar) plus the
+    masked coordinates, and for psi == 0 the active constraints of the
+    dual box (the mask alone; None otherwise, since the dual feasible
+    set is then not a box).  At a minimizer the two coincide.  The
+    qualification verdict is supp == esupp, the implementable form of the
+    condition for differentiable psi; it is None when a custom penalty
+    carries no differentiability attestation.
     """
     g = problem.g
     x_bar = np.asarray(x_bar, dtype=float)
@@ -218,8 +174,12 @@ def build_support_report(
     dist0 = float(np.linalg.norm(trace.x0 - x_bar))
     bound = identification_bound(rho_sol, trace.lam, dist0)
     violations, ident_iter = identification_audit(trace, esupp)
-    # None: a custom psi without attestation
-    qual = supp == esupp if _unattested(g) is None else None
+    attested = all(
+        isinstance(pen, (ZeroPenalty, PowerPenalty))
+        or getattr(pen, "differentiable", False)
+        for pen in g.penalties
+    )
+    qual = supp == esupp if attested else None
     active = _indices(mask) if g.all_zero_psi else None
     return SupportReport(
         supp=supp,

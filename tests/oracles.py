@@ -1,6 +1,7 @@
 """Independent reference implementations that tests compare the package
-against: the interval soft-thresholder and projection in scalar form, and a
-brute-force scalar minimizer (dense grid plus golden-section refinement).
+against: the interval soft-thresholder and projection in scalar form, a
+brute-force scalar minimizer (dense grid plus golden-section refinement),
+per-row iterate distances and a per-point prox gallery.
 """
 
 from __future__ import annotations
@@ -10,7 +11,14 @@ from typing import Callable
 
 import numpy as np
 
-from threshgrad.regularizers import Interval
+from threshgrad.regularizers import (
+    Interval,
+    PowerPenalty,
+    SeparableRegularizer,
+    ZeroPenalty,
+    prox_power_scalar,
+    prox_separable,
+)
 
 _GRID_POINTS = 10_000
 
@@ -102,3 +110,23 @@ def distances_by_row(trace, reference) -> np.ndarray:
     one `np.linalg.norm` at a time: the reference for
     `IterateTrace.distances_to`."""
     return np.array([np.linalg.norm(x - reference) for x in trace.iterates])
+
+
+def gallery_csv_by_point(spec) -> str:
+    """The CSV text of `emit_prox_gallery` for a `GallerySpec`, one grid
+    point at a time: a one-element `prox_separable`, then for a boxed power
+    penalty `prox_power_scalar`, then a min/max clamp to the box."""
+    pen = spec.penalty
+    boxed_power = spec.box is not None and isinstance(pen, PowerPenalty)
+    g = SeparableRegularizer.uniform(
+        1, spec.interval, ZeroPenalty() if boxed_power else pen
+    )
+    lines = ["t,prox"]
+    for t in np.linspace(spec.lo, spec.hi, spec.steps):
+        v = prox_separable(np.array([float(t)]), spec.lam, g)[0]
+        if boxed_power:
+            v = prox_power_scalar(float(v), spec.lam, pen.p, pen.weight)
+        if spec.box is not None:
+            v = min(max(v, spec.box[0]), spec.box[1])
+        lines.append(f"{repr(float(t))},{repr(float(v))}")
+    return "\n".join(lines) + "\n"

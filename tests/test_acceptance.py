@@ -19,7 +19,6 @@ from threshgrad.regularizers import (
     prox_separable,
 )
 from threshgrad.solver import Problem, SolverConfig, fejer_check, write_trace_csv
-from threshgrad.support import active_constraints, dual_point, extended_support
 
 
 def scalar_problem():
@@ -169,11 +168,12 @@ def test_criterion_5(acceptance):
     config = SolverConfig(max_iter=20_000)
     slopes, regimes = [], []
     for seed in range(10):
-        quartic = generate_synthetic(20, 50, seed, penalty=PowerPenalty(4.0, 1.0))
-        result = analyze(quartic, config)
+        h = generate_synthetic(20, 50, seed).h
+        quartic = SeparableRegularizer.uniform(50, penalty=PowerPenalty(4.0, 1.0))
+        result = analyze(Problem(g=quartic, h=h), config)
         slopes.append(result.rate.tail_bound["trend_slope"])
-        p15 = generate_synthetic(20, 50, seed, penalty=PowerPenalty(1.5, 1.0))
-        regimes.append(analyze(p15, config).rate.regime)
+        p15 = SeparableRegularizer.uniform(50, penalty=PowerPenalty(1.5, 1.0))
+        regimes.append(analyze(Problem(g=p15, h=h), config).rate.regime)
 
     quartic_ok = all(s <= 0.02 for s in slopes)
     p15_ok = all(reg == "linear" for reg in regimes)
@@ -272,10 +272,7 @@ def test_criterion_8(acceptance, lasso_batch):
 
     bad = []
     for label, r in instances:
-        grad = r.problem.h.gradient(r.x_bar)
-        esupp = extended_support(r.x_bar, grad, r.problem.g)
-        via_dual = active_constraints(dual_point(r.problem, r.x_bar), r.problem.g)
-        if esupp != via_dual:
+        if r.report.esupp != r.report.active_constraints:
             bad.append(label)
     ok = not bad
     detail = f"{len(instances)}/{len(instances)} instances agree"

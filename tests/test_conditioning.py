@@ -556,7 +556,10 @@ def test_tail_bound_needs_enough_points():
 
 
 def test_analyze_applies_the_tail_bound_to_one_power_penalty_only():
-    quartic = generate_synthetic(12, 30, 5, penalty=PowerPenalty(4.0))
+    quartic = Problem(
+        g=SeparableRegularizer.uniform(30, penalty=PowerPenalty(4.0)),
+        h=generate_synthetic(12, 30, 5).h,
+    )
     result = analyze(quartic, SolverConfig())
     assert result.rate.tail_bound == sublinear_bound_check(
         result.trace, result.f_star, 4.0

@@ -13,13 +13,10 @@ from threshgrad.regularizers import (
 )
 from threshgrad.solver import IterateTrace, Problem, SolverConfig, run
 from threshgrad.support import (
-    active_constraints,
     build_support_report,
     dual_point,
-    extended_support,
     identification_audit,
     identification_bound,
-    qualification_check,
     report_rules,
     report_to_dict,
     rho,
@@ -62,6 +59,17 @@ def _mk_trace(ns, supports, x0=None, lam=1.0):
     )
 
 
+def report_at(u, g, x_bar=None):
+    """Support report of ||x - y||^2 / 2 + g(x) (A = I) at x_bar, zero by
+    default, with y = x_bar + u: the dual point y - x_bar is u, exactly
+    when x_bar = 0."""
+    u = np.asarray(u, dtype=float)
+    x_bar = np.zeros(len(u)) if x_bar is None else np.asarray(x_bar, dtype=float)
+    h = LeastSquaresTerm(np.eye(len(u)), x_bar + u, lipschitz=1.0)
+    trace = _mk_trace([0], [()], x0=np.zeros(len(u)))
+    return build_support_report(Problem(g=g, h=h), trace, x_bar)
+
+
 # ---------------------------------------------------------------------------
 # support and extended support
 
@@ -75,33 +83,33 @@ def test_support_is_exact():
 def test_extended_support_adds_boundary_dual_coordinates():
     g = SeparableRegularizer.uniform(1)
     # at x = 0 with grad = -1 the dual coordinate sits on the endpoint 1
-    assert extended_support(np.array([0.0]), np.array([-1.0]), g) == (0,)
-    assert extended_support(np.array([0.0]), np.array([0.3]), g) == ()
+    assert report_at([1.0], g).esupp == (0,)
+    assert report_at([-0.3], g).esupp == ()
     # the support itself is always included
-    assert extended_support(np.array([0.5]), np.array([0.2]), g) == (0,)
+    rep = report_at([-0.2], g, x_bar=[0.5])
+    assert np.array_equal(rep.dual_point, [-0.2])
+    assert rep.esupp == (0,)
 
 
 def test_extended_support_tolerance_scales_with_endpoint():
     g = SeparableRegularizer.uniform(1, Interval(-1e6, 1e6))
-    x = np.array([0.0])
-    grad = np.array([-(1e6 - 1e-3)])  # within 1e-8 * 1e6 of the endpoint
-    assert extended_support(x, grad, g) == (0,)
-    assert extended_support(x, np.array([-(1e6 - 1e-1)]), g) == ()
+    # within 1e-8 * 1e6 of the endpoint
+    assert report_at([1e6 - 1e-3], g).esupp == (0,)
+    assert report_at([1e6 - 1e-1], g).esupp == ()
 
 
 def test_extended_support_tolerance_is_1e_8_on_unit_intervals():
     g = SeparableRegularizer.uniform(1)
-    x = np.array([0.0])
-    assert extended_support(x, np.array([-(1.0 - 0.5e-8)]), g) == (0,)
-    assert extended_support(x, np.array([-(1.0 - 2e-8)]), g) == ()
-    assert extended_support(x, np.array([1.0 - 0.5e-8]), g) == (0,)
-    assert extended_support(x, np.array([1.0 - 2e-8]), g) == ()
+    assert report_at([1.0 - 0.5e-8], g).esupp == (0,)
+    assert report_at([1.0 - 2e-8], g).esupp == ()
+    assert report_at([-(1.0 - 0.5e-8)], g).esupp == (0,)
+    assert report_at([-(1.0 - 2e-8)], g).esupp == ()
 
 
 def test_extended_support_ignores_infinite_endpoints():
     g = SeparableRegularizer.uniform(1, Interval(-1.0, math.inf))
-    assert extended_support(np.array([0.0]), np.array([-1e12]), g) == ()
-    assert extended_support(np.array([0.0]), np.array([1.0]), g) == (0,)
+    assert report_at([1e12], g).esupp == ()
+    assert report_at([-1.0], g).esupp == (0,)
 
 
 # ---------------------------------------------------------------------------
@@ -229,38 +237,34 @@ def test_dual_point_agrees_across_minimizers_of_the_segment():
 
 def test_active_constraints_values():
     g = SeparableRegularizer.uniform(2)
-    assert active_constraints(np.array([1.0, -1.0]), g) == (0, 1)
-    assert active_constraints(np.array([0.3, -1.0]), g) == (1,)
-    assert active_constraints(np.zeros(2), g) == ()
+    assert report_at([1.0, -1.0], g).active_constraints == (0, 1)
+    assert report_at([0.3, -1.0], g).active_constraints == (1,)
+    assert report_at(np.zeros(2), g).active_constraints == ()
 
 
 def test_active_constraints_requires_zero_psi():
     g = SeparableRegularizer.uniform(2, penalty=PowerPenalty(2.0, 1.0))
-    with pytest.raises(ValueError):
-        active_constraints(np.zeros(2), g)
+    assert report_at(np.zeros(2), g).active_constraints is None
 
 
 def test_qualification_fails_for_scalar_example():
     g = SeparableRegularizer.uniform(1)
-    assert qualification_check(np.array([0.0]), np.array([-1.0]), g) is False
+    assert report_at([1.0], g).qualification_holds is False
 
 
 def test_qualification_holds_on_the_segment():
     p = segment_problem()
-    x = np.array([0.25, -0.25])
-    assert qualification_check(x, p.h.gradient(x), p.g) is True
+    trace = _mk_trace([0], [()], x0=np.zeros(2))
+    rep = build_support_report(p, trace, np.array([0.25, -0.25]))
+    assert rep.qualification_holds is True
 
 
 def test_qualification_needs_differentiability_attestation():
-    smooth = CustomPenalty(value=lambda t: t ** 4, prox=lambda t, lam: t)
-    g = SeparableRegularizer.uniform(1, penalty=smooth)
-    with pytest.raises(ValueError):
-        qualification_check(np.zeros(1), np.zeros(1), g)
     attested = CustomPenalty(
         value=lambda t: t ** 4, prox=lambda t, lam: t, differentiable=True
     )
-    g2 = SeparableRegularizer.uniform(1, penalty=attested)
-    assert qualification_check(np.zeros(1), np.zeros(1), g2) is True
+    g = SeparableRegularizer.uniform(1, penalty=attested)
+    assert report_at(np.zeros(1), g).qualification_holds is True
 
 
 # ---------------------------------------------------------------------------
@@ -307,13 +311,8 @@ def test_report_reads_one_boundary_mask(monkeypatch):
         return original(u, g)
 
     monkeypatch.setattr(support_module, "_boundary_mask", counted)
-    rep = build_support_report(p, trace, x_bar)
+    build_support_report(p, trace, x_bar)
     assert len(calls) == 1
-    monkeypatch.undo()
-    grad = p.h.gradient(x_bar)
-    assert rep.esupp == extended_support(x_bar, grad, p.g)
-    assert rep.active_constraints == active_constraints(rep.dual_point, p.g)
-    assert rep.qualification_holds == qualification_check(x_bar, grad, p.g)
 
 
 def test_report_with_custom_penalty_leaves_qualification_open():
