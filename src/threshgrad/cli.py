@@ -435,7 +435,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[int, dict]:
         "lam": trace.lam,
         "n_iterations": trace.n_iterations,
         "converged": trace.converged,
-        "final_residual": trace.final_residual,
+        "final_residual": float(trace.residuals[-1]),
         "wall_time": trace.wall_time,
         "f_star": result.f_star,
         "f_final": float(trace.objectives[-1]),
@@ -485,7 +485,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[int, dict]:
     exit_code = 0 if trace.converged and not failed else 1
     if not trace.converged:
         warnings.append(
-            f"solver stopped at residual {trace.final_residual:.3e} without "
+            f"solver stopped at residual {trace.residuals[-1]:.3e} without "
             f"reaching {solver_cfg.residual_tol:.1e}"
         )
     summary["audits"] = audits

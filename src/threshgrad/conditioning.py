@@ -17,7 +17,7 @@ sampled estimate is an upper bound by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -48,6 +48,11 @@ _MIN_FIT_POINTS = 8
 _R2_THRESHOLD = 0.99
 
 
+def _rounding_floor(f_star: float) -> float:
+    """The objective gap 1e-14*(1+|f*|) below which a gap is rounding noise."""
+    return 1e-14 * (1.0 + abs(f_star))
+
+
 class PolishError(RuntimeError):
     """Raised when no candidate reaches the target residual; carries the
     best point found and its residual."""
@@ -63,11 +68,12 @@ def _fb_continuation(
 ) -> np.ndarray:
     trace = run(problem, SolverConfig(max_iter=max_iter, residual_tol=tol, x0=x_from))
     if not trace.converged:
+        residual = float(trace.residuals[-1])
         raise PolishError(
-            f"continuation stalled at residual {trace.final_residual:.3e} "
+            f"continuation stalled at residual {residual:.3e} "
             f"after {trace.n_iterations} iterations (target {tol:.1e})",
             trace.x_final,
-            trace.final_residual,
+            residual,
         )
     return trace.x_final
 
@@ -171,17 +177,7 @@ class GammaEstimate:
     f_star: float
 
     def to_dict(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "p": self.p,
-            "n_samples": self.n_samples,
-            "n_accepted": self.n_accepted,
-            "J": list(self.J),
-            "delta": self.delta,
-            "r": self.r,
-            "seed": self.seed,
-            "f_star": self.f_star,
-        }
+        return {**asdict(self), "J": list(self.J)}
 
 
 def estimate_gamma(
@@ -223,7 +219,7 @@ def estimate_gamma(
         raise ValueError("growth estimation requires bounded intervals")
 
     f_star = problem.objective(x_bar)
-    floor = 1e-14 * (1.0 + abs(f_star))
+    floor = _rounding_floor(f_star)
     d = len(J)
     Jarr = np.array(J, dtype=np.intp)
     off_mask = np.ones(problem.n, dtype=bool)
@@ -297,7 +293,7 @@ class RateReport:
     'inconclusive' carries only the diagnostics.  r2_linear / r2_loglog are
     reported side by side regardless of the verdict.  `analysis.analyze`
     sets ``tail_bound`` to the `sublinear_bound_check` result when it applies,
-    or ``tail_skipped`` to the warning when the tail is too short for it.
+    or ``tail_skipped`` to the warning naming why it does not.
     """
 
     regime: str
@@ -313,20 +309,12 @@ class RateReport:
     tail_skipped: Optional[str] = None
 
     def to_dict(self) -> dict:
-        out = {
-            "regime": self.regime,
-            "epsilon": self.epsilon,
-            "exponent": self.exponent,
-            "constant": self.constant,
-            "r_squared": self.r_squared,
-            "r2_linear": self.r2_linear,
-            "r2_loglog": self.r2_loglog,
-            "window": None if self.window is None else list(self.window),
-            "n_points": self.n_points,
-        }
-        if self.tail_bound is not None:
-            out["tail_bound"] = self.tail_bound
-        return out
+        """The fields as JSON; ``tail_skipped`` is a warning, not a result."""
+        out = asdict(self)
+        del out["tail_skipped"]
+        if self.tail_bound is None:
+            del out["tail_bound"]
+        return {**out, "window": None if self.window is None else list(self.window)}
 
 
 def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
@@ -345,7 +333,7 @@ def _tail_window(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rows n >= 1 with gap above the rounding floor, last fraction only.
 
-    The floor 1e-14*(1+|f*|) cuts the numerically converged tail whose log
+    The rounding floor cuts the numerically converged tail whose log
     is rounding noise; the above-floor segment is taken as a prefix so a
     converged run contributes its pre-floor decay.
     """
@@ -355,8 +343,7 @@ def _tail_window(
     keep = trace.ns >= 1
     ns = trace.ns[keep].astype(float)
     gaps = gaps[keep]
-    floor = 1e-14 * (1.0 + abs(f_star))
-    below = np.flatnonzero(gaps <= floor)
+    below = np.flatnonzero(gaps <= _rounding_floor(f_star))
     cut = int(below[0]) if below.size else len(gaps)
     ns, gaps = ns[:cut], gaps[:cut]
     k = max(int(math.ceil(window_fraction * len(ns))), min(len(ns), 2))
@@ -425,7 +412,9 @@ def sublinear_bound_check(
     is the max of gap * n^(p/(p-2)) over the tail window and slope is the
     log-log trend of that product, which should be <= 0 up to fit noise
     when the bound holds.  Decay faster than the bound (very negative
-    slope) is consistent: the rate theorem is one-sided.
+    slope) is consistent: the rate theorem is one-sided.  Raises ValueError
+    when the check does not apply: p <= 2, fewer than 8 tail points, or a
+    product beyond the float range (p near 2 makes the exponent huge).
     """
     if not p > 2.0:
         raise ValueError("the power-law tail bound applies for p > 2 only")
@@ -436,6 +425,9 @@ def sublinear_bound_check(
             f">= {_MIN_FIT_POINTS}"
         )
     q = p / (p - 2.0)
-    z = gaps * ns ** q
+    with np.errstate(over="ignore"):
+        z = gaps * ns ** q
+    if not np.all(np.isfinite(z)):
+        raise ValueError(f"n^{q:g} overflows on the tail window (p = {p:g})")
     slope, _, _ = _ols(np.log(ns), np.log(z))
     return {"exponent": q, "constant": float(np.max(z)), "trend_slope": slope}

@@ -57,12 +57,11 @@ class LeastSquaresTerm:
         r = self.op @ x - self.y
         return 0.5 * float(r @ r)
 
-    def gradient(self, x: np.ndarray, with_value: bool = False):
-        """A^T r with r = Ax - y; with ``with_value`` the pair (A^T r, h(x)),
-        h(x) taken from the same r, so two matvecs either way."""
+    def gradient(self, x: np.ndarray) -> tuple[np.ndarray, float]:
+        """The pair (A^T r, h(x)) with r = Ax - y: h(x) is read off the
+        same r, so the value costs no matvec beyond the gradient's two."""
         r = self.op @ x - self.y
-        grad = self.op.T @ r
-        return (grad, 0.5 * float(r @ r)) if with_value else grad
+        return self.op.T @ r, 0.5 * float(r @ r)
 
 
 # ---------------------------------------------------------------------------

@@ -50,10 +50,9 @@ class Problem:
     """min f = g + h with separable g and h(x) = ||Ax - y||^2 / 2.
 
     ``h`` is a `LeastSquaresTerm`: its matrix ``op`` must have one column
-    per coordinate of ``g``.  The solver records objectives from
-    ``h.gradient(x, with_value=True)``, which returns the pair (gradient,
-    h(x)) at the cost of the gradient alone; `polish` solves on the
-    columns of ``op`` directly.
+    per coordinate of ``g``.  The solver records objectives from the h(x)
+    that ``h.gradient`` returns with the gradient, at the cost of the
+    gradient alone; `polish` solves on the columns of ``op`` directly.
     """
 
     g: SeparableRegularizer
@@ -114,7 +113,8 @@ class IterateTrace:
     their nonzeros, CSR-style: row i holds ``values[offsets[i]:offsets[i+1]]``
     at the coordinates ``indices[offsets[i]:offsets[i+1]]``.  Supports,
     support sizes and dense iterates are views over this log.  dists are
-    distances to the reference point when one was set.
+    distances to the reference point when one was set.  ``residuals[-1]``
+    is the fixed-point residual of ``x_final``.
     """
 
     ns: np.ndarray
@@ -129,7 +129,6 @@ class IterateTrace:
     lam: float
     converged: bool
     n_iterations: int
-    final_residual: float
     wall_time: float
 
     def support_rows(self) -> list:
@@ -178,22 +177,18 @@ def _nonincreasing(values, slack: float) -> bool:
     return bool(np.all(np.diff(np.asarray(values, dtype=float)) <= slack))
 
 
-def fb_step(problem: Problem, lam: float, x: np.ndarray, with_value: bool = False):
-    """One forward-backward step prox_{lam*g}(x - lam*grad_h(x)).
-
-    With ``with_value`` returns (step, h(x)), both from one gradient call.
-    """
-    out = problem.h.gradient(x, with_value=with_value)
-    grad = out[0] if with_value else out
+def fb_step(problem: Problem, lam: float, x: np.ndarray) -> tuple[np.ndarray, float]:
+    """One forward-backward step: the pair (prox_{lam*g}(x - lam*grad_h(x)),
+    h(x)), both from one gradient call."""
+    grad, hx = problem.h.gradient(x)
     if not np.all(np.isfinite(grad)):
         raise RuntimeError("non-finite gradient; check problem data")
-    x_next = prox_separable(x - lam * grad, lam, problem.g)
-    return (x_next, out[1]) if with_value else x_next
+    return prox_separable(x - lam * grad, lam, problem.g), hx
 
 
 def fixed_point_residual(problem: Problem, lam: float, x: np.ndarray) -> float:
     """||x - fb_step(x)|| / lam; vanishes exactly at minimizers."""
-    return float(np.linalg.norm(x - fb_step(problem, lam, x))) / lam
+    return float(np.linalg.norm(x - fb_step(problem, lam, x)[0])) / lam
 
 
 def run(problem: Problem, config: SolverConfig) -> IterateTrace:
@@ -216,7 +211,7 @@ def run(problem: Problem, config: SolverConfig) -> IterateTrace:
     converged = False
     n = 0
     while True:
-        x_next, hx = fb_step(problem, lam, x, with_value=True)
+        x_next, hx = fb_step(problem, lam, x)
         if not np.all(np.isfinite(x_next)):
             raise RuntimeError(f"non-finite iterate at iteration {n}")
         res = float(np.linalg.norm(x - x_next)) / lam
@@ -246,7 +241,6 @@ def run(problem: Problem, config: SolverConfig) -> IterateTrace:
         lam=lam,
         converged=converged,
         n_iterations=n,
-        final_residual=res,
         wall_time=time.perf_counter() - t0,
     )
 

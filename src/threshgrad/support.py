@@ -132,7 +132,7 @@ def identification_audit(
 def dual_point(problem: Problem, x: np.ndarray) -> np.ndarray:
     """-grad_h(x); approximates the unique dual solution when x is a
     (near-)minimizer."""
-    return -np.asarray(problem.h.gradient(x), dtype=float)
+    return -problem.h.gradient(x)[0]
 
 
 @dataclass(eq=False)

@@ -1,4 +1,7 @@
+import json
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -74,7 +77,6 @@ def gap_trace(gaps, f_star=0.0, start_n=1):
         lam=1.0,
         converged=True,
         n_iterations=int(ns[-1]),
-        final_residual=0.0,
         wall_time=0.0,
     )
 
@@ -381,6 +383,16 @@ def test_gamma_deterministic_in_seed():
     assert a.to_dict() == b.to_dict()
 
 
+def test_gamma_estimate_json_form():
+    est = estimate_gamma(scalar_problem(), (0,), np.zeros(1), n_samples=100)
+    d = est.to_dict()
+    assert set(d) == {
+        "gamma", "p", "n_samples", "n_accepted", "J", "delta", "r", "seed", "f_star"
+    }
+    assert type(d["J"]) is list and d["J"] == [0]
+    assert json.loads(json.dumps(d)) == d
+
+
 def test_gamma_rejects_bad_region_arguments():
     p = scalar_problem()
     with pytest.raises(ValueError):
@@ -513,11 +525,25 @@ def test_fit_rate_window_fraction_validation():
     assert full.window == (1, 49)
 
 
+RATE_KEYS = {
+    "regime", "epsilon", "exponent", "constant", "r_squared",
+    "r2_linear", "r2_loglog", "window", "n_points",
+}
+
+
 def test_fit_rate_report_serializes():
     rep = fit_rate(gap_trace(0.9 ** np.arange(1, 100)), f_star=0.0)
     d = rep.to_dict()
     assert d["regime"] == "linear"
     assert d["window"] == [50, 99]
+    assert set(d) == RATE_KEYS and type(d["window"]) is list
+    assert fit_rate(gap_trace([0.5, 0.25]), 0.0).to_dict()["window"] is None
+    # the skip message is a warning, not part of the record
+    bound = {"exponent": 2.0, "constant": 1.0, "trend_slope": -1.0}
+    d = replace(rep, tail_bound=bound, tail_skipped="x").to_dict()
+    assert set(d) == RATE_KEYS | {"tail_bound"} and d["tail_bound"] == bound
+    assert set(replace(rep, tail_skipped="x").to_dict()) == RATE_KEYS
+    assert json.loads(json.dumps(d)) == d
 
 
 # ---------------------------------------------------------------------------
@@ -571,6 +597,20 @@ def test_analyze_applies_the_tail_bound_to_one_power_penalty_only():
     rate = analyze(mixed, SolverConfig()).rate
     assert (rate.tail_bound, rate.tail_skipped) == (None, None)
     assert "tail_bound" not in rate.to_dict()
+
+
+def test_analyze_skips_the_tail_bound_when_its_exponent_overflows():
+    # p/(p-2) = 2001 puts n^q beyond the float range for every n >= 2
+    near_two = Problem(
+        g=SeparableRegularizer.uniform(50, penalty=PowerPenalty(2.001)),
+        h=generate_synthetic(20, 50, 7).h,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rate = analyze(near_two, SolverConfig()).rate
+    assert rate.tail_bound is None and "tail_bound" not in rate.to_dict()
+    assert rate.tail_skipped.startswith("tail bound check skipped: ")
+    assert "n^2001 overflows" in rate.tail_skipped
 
 
 def test_growth_audit_verdicts():

@@ -84,14 +84,14 @@ def test_x0_validation():
 
 def test_fb_step_halves_the_scalar_iterate():
     p = scalar_problem()
-    assert fb_step(p, 0.5, np.array([1.0]))[0] == 0.5
-    assert fb_step(p, 0.5, np.array([0.0]))[0] == 0.0
+    assert fb_step(p, 0.5, np.array([1.0]))[0][0] == 0.5
+    assert fb_step(p, 0.5, np.array([0.0]))[0][0] == 0.0
 
 
 def test_fb_step_fixed_point_on_segment():
     p = segment_problem()
     x = np.array([0.25, -0.25])
-    assert np.allclose(fb_step(p, 0.25, x), x, atol=1e-15)
+    assert np.allclose(fb_step(p, 0.25, x)[0], x, atol=1e-15)
 
 
 def test_fixed_point_residual_values():
@@ -123,7 +123,7 @@ def test_scalar_run_reproduces_geometric_recurrence():
     for n, x in enumerate(trace.iterates):
         assert x[0] == 0.5 ** n
     assert trace.x_final[0] == 0.5 ** 34
-    assert trace.final_residual == 0.5 ** 34
+    assert trace.residuals[-1] == 0.5 ** 34
     # f(x) = x^2... the objective along the run is 0.25^n/2 + 1/2
     f_star = 0.5
     gaps = trace.objectives - f_star
@@ -139,7 +139,7 @@ def test_run_started_at_minimizer_stops_immediately():
     trace = run(p, SolverConfig(lam=0.5, x0=np.array([0.0])))
     assert trace.converged
     assert trace.n_iterations == 0
-    assert trace.final_residual == 0.0
+    assert trace.residuals[-1] == 0.0
     assert list(trace.ns) == [0]
     assert [s.tolist() for s in trace.support_rows()] == [[]]
 
@@ -293,7 +293,7 @@ def test_iterate_log_reproduces_the_dense_iterates():
     lam, x = cfg.resolve(p)
     want = [x]
     for _ in range(trace.n_iterations):
-        want.append(fb_step(p, lam, want[-1]))
+        want.append(fb_step(p, lam, want[-1])[0])
     got = list(trace.iterates)
     assert len(got) == len(want) == len(trace.ns)
     for g, x in zip(got, want):
@@ -362,8 +362,7 @@ def test_run_does_two_matvecs_per_step():
 def test_fused_step_returns_the_smooth_value():
     p = random_problem(2)
     x = np.random.default_rng(1).standard_normal(p.n)
-    x_next, hx = fb_step(p, 0.01, x, with_value=True)
-    assert x_next.tobytes() == fb_step(p, 0.01, x).tobytes()
+    _, hx = fb_step(p, 0.01, x)
     assert hx == p.h.value(x)
 
 

@@ -54,7 +54,6 @@ def _mk_trace(ns, supports, x0=None, lam=1.0):
         lam=lam,
         converged=True,
         n_iterations=int(ns[-1]),
-        final_residual=0.0,
         wall_time=0.0,
     )
 
@@ -371,6 +370,22 @@ SOUND_REPORT = {
     "active_constraints": [0, 1],
     "dual_point": [1.0, -1.0],
 }
+
+
+def test_report_to_dict_json_form():
+    lists = ("supp", "esupp", "active_constraints", "dual_point")
+    p = segment_problem()
+    trace = run(p, SolverConfig(residual_tol=1e-12))
+    d = report_to_dict(build_support_report(p, trace, trace.x_final))
+    assert set(d) == set(SOUND_REPORT)
+    assert all(type(d[k]) is list for k in lists)
+    assert all(type(v) is float for v in d["dual_point"])
+    # a power penalty has no dual box, so no active constraints
+    g = SeparableRegularizer.uniform(1, penalty=PowerPenalty(2.0))
+    p = Problem(g=g, h=scalar_problem().h)
+    d = report_to_dict(build_support_report(p, run(p, SolverConfig()), np.zeros(1)))
+    assert set(d) == set(SOUND_REPORT)
+    assert d["active_constraints"] is None
 
 
 def test_report_rules_pass_a_sound_report():
