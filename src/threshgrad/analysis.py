@@ -69,15 +69,17 @@ def generate_synthetic(m: int, n: int, seed: int, scale: float = 1.0):
 
 @dataclass(eq=False)
 class Analysis:
-    """One solve of a problem and what was read off it.  The trace holds
-    the distances to ``x_bar``, ``f_star`` is f(x_bar), and ``failures``
-    maps "trace", "support" and "rate" to their failed rules (empty: passed).
+    """One solve of a problem and what was read off it.  ``f_star`` is
+    f(x_bar), ``dists`` the distance of each recorded iterate to x_bar, and
+    ``failures`` maps "trace", "support" and "rate" to their failed rules
+    (empty: passed).
     """
 
     problem: solver.Problem
     trace: solver.IterateTrace
     x_bar: np.ndarray
     f_star: float
+    dists: np.ndarray
     report: support.SupportReport
     rate: conditioning.RateReport
     failures: dict
@@ -91,7 +93,7 @@ def analyze(problem: solver.Problem, solver_cfg: solver.SolverConfig) -> Analysi
     trace = solver.run(problem, solver_cfg)
     x_bar = conditioning.polish(problem, trace.x_final)
     f_star = problem.objective(x_bar)
-    trace.set_reference(x_bar)
+    dists = trace.distances_to(x_bar)
     report = support.build_support_report(problem, trace, x_bar)
     rate = conditioning.fit_rate(trace, f_star)
     (_, pen), *others = problem.g._groups
@@ -103,12 +105,12 @@ def analyze(problem: solver.Problem, solver_cfg: solver.SolverConfig) -> Analysi
             rate = replace(rate, tail_skipped=f"tail bound check skipped: {exc}")
     failures = {
         "trace": solver.trace_rules(
-            trace.ns, trace.objectives - f_star, trace.residuals, trace.dists, f_star
+            trace.ns, trace.objectives - f_star, trace.residuals, dists, f_star
         ),
         "support": support.report_rules(support.report_to_dict(report)),
         "rate": conditioning.rate_rules(rate),
     }
-    return Analysis(problem, trace, x_bar, f_star, report, rate, failures)
+    return Analysis(problem, trace, x_bar, f_star, dists, report, rate, failures)
 
 
 def growth_audit(result: Analysis) -> tuple:

@@ -66,9 +66,9 @@ class ExperimentConfig:
     """Parsed experiment description; the INI schema is `_EXPERIMENT_KEYS`
     (documented in the README).
 
-    Exactly one problem source is active.  The solver tolerance, the polish
-    tolerance, the rate-fit window and the growth sampling parameters are
-    the library defaults; library callers can pass other values.
+    Exactly one problem source is active.  The solver tolerance and the
+    growth sampling parameters are library defaults; the polish and rate-fit
+    settings are constants of `threshgrad.conditioning`.
     """
 
     # [problem]
@@ -90,7 +90,6 @@ class ExperimentConfig:
     max_iter: int = 100_000
     x0: str = "zeros"  # zeros | ones | file:<path>
     # [analysis]
-    rate_fit: bool = True
     gamma: bool = False
     # [output]
     outdir: str = "."
@@ -251,7 +250,6 @@ _EXPERIMENT_KEYS = (
     _Key("solver", "lambda", "lam", _auto(_POSITIVE)),
     _Key("solver", "max_iter", "max_iter", _integer(0)),
     _Key("solver", "x0", "x0", _X0),
-    _Key("analysis", "rate_fit", "rate_fit", _BOOL),
     _Key("analysis", "gamma", "gamma", _BOOL),
     _Key("output", "dir", "outdir", _TEXT),
     _Key("output", "prefix", "prefix", _TEXT),
@@ -406,7 +404,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[int, dict]:
 
     Returns (exit_code, summary).  Exit code 0 means the solver converged
     and every audit that ran passed; audits that were skipped for a stated
-    reason (e.g. growth estimation on a minimizer not certified unique)
+    reason (e.g. a rate on a run that converged before it left a tail)
     do not fail the run.
     """
     problem, l_source = _build_problem(cfg)
@@ -422,7 +420,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[int, dict]:
         kind: outdir / f"{cfg.prefix}_{kind}.{'csv' if kind == 'trace' else 'json'}"
         for kind in ("trace", "support", "rate", "summary")
     }
-    solver.write_trace_csv(trace, paths["trace"], result.f_star)
+    solver.write_trace_csv(trace, paths["trace"], result.f_star, result.dists)
     rows = trace.support_rows()
 
     warnings: list = []
@@ -463,15 +461,15 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[int, dict]:
             "truncates a larger problem, the truncation is too short"
         )
 
-    if cfg.rate_fit:
+    if result.rate.skipped:
+        audits["rate"] = f"skipped: {result.rate.skipped}"
+    else:
         if result.rate.tail_skipped:
             warnings.append(result.rate.tail_skipped)
         summary["rate"] = result.rate.to_dict()
         _json_dump(summary["rate"], paths["rate"])
         summary["artifacts"]["rate"] = str(paths["rate"])
         audits["rate"] = _verdict(result.failures["rate"], warnings)
-    else:
-        audits["rate"] = "off"
 
     if cfg.gamma:
         audits["gamma"], est, gamma_warnings = growth_audit(result)

@@ -46,6 +46,9 @@ __all__ = [
 _SAMPLE_CHUNK = 512  # fixed chunk so sample streams nest across budgets
 _MIN_FIT_POINTS = 8
 _R2_THRESHOLD = 0.99
+_TAIL_FRACTION = 0.5  # the rate fit and the tail bound read the last half
+_POLISH_TOL = 1e-12
+_POLISH_ITERS = 100_000  # budget of polish's forward-backward continuation
 
 
 def _rounding_floor(f_star: float) -> float:
@@ -54,46 +57,32 @@ def _rounding_floor(f_star: float) -> float:
 
 
 class PolishError(RuntimeError):
-    """Raised when no candidate reaches the target residual; carries the
-    best point found and its residual."""
-
-    def __init__(self, message: str, x: np.ndarray, residual: float):
-        super().__init__(message)
-        self.x = x
-        self.residual = residual
+    """Raised when no candidate reaches the target residual; the message
+    names the residual the continuation stalled at."""
 
 
-def _fb_continuation(
-    problem: Problem, x_from: np.ndarray, tol: float, max_iter: int
-) -> np.ndarray:
-    trace = run(problem, SolverConfig(max_iter=max_iter, residual_tol=tol, x0=x_from))
+def _fb_continuation(problem: Problem, x_from: np.ndarray) -> np.ndarray:
+    cfg = SolverConfig(max_iter=_POLISH_ITERS, residual_tol=_POLISH_TOL, x0=x_from)
+    trace = run(problem, cfg)
     if not trace.converged:
-        residual = float(trace.residuals[-1])
         raise PolishError(
-            f"continuation stalled at residual {residual:.3e} "
-            f"after {trace.n_iterations} iterations (target {tol:.1e})",
-            trace.x_final,
-            residual,
+            f"continuation stalled at residual {trace.residuals[-1]:.3e} "
+            f"after {trace.n_iterations} iterations (target {_POLISH_TOL:.1e})"
         )
     return trace.x_final
 
 
-def polish(
-    problem: Problem,
-    x_approx: np.ndarray,
-    tol: float = 1e-12,
-    fb_iters: int = 100_000,
-) -> np.ndarray:
-    """Refine a near-solution to fixed-point residual <= tol.
+def polish(problem: Problem, x_approx: np.ndarray) -> np.ndarray:
+    """Refine a near-solution to fixed-point residual <= 1e-12 (_POLISH_TOL).
 
     For interval-only regularizers on least squares the support and the
     selected interval endpoints of x_approx determine a linear stationarity
     system; its minimum-norm correction usually lands within rounding of
     the solution face in one solve.  The candidate is accepted only if its
-    full-space residual meets tol and its objective does not exceed the
+    full-space residual meets 1e-12 and its objective does not exceed the
     input's; otherwise (and for power penalties, always) the fallback is a
     plain forward-backward continuation at step 1/L, whose descent property
-    keeps the objective guarantee.
+    keeps the objective guarantee, capped at _POLISH_ITERS iterations.
     """
     x_approx = np.asarray(x_approx, dtype=float)
     if x_approx.shape != (problem.n,):
@@ -102,34 +91,27 @@ def polish(
         raise ValueError("x_approx must be finite")
 
     g = problem.g
-    if not g.all_zero_psi:
-        return _fb_continuation(problem, x_approx, tol, fb_iters)
-
-    lam = 1.0 / float(problem.h.lipschitz)
     J = [int(k) for k in np.flatnonzero(x_approx)]
-    cand = np.zeros(problem.n)
-    if J:
-        los, his = g.lower_endpoints, g.upper_endpoints
-        s = np.where(x_approx[J] > 0, his[J], los[J])
-        if not np.all(np.isfinite(s)):
-            # a coordinate pushed toward an absent endpoint; no linear
-            # system to solve there
-            return _fb_continuation(problem, x_approx, tol, fb_iters)
-        # C order: the sums in gram, rhs and lstsq then run as over the
-        # stacked columns A @ e_k; an F-ordered slice changes their last bits
-        cols = np.ascontiguousarray(problem.h.op[:, J])
-        gram = cols.T @ cols
-        rhs = cols.T @ problem.h.y - s
-        xj = x_approx[J]
-        # correction form: for a singular face this picks the stationary
-        # point nearest the input instead of the min-norm solution
-        delta = np.linalg.lstsq(gram, rhs - gram @ xj, rcond=None)[0]
-        cand[J] = xj + delta
-
-    res = fixed_point_residual(problem, lam, cand)
-    if res <= tol and problem.objective(cand) <= problem.objective(x_approx):
-        return cand
-    return _fb_continuation(problem, x_approx, tol, fb_iters)
+    # the endpoint each nonzero is pushed toward; an absent one leaves no
+    # linear system to solve
+    s = np.where(x_approx[J] > 0, g.upper_endpoints[J], g.lower_endpoints[J])
+    if g.all_zero_psi and np.all(np.isfinite(s)):
+        cand = np.zeros(problem.n)
+        if J:
+            # C order: the sums in gram, rhs and lstsq then run as over the
+            # stacked columns A @ e_k; an F-ordered slice changes their last bits
+            cols = np.ascontiguousarray(problem.h.op[:, J])
+            gram = cols.T @ cols
+            rhs = cols.T @ problem.h.y - s
+            xj = x_approx[J]
+            # correction form: for a singular face this picks the stationary
+            # point nearest the input instead of the min-norm solution
+            cand[J] = xj + np.linalg.lstsq(gram, rhs - gram @ xj, rcond=None)[0]
+        lam = 1.0 / float(problem.h.lipschitz)
+        met = fixed_point_residual(problem, lam, cand) <= _POLISH_TOL
+        if met and problem.objective(cand) <= problem.objective(x_approx):
+            return cand
+    return _fb_continuation(problem, x_approx)
 
 
 def verify_unique_minimizer(problem: Problem, esupp) -> tuple[bool, str]:
@@ -291,9 +273,10 @@ class RateReport:
     regime 'linear' carries epsilon = exp(slope of log gap vs n) in (0,1);
     'sublinear' carries exponent q > 0 and constant from gap ~ C * n^-q;
     'inconclusive' carries only the diagnostics.  r2_linear / r2_loglog are
-    reported side by side regardless of the verdict.  `analysis.analyze`
-    sets ``tail_bound`` to the `sublinear_bound_check` result when it applies,
-    or ``tail_skipped`` to the warning naming why it does not.
+    reported side by side regardless of the verdict; ``skipped`` says why a
+    converged run has no rate.  `analysis.analyze` sets ``tail_bound`` to
+    the `sublinear_bound_check` result when it applies, or ``tail_skipped``
+    to the warning naming why it does not.
     """
 
     regime: str
@@ -307,11 +290,12 @@ class RateReport:
     r_squared: Optional[float] = None
     tail_bound: Optional[dict] = None
     tail_skipped: Optional[str] = None
+    skipped: Optional[str] = None
 
     def to_dict(self) -> dict:
-        """The fields as JSON; ``tail_skipped`` is a warning, not a result."""
+        """The fields as JSON; the two skip reasons are not results."""
         out = asdict(self)
-        del out["tail_skipped"]
+        del out["tail_skipped"], out["skipped"]
         if self.tail_bound is None:
             del out["tail_bound"]
         return {**out, "window": None if self.window is None else list(self.window)}
@@ -328,17 +312,13 @@ def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return float(coef[0]), float(coef[1]), r2
 
 
-def _tail_window(
-    trace: IterateTrace, f_star: float, window_fraction: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rows n >= 1 with gap above the rounding floor, last fraction only.
+def _tail_window(trace: IterateTrace, f_star: float) -> tuple[np.ndarray, np.ndarray]:
+    """Rows n >= 1 with gap above the rounding floor, last half only.
 
     The rounding floor cuts the numerically converged tail whose log
     is rounding noise; the above-floor segment is taken as a prefix so a
     converged run contributes its pre-floor decay.
     """
-    if not 0.0 < window_fraction <= 1.0:
-        raise ValueError("window_fraction must be in (0, 1]")
     gaps = trace.objectives - f_star
     keep = trace.ns >= 1
     ns = trace.ns[keep].astype(float)
@@ -346,23 +326,28 @@ def _tail_window(
     below = np.flatnonzero(gaps <= _rounding_floor(f_star))
     cut = int(below[0]) if below.size else len(gaps)
     ns, gaps = ns[:cut], gaps[:cut]
-    k = max(int(math.ceil(window_fraction * len(ns))), min(len(ns), 2))
+    k = max(int(math.ceil(_TAIL_FRACTION * len(ns))), min(len(ns), 2))
     return ns[len(ns) - k :], gaps[len(gaps) - k :]
 
 
-def fit_rate(
-    trace: IterateTrace, f_star: float, window_fraction: float = 0.5
-) -> RateReport:
+def fit_rate(trace: IterateTrace, f_star: float) -> RateReport:
     """Classify the tail of f(x^n) - f* as geometric or power-law decay.
 
-    Fits log gap against n and against log n on the tail window and picks
-    the better fit among those with negative slope and R^2 >= 0.99; the
-    geometric reading wins ties.  Fewer than 8 usable points in the window
-    is inconclusive by construction.
+    Fits log gap against n and against log n on the tail window (the last
+    half of the rows above the rounding floor) and picks the better fit
+    among those with negative slope and R^2 >= 0.99; the geometric reading
+    wins ties.  Fewer than 8 usable points in the window is inconclusive by
+    construction, and ``skipped`` when the run converged: it stopped before
+    it left a tail, so there is no rate to classify.
     """
-    ns, gaps = _tail_window(trace, f_star, window_fraction)
+    ns, gaps = _tail_window(trace, f_star)
     if len(ns) < _MIN_FIT_POINTS:
-        return RateReport("inconclusive", 0.0, 0.0, None, len(ns))
+        why = (
+            f"converged at iteration {trace.n_iterations} with {len(ns)} "
+            f"usable tail points, need >= {_MIN_FIT_POINTS} to fit a rate"
+        )
+        skipped = why if trace.converged else None
+        return RateReport("inconclusive", 0.0, 0.0, None, len(ns), skipped=skipped)
     logg = np.log(gaps)
     slope_lin, _, r2_lin = _ols(ns, logg)
     slope_log, icpt_log, r2_log = _ols(np.log(ns), logg)
@@ -388,10 +373,11 @@ def fit_rate(
 def rate_rules(rate: RateReport) -> list:
     """The failed rules of a rate report, as messages (none: it passes).
 
-    A report passes when `fit_rate` read a regime; an inconclusive one
-    fails with the reason no regime was read.
+    A report passes when `fit_rate` read a regime or skipped the run (it
+    converged before it left 8 usable tail points); any other inconclusive
+    report fails with the reason no regime was read.
     """
-    if rate.regime != "inconclusive":
+    if rate.regime != "inconclusive" or rate.skipped:
         return []
     if rate.n_points < _MIN_FIT_POINTS:
         why = f"{rate.n_points} usable tail points, need >= {_MIN_FIT_POINTS}"
@@ -403,9 +389,7 @@ def rate_rules(rate: RateReport) -> list:
     return [f"rate: inconclusive: {why}"]
 
 
-def sublinear_bound_check(
-    trace: IterateTrace, f_star: float, p: float, window_fraction: float = 0.5
-) -> dict:
+def sublinear_bound_check(trace: IterateTrace, f_star: float, p: float) -> dict:
     """Consistency with a gap <= C1 * n^(-p/(p-2)) tail bound.
 
     Returns {"exponent": p/(p-2), "constant": C1, "trend_slope": slope}: C1
@@ -418,7 +402,7 @@ def sublinear_bound_check(
     """
     if not p > 2.0:
         raise ValueError("the power-law tail bound applies for p > 2 only")
-    ns, gaps = _tail_window(trace, f_star, window_fraction)
+    ns, gaps = _tail_window(trace, f_star)
     if len(ns) < _MIN_FIT_POINTS:
         raise ValueError(
             f"only {len(ns)} usable points in the tail window, need "

@@ -112,9 +112,9 @@ class IterateTrace:
     Row i is iterate x^i, for i = 0..n_iterations.  Iterates are logged by
     their nonzeros, CSR-style: row i holds ``values[offsets[i]:offsets[i+1]]``
     at the coordinates ``indices[offsets[i]:offsets[i+1]]``.  Supports,
-    support sizes and dense iterates are views over this log.  dists are
-    distances to the reference point when one was set.  ``residuals[-1]``
-    is the fixed-point residual of ``x_final``.
+    support sizes and dense iterates are views over this log, and
+    `distances_to` measures it against a point.  ``residuals[-1]`` is the
+    fixed-point residual of ``x_final``.
     """
 
     ns: np.ndarray
@@ -123,7 +123,6 @@ class IterateTrace:
     offsets: np.ndarray  # int64, one more than the number of rows
     indices: np.ndarray  # int32, ascending within a row
     values: np.ndarray
-    dists: Optional[np.ndarray]
     x_final: np.ndarray
     x0: np.ndarray
     lam: float
@@ -167,10 +166,6 @@ class IterateTrace:
             dists[i : i + k] = np.sqrt((block[:, None, :] @ block[:, :, None]).ravel())
         return dists
 
-    def set_reference(self, reference: np.ndarray) -> None:
-        """Record the distance of every logged iterate to ``reference``."""
-        self.dists = self.distances_to(reference)
-
 
 def _nonincreasing(values, slack: float) -> bool:
     """Whether no step along ``values`` rises by more than ``slack``."""
@@ -198,7 +193,7 @@ def run(problem: Problem, config: SolverConfig) -> IterateTrace:
     Returns the first iterate whose own residual is below tolerance, so the
     residual reported for the final point is genuinely its fixed-point
     residual.  Every iterate is recorded in the trace's log;
-    `IterateTrace.set_reference` adds the distances to a point afterwards.
+    `IterateTrace.distances_to` measures it against a point afterwards.
     """
     lam, x = config.resolve(problem)
     x0 = x.copy()
@@ -235,7 +230,6 @@ def run(problem: Problem, config: SolverConfig) -> IterateTrace:
         offsets=np.cumsum([0] + [len(nz) for nz in nonzeros], dtype=np.int64),
         indices=np.concatenate(nonzeros, dtype=np.int32),
         values=np.concatenate(values),
-        dists=None,
         x_final=x.copy(),
         x0=x0,
         lam=lam,
@@ -256,8 +250,8 @@ def trace_rules(ns, gaps, residuals, dists, f_star: float) -> list:
 
     A trace must have strictly increasing iteration numbers, nonnegative
     residuals, and an objective gap that does not increase and stays above
-    the optimum ``f_star`` it is measured against; with ``dists`` (None
-    when no reference was set) the distances must be Fejer monotone.
+    the optimum ``f_star`` it is measured against, and distances ``dists``
+    to the point that attains it that are Fejer monotone.
     `threshgrad run` applies these rules to the trace it writes and
     `threshgrad audit` to the file.
     """
@@ -274,35 +268,33 @@ def trace_rules(ns, gaps, residuals, dists, f_star: float) -> list:
         ),
         (np.all(np.asarray(residuals) >= 0.0), "negative residual"),
         (
-            dists is None or _nonincreasing(dists, FEJER_SLACK),
+            _nonincreasing(dists, FEJER_SLACK),
             "distance to reference increases (not Fejer)",
         ),
     )
     return [f"trace: {message}" for ok, message in rules if not ok]
 
 
-def write_trace_csv(trace: IterateTrace, path, f_star: float) -> None:
-    """CSV columns (n, f_gap, residual, supp_size, dist_to_ref).
+def write_trace_csv(trace: IterateTrace, path, f_star: float, dists) -> None:
+    """CSV columns (n, f_gap, residual, supp_size, dist_to_ref): the gap to
+    ``f_star`` and the distances ``dists`` to the point that attains it.
 
     Floats are written with shortest round-trip repr, so identical runs
     produce byte-identical files.
     """
-    lines = [TRACE_HEADER]
-    have_d = trace.dists is not None
-    sizes = trace.supp_sizes
-    for i in range(len(trace.ns)):
-        d = repr(float(trace.dists[i])) if have_d else ""
-        lines.append(
-            f"{int(trace.ns[i])},{repr(float(trace.objectives[i] - f_star))},"
-            f"{repr(float(trace.residuals[i]))},{int(sizes[i])},{d}"
-        )
+    gaps = trace.objectives - f_star
+    cols = zip(trace.ns, gaps, trace.residuals, trace.supp_sizes, dists)
+    lines = [TRACE_HEADER] + [
+        f"{int(n)},{float(gap)!r},{float(res)!r},{int(size)},{float(d)!r}"
+        for n, gap, res, size, d in cols
+    ]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def read_trace_csv(path) -> tuple:
-    """Columns (ns, gaps, residuals, dists) of a trace CSV; dists is None
-    when the column is blank.  Raises ValueError naming a format defect."""
+    """Columns (ns, gaps, residuals, dists) of a trace CSV.  Raises
+    ValueError naming a format defect, a blank distance included."""
     head, *lines = Path(path).read_text().strip().split("\n")
     if head != TRACE_HEADER:
         raise ValueError(f"bad header {head!r}")
@@ -313,10 +305,7 @@ def read_trace_csv(path) -> tuple:
         try:
             n, gap, res, size, dist = line.split(",")
             int(size)
-            rows.append((int(n), float(gap), float(res), float(dist) if dist else None))
+            rows.append((int(n), float(gap), float(res), float(dist)))
         except ValueError:
             raise ValueError(f"line {ln}: expected 5 numbers, got {line!r}")
-    ns, gaps, residuals, dists = zip(*rows)
-    if None in dists and any(d is not None for d in dists):
-        raise ValueError("dist_to_ref present only on some rows")
-    return ns, gaps, residuals, None if None in dists else dists
+    return tuple(zip(*rows))

@@ -49,7 +49,6 @@ def test_parse_minimal_builtin_config(tmp_path):
     assert cfg.interval == Interval(-1.0, 1.0)
     assert cfg.interval_overrides == {}
     assert cfg.penalty == ZeroPenalty()
-    assert cfg.rate_fit
     assert not cfg.gamma
 
 
@@ -73,7 +72,6 @@ max_iter = 5000
 x0 = ones
 
 [analysis]
-rate_fit = false
 gamma = true
 
 [output]
@@ -86,7 +84,7 @@ prefix = exp
     assert cfg.interval_overrides == {3: Interval(-2.0, 2.0)}
     assert cfg.penalty == PowerPenalty(4.0, 0.5)
     assert (cfg.lam, cfg.max_iter, cfg.x0) == (0.25, 5000, "ones")
-    assert not cfg.rate_fit and cfg.gamma
+    assert cfg.gamma
     assert cfg.outdir == "out" and cfg.prefix == "exp"
 
 
@@ -113,6 +111,8 @@ prefix = exp
         # the analysis tolerances and sampling parameters are library defaults
         (MINIMAL + "[solver]\nresidual_tol = 1e-8\n", "unknown key 'residual_tol'"),
         (MINIMAL + "[analysis]\nwindow_fraction = 0.5\n", "unknown key 'window_fraction'"),
+        # whether the rate audit applies is read off the run
+        (MINIMAL + "[analysis]\nrate_fit = false\n", "unknown key 'rate_fit'"),
         (MINIMAL + "[analysis]\ngamma_samples = 10\n", "unknown key 'gamma_samples'"),
         (MINIMAL + "[analysis]\ngamma_delta = 0.5\n", "unknown key 'gamma_delta'"),
         (MINIMAL + "[analysis]\ngamma_r = 0.5\n", "unknown key 'gamma_r'"),
@@ -192,6 +192,8 @@ def test_shipped_config_runs_audits_and_round_trips(tmp_path, name, capsys):
     arts = summary["artifacts"]
     assert main(["audit", arts["trace"], arts["support"]]) == 0
     assert "ok:" in capsys.readouterr().out
+    # ex_cq converges in one iteration: no tail, so no rate file
+    assert ("rate" in arts) is (name != "ex_cq")
 
 
 # ---------------------------------------------------------------------------
@@ -234,16 +236,19 @@ def test_run_scalar_builtin_end_to_end(tmp_path):
 
 
 def test_run_segment_builtin(tmp_path):
-    code, summary = run_builtin(
-        tmp_path, "ex_cq", "[analysis]\nrate_fit = false\n", prefix="seg"
-    )
+    code, summary = run_builtin(tmp_path, "ex_cq", prefix="seg")
     assert code == 0
     assert summary["f_star"] == pytest.approx(0.75, abs=1e-12)
     x = summary["x_bar"]
     assert x[0] - x[1] == pytest.approx(0.5, abs=1e-10)
     assert summary["support"]["esupp"] == [0, 1]
     assert summary["support"]["qualification_holds"] is True
-    assert summary["audits"]["rate"] == "off"
+    # one iteration leaves no tail to fit a rate on
+    assert summary["audits"]["rate"] == (
+        "skipped: converged at iteration 1 with 0 usable tail points, "
+        "need >= 8 to fit a rate"
+    )
+    assert "rate" not in summary and "rate" not in summary["artifacts"]
     assert summary["diagnostics"]["lipschitz"] == {"value": 4.0, "source": "builtin"}
     report = json.loads((tmp_path / "seg_support.json").read_text())
     assert report["rho_sol"] is None
@@ -267,7 +272,7 @@ def test_run_gamma_skipped_on_segment(tmp_path):
     code, summary = run_builtin(
         tmp_path,
         "ex_cq",
-        "[analysis]\nrate_fit = false\ngamma = true\n",
+        "[analysis]\ngamma = true\n",
         prefix="skip",
     )
     assert code == 0
@@ -301,13 +306,15 @@ def test_run_reports_nonconvergence(tmp_path):
     code, summary = run_builtin(
         tmp_path,
         "ex_nocq",
-        "[solver]\nlambda = 0.5\nx0 = ones\nmax_iter = 3\n"
-        "[analysis]\nrate_fit = false\n",
+        "[solver]\nlambda = 0.5\nx0 = ones\nmax_iter = 3\n",
         prefix="stall",
     )
     assert code == 1
     assert not summary["converged"]
     assert any("without reaching" in w for w in summary["warnings"])
+    # a run stopped short of convergence is not excused from the rate audit
+    assert summary["audits"]["rate"] == "fail"
+    assert "rate: inconclusive: 2 usable tail points, need >= 8" in summary["warnings"]
 
 
 def test_run_names_why_the_rate_is_inconclusive(tmp_path):
@@ -317,30 +324,32 @@ def test_run_names_why_the_rate_is_inconclusive(tmp_path):
         write_config(tmp_path, text + f"[output]\ndir = {tmp_path}\n")
     )
     code, summary = run_experiment(cfg)
-    assert code == 1
-    assert summary["converged"]
-    assert summary["audits"]["rate"] == "fail"
-    assert summary["rate"]["n_points"] == 0
-    assert summary["warnings"] == ["rate: inconclusive: 0 usable tail points, need >= 8"]
+    assert code == 0
+    assert summary["converged"] and summary["n_iterations"] == 1
+    assert summary["audits"]["rate"] == (
+        "skipped: converged at iteration 1 with 0 usable tail points, "
+        "need >= 8 to fit a rate"
+    )
+    assert summary["warnings"] == []
+    assert "rate" not in summary["artifacts"]
+    assert not (tmp_path / "run_rate.json").exists()
 
 
-@pytest.mark.parametrize("rate_fit", [True, False])
-def test_run_names_why_the_tail_bound_is_skipped(tmp_path, rate_fit):
-    # the 1x1 instance leaves no tail; the tail bound is a rate artifact
+def test_run_names_why_the_tail_bound_is_skipped(tmp_path):
+    # p/(p-2) = 2001 overflows n^(p/(p-2)) on the tail window
     cfg = ExperimentConfig(
-        source="synthetic", m=1, n=1, seed=0, penalty=PowerPenalty(4.0)
+        source="synthetic", m=20, n=50, seed=7, penalty=PowerPenalty(2.001)
     )
-    cfg.rate_fit, cfg.outdir = rate_fit, str(tmp_path)
+    cfg.outdir = str(tmp_path)
     code, summary = run_experiment(cfg)
-    assert code == (1 if rate_fit else 0)
+    assert code == 0
+    assert summary["audits"]["rate"] == "pass"
     skipped = (
-        "tail bound check skipped: only 0 usable points in the tail window, "
-        "need >= 8"
+        "tail bound check skipped: n^2001 overflows on the tail window "
+        "(p = 2.001)"
     )
-    assert (skipped in summary["warnings"]) is rate_fit
-    if rate_fit:
-        assert summary["warnings"].index(skipped) == 0
-        assert "tail_bound" not in summary["rate"]
+    assert summary["warnings"] == [skipped]
+    assert "tail_bound" not in summary["rate"]
 
 
 @pytest.mark.parametrize(
@@ -559,12 +568,27 @@ def test_main_certifies_a_strictly_convex_problem(tmp_path):
         _write_csv(tmp_path / "A.csv", [[1.0, 1.0]]),
         _write_csv(tmp_path / "y.csv", [[3.0]]),
         "[regularizer]\ninterval = -0.1 0.1\npenalty = power 2 1e-4\n"
-        "[analysis]\nrate_fit = false\ngamma = true\n",
+        "[analysis]\ngamma = true\n",
     )
     assert main(["run", str(cfg)]) == 0
     summary = json.loads((tmp_path / "out" / "run_summary.json").read_text())
     assert summary["audits"]["gamma"] == "pass"
     assert summary["gamma"]["gamma"] > 0
+    assert summary["audits"]["rate"].startswith("skipped: converged at iteration 1 ")
+
+
+def test_run_writes_the_distances_analyze_measured(tmp_path):
+    from threshgrad.analysis import analyze
+
+    cfg = ExperimentConfig(
+        source="synthetic", m=20, n=50, seed=3, outdir=str(tmp_path)
+    )
+    _, summary = run_experiment(cfg)
+    result = analyze(generate_synthetic(20, 50, 3), solver.SolverConfig())
+    want = result.trace.distances_to(result.x_bar)
+    assert result.dists.tobytes() == want.tobytes()
+    written = solver.read_trace_csv(summary["artifacts"]["trace"])[3]
+    assert np.array(written).tobytes() == want.tobytes()
 
 
 def test_run_auto_lipschitz_is_exact_where_power_iteration_stalls(tmp_path):
@@ -855,6 +879,19 @@ def test_audit_flags_corrupted_trace(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("blanked", [slice(None), slice(2, 3)])
+def test_audit_fails_a_blank_distance_column(tmp_path, capsys, blanked):
+    trace, support = emitted_artifacts(tmp_path)
+    head, *rows = open(trace).read().strip().split("\n")
+    # every row, or one row, without its distance to the reference
+    rows[blanked] = [row.rsplit(",", 1)[0] + "," for row in rows[blanked]]
+    open(trace, "w").write("\n".join([head, *rows]) + "\n")
+    assert main(["audit", trace, support]) == 1
+    line = 2 + range(len(rows))[blanked][0]
+    want = f"FAIL trace: line {line}: expected 5 numbers, got {rows[line - 2]!r}"
+    assert want in capsys.readouterr().out
+
+
 def test_audit_flags_corrupted_support(tmp_path, capsys):
     trace, support = emitted_artifacts(tmp_path)
     rep = json.loads(open(support).read())
@@ -911,7 +948,7 @@ def hand_written_artifacts(tmp_path, last_gap):
     trace = tmp_path / "big_trace.csv"
     trace.write_text(
         "n,f_gap,residual,supp_size,dist_to_ref\n"
-        + "".join(f"{n},{gap!r},{res!r},1,\n" for n, gap, res in rows)
+        + "".join(f"{n},{gap!r},{res!r},1,{res!r}\n" for n, gap, res in rows)
     )
     (tmp_path / "big_summary.json").write_text(json.dumps({"f_star": LARGE_F_STAR}))
     support = tmp_path / "big_support.json"

@@ -71,7 +71,6 @@ def gap_trace(gaps, f_star=0.0, start_n=1):
         offsets=np.zeros(k + 1, dtype=np.int64),
         indices=np.zeros(0, dtype=np.int32),
         values=np.zeros(0),
-        dists=None,
         x_final=np.zeros(1),
         x0=np.zeros(1),
         lam=1.0,
@@ -180,7 +179,7 @@ def test_polish_residual_postcondition_on_random_instances():
     for seed in range(3):
         p = lasso_problem(seed)
         trace = run(p, SolverConfig(residual_tol=1e-8))
-        x = polish(p, trace.x_final, tol=1e-12)
+        x = polish(p, trace.x_final)
         lam = 1.0 / p.h.lipschitz
         assert fixed_point_residual(p, lam, x) <= 1e-12
         assert p.objective(x) <= p.objective(trace.x_final) + 1e-15
@@ -193,7 +192,7 @@ def test_polish_with_power_penalty_uses_iterative_fallback():
     g = SeparableRegularizer.uniform(25, penalty=PowerPenalty(4.0, 0.5))
     p = Problem(g=g, h=p.h)
     trace = run(p, SolverConfig(residual_tol=1e-8))
-    x = polish(p, trace.x_final, tol=1e-12)
+    x = polish(p, trace.x_final)
     lam = 1.0 / p.h.lipschitz
     assert fixed_point_residual(p, lam, x) <= 1e-12
     # the continuation is a plain run from the input at the default step
@@ -201,17 +200,22 @@ def test_polish_with_power_penalty_uses_iterative_fallback():
     assert x.tobytes() == want.tobytes()
 
 
-def test_polish_error_carries_best_point():
+def test_polish_error_carries_best_point(monkeypatch):
     # a power penalty forces the iterative path; with L overstated to 2 the
     # scalar recursion is x -> x/4 exactly, far from 1e-12 after 5 steps
+    from threshgrad import conditioning
+
+    monkeypatch.setattr(conditioning, "_POLISH_ITERS", 5)
     h = LeastSquaresTerm([[1.0]], np.array([1.0]), lipschitz=2.0)
     p = Problem(
         g=SeparableRegularizer.uniform(1, penalty=PowerPenalty(2.0, 2.0)), h=h
     )
     with pytest.raises(PolishError) as exc:
-        polish(p, np.array([1.0]), tol=1e-12, fb_iters=5)
-    assert exc.value.x[0] == 0.25 ** 5
-    assert exc.value.residual == 1.5 * 0.25 ** 5
+        polish(p, np.array([1.0]))
+    assert str(exc.value) == (
+        f"continuation stalled at residual {1.5 * 0.25 ** 5:.3e} "
+        "after 5 iterations (target 1.0e-12)"
+    )
 
 
 def stacked_columns_face_solve(problem, x):
@@ -236,7 +240,7 @@ def test_polish_face_solve_is_bitwise_the_stacked_column_solve():
     for seed in range(10):
         p = generate_synthetic(20, 50, seed)
         x = run(p, SolverConfig(residual_tol=1e-10)).x_final
-        got = polish(p, x, tol=1e-12)
+        got = polish(p, x)
         cand = stacked_columns_face_solve(p, x)
         lam = 1.0 / p.h.lipschitz
         if fixed_point_residual(p, lam, cand) <= 1e-12 and (
@@ -245,7 +249,7 @@ def test_polish_face_solve_is_bitwise_the_stacked_column_solve():
             face_route += 1
             assert got.tobytes() == cand.tobytes(), seed
         else:
-            want = _fb_continuation(p, x, 1e-12, 100_000)
+            want = _fb_continuation(p, x)
             assert got.tobytes() == want.tobytes(), seed
     assert face_route >= 5
 
@@ -487,12 +491,22 @@ def test_fit_rate_on_scalar_run():
 
 
 def test_fit_rate_too_few_points_is_inconclusive():
-    rep = fit_rate(gap_trace(0.5 ** np.arange(1, 6)), f_star=0.0)
+    trace = gap_trace(0.5 ** np.arange(1, 6))
+    trace.converged = False
+    rep = fit_rate(trace, f_star=0.0)
     assert rep.regime == "inconclusive"
     assert rep.epsilon is None and rep.exponent is None
     # the half-fraction tail window of 5 recorded gaps keeps 3 points
     assert rep.n_points == 3
+    assert rep.skipped is None
     assert rate_rules(rep) == ["rate: inconclusive: 3 usable tail points, need >= 8"]
+    # a run that converged that early has no rate to fail
+    trace.converged = True
+    rep = fit_rate(trace, f_star=0.0)
+    assert rep.skipped == (
+        "converged at iteration 5 with 3 usable tail points, need >= 8 to fit a rate"
+    )
+    assert rate_rules(rep) == []
 
 
 def test_fit_rate_converged_at_start_is_inconclusive():
@@ -515,16 +529,6 @@ def test_fit_rate_erratic_sequence_is_inconclusive():
     ]
 
 
-def test_fit_rate_window_fraction_validation():
-    trace = gap_trace(0.9 ** np.arange(1, 50))
-    with pytest.raises(ValueError):
-        fit_rate(trace, 0.0, window_fraction=0.0)
-    with pytest.raises(ValueError):
-        fit_rate(trace, 0.0, window_fraction=1.5)
-    full = fit_rate(trace, 0.0, window_fraction=1.0)
-    assert full.window == (1, 49)
-
-
 RATE_KEYS = {
     "regime", "epsilon", "exponent", "constant", "r_squared",
     "r2_linear", "r2_loglog", "window", "n_points",
@@ -542,7 +546,7 @@ def test_fit_rate_report_serializes():
     bound = {"exponent": 2.0, "constant": 1.0, "trend_slope": -1.0}
     d = replace(rep, tail_bound=bound, tail_skipped="x").to_dict()
     assert set(d) == RATE_KEYS | {"tail_bound"} and d["tail_bound"] == bound
-    assert set(replace(rep, tail_skipped="x").to_dict()) == RATE_KEYS
+    assert set(replace(rep, tail_skipped="x", skipped="y").to_dict()) == RATE_KEYS
     assert json.loads(json.dumps(d)) == d
 
 

@@ -33,9 +33,11 @@ def segment_problem():
 
 
 def descent_failures(trace):
-    """The trace rules, measured against the lowest recorded objective."""
+    """The trace rules, measured against the lowest recorded objective; the
+    distances are flat, so only the objective rules can fail."""
     f_low = float(trace.objectives.min())
-    return trace_rules(trace.ns, trace.objectives - f_low, trace.residuals, None, f_low)
+    flat = np.zeros(len(trace.ns))
+    return trace_rules(trace.ns, trace.objectives - f_low, trace.residuals, flat, f_low)
 
 
 def random_problem(seed, m=8, n=12, penalty=None):
@@ -130,7 +132,8 @@ def test_scalar_run_reproduces_geometric_recurrence():
     want = 0.25 ** trace.ns.astype(float) / 2.0
     assert np.allclose(gaps, want, rtol=0, atol=1e-15)
     assert all(s.tolist() == [0] for s in trace.support_rows())
-    assert trace_rules(trace.ns, gaps, trace.residuals, None, f_star) == []
+    dists = trace.distances_to(np.array([0.0]))
+    assert trace_rules(trace.ns, gaps, trace.residuals, dists, f_star) == []
     assert fejer_check(trace, np.array([0.0]))
 
 
@@ -187,19 +190,8 @@ def test_large_step_still_descends():
 def test_reference_distances_recorded():
     p = scalar_problem()
     trace = run(p, SolverConfig(lam=0.5, x0=np.array([1.0])))
-    assert trace.dists is None
-    trace.set_reference(np.array([0.0]))
-    assert np.allclose(trace.dists, 0.5 ** trace.ns.astype(float), atol=0)
-
-
-def test_set_reference_rejects_a_mismatched_shape():
-    p = scalar_problem()
-    trace = run(p, SolverConfig(lam=0.5, x0=np.array([1.0])))
-    with pytest.raises(ValueError):
-        trace.set_reference(np.zeros(2))
-    assert trace.dists is None  # nothing recorded on failure
-    with pytest.raises(ValueError):
-        fejer_check(trace, np.zeros(2))
+    dists = trace.distances_to(np.array([0.0]))
+    assert np.allclose(dists, 0.5 ** trace.ns.astype(float), atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -209,10 +201,11 @@ def test_set_reference_rejects_a_mismatched_shape():
 def test_fejer_check_reads_distances_from_the_iterate_log():
     p = scalar_problem()
     trace = run(p, SolverConfig(lam=0.5, x0=np.array([1.0])))
-    assert trace.dists is None
     assert fejer_check(trace, np.array([0.0]))
     # distances to x0 = 1 grow along the run
     assert not fejer_check(trace, np.array([1.0]))
+    with pytest.raises(ValueError):
+        fejer_check(trace, np.zeros(2))
 
 
 def test_fejer_holds_against_any_minimizer_of_the_segment():
@@ -233,9 +226,8 @@ def test_write_trace_csv_golden(tmp_path):
     p = scalar_problem()
     cfg = SolverConfig(lam=0.5, x0=np.array([1.0]), max_iter=2, residual_tol=0.0)
     trace = run(p, cfg)
-    trace.set_reference(np.array([0.0]))
     path = tmp_path / "trace.csv"
-    write_trace_csv(trace, path, f_star=0.5)
+    write_trace_csv(trace, path, 0.5, trace.distances_to(np.array([0.0])))
     want = (
         "n,f_gap,residual,supp_size,dist_to_ref\n"
         "0,0.5,1.0,1,1.0\n"
@@ -245,29 +237,18 @@ def test_write_trace_csv_golden(tmp_path):
     assert path.read_text() == want
 
 
-def test_write_trace_csv_without_reference(tmp_path):
-    p = scalar_problem()
-    trace = run(p, SolverConfig(lam=0.5, x0=np.array([1.0]), max_iter=1, residual_tol=0.0))
-    path = tmp_path / "trace.csv"
-    write_trace_csv(trace, path, f_star=0.5)
-    lines = path.read_text().splitlines()
-    assert lines[1].endswith(",")  # empty dist column
-
-
 def test_trace_csv_round_trips_the_trace_columns(tmp_path):
     p = random_problem(5)
     trace = run(p, SolverConfig(max_iter=500, residual_tol=1e-9))
     f_star = float(trace.objectives[-1])
     path = tmp_path / "trace.csv"
-    write_trace_csv(trace, path, f_star)
+    want = trace.distances_to(trace.x_final)
+    write_trace_csv(trace, path, f_star, want)
     ns, gaps, residuals, dists = read_trace_csv(path)
     assert np.array_equal(ns, trace.ns)
     assert np.array(gaps).tobytes() == (trace.objectives - f_star).tobytes()
     assert np.array(residuals).tobytes() == trace.residuals.tobytes()
-    assert dists is None  # no reference set
-    trace.set_reference(trace.x_final)
-    write_trace_csv(trace, path, f_star)
-    assert np.array(read_trace_csv(path)[3]).tobytes() == trace.dists.tobytes()
+    assert np.array(dists).tobytes() == want.tobytes()
 
 
 def test_trace_csv_deterministic_across_runs(tmp_path):
@@ -277,7 +258,7 @@ def test_trace_csv_deterministic_across_runs(tmp_path):
     for tag in ("a", "b"):
         trace = run(p, cfg)
         path = tmp_path / f"{tag}.csv"
-        write_trace_csv(trace, path, f_star=0.0)
+        write_trace_csv(trace, path, 0.0, trace.distances_to(trace.x_final))
         paths.append(path.read_bytes())
     assert paths[0] == paths[1]
 
@@ -312,8 +293,6 @@ def test_distances_to_matches_dense_norms_bitwise():
     r = np.random.default_rng(0).standard_normal(p.n)
     want = distances_by_row(trace, r)
     assert trace.distances_to(r).tobytes() == want.tobytes()
-    trace.set_reference(r)
-    assert trace.dists.tobytes() == want.tobytes()
     with pytest.raises(ValueError):
         trace.distances_to(np.zeros(p.n + 1))
 
@@ -367,17 +346,17 @@ def test_fused_step_returns_the_smooth_value():
 
 
 def test_trace_rules_scale_the_descent_slack_and_gap_floor_by_f_star():
-    ns, res = [0, 1, 2], [2.0, 1.0, 0.5]
+    ns, res, d = [0, 1, 2], [2.0, 1.0, 0.5], [1.0, 0.5, 0.25]
     descent = ["trace: objective gap increases (descent violated)"]
     floor = ["trace: objective gap goes below the reference optimum"]
     # |f*| <= 1: both stay absolute
-    assert trace_rules(ns, [1.0, 0.0, 1e-12], res, None, 0.5) == []
-    assert trace_rules(ns, [1.0, 0.0, 2e-12], res, None, 0.5) == descent
-    assert trace_rules(ns, [1.0, 0.5, -2e-9], res, None, -1.0) == floor
+    assert trace_rules(ns, [1.0, 0.0, 1e-12], res, d, 0.5) == []
+    assert trace_rules(ns, [1.0, 0.0, 2e-12], res, d, 0.5) == descent
+    assert trace_rules(ns, [1.0, 0.5, -2e-9], res, d, -1.0) == floor
     # |f*| = 1000: a thousand times wider
-    assert trace_rules(ns, [1.0, 0.0, 2e-12], res, None, 1e3) == []
-    assert trace_rules(ns, [1.0, 0.0, 2e-9], res, None, 1e3) == descent
-    assert trace_rules(ns, [1.0, 0.5, -2e-9], res, None, -1e3) == []
+    assert trace_rules(ns, [1.0, 0.0, 2e-12], res, d, 1e3) == []
+    assert trace_rules(ns, [1.0, 0.0, 2e-9], res, d, 1e3) == descent
+    assert trace_rules(ns, [1.0, 0.5, -2e-9], res, d, -1e3) == []
     # the Fejer slack is absolute
     dists = [1.0, 0.5, 0.5 + 2e-10]
     assert trace_rules(ns, [1.0, 0.5, 0.0], res, dists, 1e3) == [
@@ -386,10 +365,11 @@ def test_trace_rules_scale_the_descent_slack_and_gap_floor_by_f_star():
 
 
 def test_trace_rules_check_iteration_numbers_and_residuals():
-    assert trace_rules([0, 1, 1], [1.0, 0.5, 0.0], [1.0, 0.5, 0.2], None, 0.0) == [
+    d = [1.0, 0.5, 0.25]
+    assert trace_rules([0, 1, 1], [1.0, 0.5, 0.0], [1.0, 0.5, 0.2], d, 0.0) == [
         "trace: iteration numbers not strictly increasing"
     ]
-    assert trace_rules([0, 1, 2], [1.0, 0.5, 0.0], [1.0, -0.5, 0.2], None, 0.0) == [
+    assert trace_rules([0, 1, 2], [1.0, 0.5, 0.0], [1.0, -0.5, 0.2], d, 0.0) == [
         "trace: negative residual"
     ]
 

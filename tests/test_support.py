@@ -48,7 +48,6 @@ def _mk_trace(ns, supports, x0=None, lam=1.0):
         offsets=np.cumsum([0] + [len(s) for s in supports], dtype=np.int64),
         indices=np.array([i for s in supports for i in s], dtype=np.int32),
         values=np.ones(sum(len(s) for s in supports)),
-        dists=None,
         x_final=np.zeros(len(x0)),
         x0=np.asarray(x0, dtype=float),
         lam=lam,
