@@ -6,11 +6,11 @@ Submodules:
     operators     least-squares term over a dense matrix, exact norm, CSV input
     solver        the forward-backward iteration, its trace and the trace CSV
     support       support / extended-support analytics and identification
-    conditioning  polishing, uniqueness certificate, growth constants,
-                  rate classification
-    analysis      problem builders, `analyze` (solve, polish, support
-                  report, rate fit and tail bound, once each) and
-                  `growth_audit`
+    conditioning  polishing, uniqueness and growth certificates, sampled
+                  growth constants, rate classification
+    analysis      problem builders and `analyze` (solve, polish, support
+                  report, rate fit and tail bound, growth certificate,
+                  once each)
     cli           experiment runner (`threshgrad` console script)
 
 Nothing is imported eagerly; pull what you need, e.g.

@@ -1,7 +1,7 @@
-"""The problem builders, `analyze`, the one chain every claim of a run
-is read from (solve, polish, f* = f(x_bar), distances to x_bar, support
-report, rate fit with the power-law tail bound, and their rules), and
-`growth_audit`, the opt-in growth-constant check on its result."""
+"""The problem builders and `analyze`, the one chain every claim of a run
+is read from: solve, polish, f* = f(x_bar), distances to x_bar, support
+report, rate fit with the power-law tail bound, growth certificate on the
+extended support, and their rules."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from . import conditioning, solver, support
 from .operators import LeastSquaresTerm, operator_norm
 from .regularizers import PowerPenalty, SeparableRegularizer
 
-__all__ = ["Analysis", "analyze", "growth_audit", "generate_synthetic"]
+__all__ = ["Analysis", "analyze", "generate_synthetic"]
 
 
 def _builtin_smooth(name: str):
@@ -70,9 +70,10 @@ def generate_synthetic(m: int, n: int, seed: int, scale: float = 1.0):
 @dataclass(eq=False)
 class Analysis:
     """One solve of a problem and what was read off it.  ``f_star`` is
-    f(x_bar), ``dists`` the distance of each recorded iterate to x_bar, and
-    ``failures`` maps "trace", "support" and "rate" to their failed rules
-    (empty: passed).
+    f(x_bar), ``dists`` the distance of each recorded iterate to x_bar,
+    ``growth`` the (verdict, certificate or None) of
+    `conditioning.face_growth` on esupp, and ``failures`` maps "trace",
+    "support" and "rate" to their failed rules (empty: passed).
     """
 
     problem: solver.Problem
@@ -82,14 +83,16 @@ class Analysis:
     dists: np.ndarray
     report: support.SupportReport
     rate: conditioning.RateReport
+    growth: tuple
     failures: dict
 
 
 def analyze(problem: solver.Problem, solver_cfg: solver.SolverConfig) -> Analysis:
-    """Solve, polish, measure the trace against the polished point and
-    apply the trace, support and rate rules, each step once; under one power
-    penalty of order p > 2 the rate also carries the tail bound.  A step
-    size or starting point the problem rejects raises ValueError first."""
+    """Solve, polish, measure the trace against the polished point, certify
+    growth on esupp and apply the trace, support and rate rules, each step
+    once; under one power penalty of order p > 2 the rate also carries the
+    tail bound.  A step size or starting point the problem rejects raises
+    ValueError first."""
     trace = solver.run(problem, solver_cfg)
     x_bar = conditioning.polish(problem, trace.x_final)
     f_star = problem.objective(x_bar)
@@ -103,6 +106,7 @@ def analyze(problem: solver.Problem, solver_cfg: solver.SolverConfig) -> Analysi
             rate = replace(rate, tail_bound=bound)
         except ValueError as exc:
             rate = replace(rate, tail_skipped=f"tail bound check skipped: {exc}")
+    growth = conditioning.face_growth(problem, report.esupp)
     failures = {
         "trace": solver.trace_rules(
             trace.ns, trace.objectives - f_star, trace.residuals, dists, f_star
@@ -110,22 +114,6 @@ def analyze(problem: solver.Problem, solver_cfg: solver.SolverConfig) -> Analysi
         "support": support.report_rules(support.report_to_dict(report)),
         "rate": conditioning.rate_rules(rate),
     }
-    return Analysis(problem, trace, x_bar, f_star, dists, report, rate, failures)
-
-
-def growth_audit(result: Analysis) -> tuple:
-    """The `gamma` audit of an analysis: (verdict, GammaEstimate or None,
-    warnings).  It samples only around a minimizer that
-    `verify_unique_minimizer` certifies (else the verdict is "skipped: ..."),
-    over the whole space when esupp is empty (the active subspace is {0});
-    a sampling error fails the audit and is named in the warnings."""
-    problem, esupp = result.problem, result.report.esupp
-    unique, why = conditioning.verify_unique_minimizer(problem, esupp)
-    if not unique:
-        return f"skipped: minimizer not certified unique: {why}", None, []
-    region = esupp or tuple(range(problem.n))
-    try:
-        est = conditioning.estimate_gamma(problem, region, result.x_bar)
-    except (RuntimeError, ValueError) as exc:
-        return "fail", None, [f"gamma estimation failed: {exc}"]
-    return ("pass" if est.gamma > 0 else "fail"), est, []
+    return Analysis(
+        problem, trace, x_bar, f_star, dists, report, rate, growth, failures
+    )

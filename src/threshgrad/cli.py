@@ -1,6 +1,6 @@
 """Experiment runner for the `threshgrad` console script: INI parsing,
-problem construction from a config, and artifact writing.  Every analysis
-comes from `threshgrad.analysis` (`analyze`, `growth_audit`).
+problem construction from a config, and artifact writing.  Every analysis,
+the growth certificate included, comes from `threshgrad.analysis.analyze`.
 
 Subcommands:
     run <config.ini>      build, analyze, audit, emit artifacts
@@ -26,7 +26,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from . import solver, support
-from .analysis import _builtin_smooth, _synthetic_data, analyze, growth_audit
+from .analysis import _builtin_smooth, _synthetic_data, analyze
 from .analysis import generate_synthetic
 from .operators import LeastSquaresTerm, operator_norm, read_dense_matrix, read_vector
 from .regularizers import (
@@ -66,9 +66,9 @@ class ExperimentConfig:
     """Parsed experiment description; the INI schema is `_EXPERIMENT_KEYS`
     (documented in the README).
 
-    Exactly one problem source is active.  The solver tolerance and the
-    growth sampling parameters are library defaults; the polish and rate-fit
-    settings are constants of `threshgrad.conditioning`.
+    Exactly one problem source is active.  The solver tolerance is a
+    library default; the polish and rate-fit settings are constants of
+    `threshgrad.conditioning`.
     """
 
     # [problem]
@@ -89,8 +89,6 @@ class ExperimentConfig:
     lam: Optional[float] = None  # None = 1/L
     max_iter: int = 100_000
     x0: str = "zeros"  # zeros | ones | file:<path>
-    # [analysis]
-    gamma: bool = False
     # [output]
     outdir: str = "."
     prefix: str = "run"
@@ -178,14 +176,6 @@ def _auto(codec: _Codec) -> _Codec:
     return replace(codec, accepted=f"auto or {codec.accepted}", none="auto")
 
 
-def _parse_bool(text):
-    if text.lower() in ("true", "yes", "on", "1"):
-        return True
-    if text.lower() in ("false", "no", "off", "0"):
-        return False
-    raise ValueError(text)
-
-
 def _parse_penalty(text):
     toks = text.split()
     if toks == ["none"]:
@@ -216,7 +206,6 @@ def _parse_x0(text):
 
 _FINITE = _real("a finite number")
 _POSITIVE = _real("a finite number > 0", lambda v: v > 0.0)
-_BOOL = _Codec(_parse_bool, "true or false", lambda v: "true" if v else "false")
 _TEXT = _Codec(str, "text")
 _FILE = _Codec(_existing, "an existing file")
 _INTERVAL = _Codec(
@@ -250,7 +239,6 @@ _EXPERIMENT_KEYS = (
     _Key("solver", "lambda", "lam", _auto(_POSITIVE)),
     _Key("solver", "max_iter", "max_iter", _integer(0)),
     _Key("solver", "x0", "x0", _X0),
-    _Key("analysis", "gamma", "gamma", _BOOL),
     _Key("output", "dir", "outdir", _TEXT),
     _Key("output", "prefix", "prefix", _TEXT),
 )
@@ -399,13 +387,14 @@ def _verdict(problems: list, warnings: list) -> str:
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[int, dict]:
-    """Build the problem, `analyze` it, run `growth_audit` when `gamma` is
-    on, and write the artifacts.
+    """Build the problem, `analyze` it and write the artifacts; the
+    growth certificate of the analysis is the `gamma` audit and, when it
+    passes, ``summary["gamma"]``.
 
     Returns (exit_code, summary).  Exit code 0 means the solver converged
-    and every audit that ran passed; audits that were skipped for a stated
-    reason (e.g. a rate on a run that converged before it left a tail)
-    do not fail the run.
+    and no audit failed; audits that were skipped for a stated reason
+    (e.g. a rate on a run that converged before it left a tail) do not
+    fail the run, and the `gamma` audit never fails.
     """
     problem, l_source = _build_problem(cfg)
     solver_cfg = solver.SolverConfig(
@@ -471,13 +460,9 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[int, dict]:
         summary["artifacts"]["rate"] = str(paths["rate"])
         audits["rate"] = _verdict(result.failures["rate"], warnings)
 
-    if cfg.gamma:
-        audits["gamma"], est, gamma_warnings = growth_audit(result)
-        warnings += gamma_warnings
-        if est is not None:
-            summary["gamma"] = est.to_dict()
-    else:
-        audits["gamma"] = "off"
+    audits["gamma"], certificate = result.growth
+    if certificate is not None:
+        summary["gamma"] = certificate
 
     failed = [k for k, v in audits.items() if v == "fail"]
     exit_code = 0 if trace.converged and not failed else 1

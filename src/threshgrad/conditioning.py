@@ -1,17 +1,18 @@
-"""Reference polishing, growth-constant estimation, rate classification.
+"""Reference polishing, growth certificates, rate classification.
 
 The objective f is p-conditioned with constant gamma on a region when
 
     gamma/p * dist(x, argmin f)^p <= f(x) - inf f.
 
 Order 2 on sublevel sets gives a linear rate for the forward-backward
-iteration; order p > 2 gives a O(n^{-p/(p-2)}) tail.  This module measures
-both sides empirically: `polish` produces a high-accuracy reference
-minimizer, `verify_unique_minimizer` certifies by a rank test on its
-extended support that it is the only one, `estimate_gamma` samples the
-growth ratio near it, and `fit_rate` classifies the decay of the objective
-gap along a trace.  No certified lower bound on gamma is attempted; the
-sampled estimate is an upper bound by construction.
+iteration; order p > 2 gives a O(n^{-p/(p-2)}) tail.  `polish` produces a
+high-accuracy reference minimizer x_bar, `verify_unique_minimizer`
+certifies by a rank test on its extended support J that it is the only
+one, `face_growth` certifies order 2 on the face {supp x in J} with
+gamma = sigma_min(A_J)^2, and `fit_rate` classifies the decay of the
+objective gap along a trace.  `estimate_gamma` samples the growth ratio
+near x_bar, an upper bound on the constant by construction; it is a
+library check, not part of a run.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ __all__ = [
     "PolishError",
     "polish",
     "verify_unique_minimizer",
+    "face_growth",
     "estimate_gamma",
     "fit_rate",
     "rate_rules",
@@ -114,7 +116,16 @@ def polish(problem: Problem, x_approx: np.ndarray) -> np.ndarray:
     return _fb_continuation(problem, x_approx)
 
 
-def verify_unique_minimizer(problem: Problem, esupp) -> tuple[bool, str]:
+def _column_rank(cols: np.ndarray) -> tuple[int, np.ndarray]:
+    """The rank of ``cols`` by `numpy.linalg.matrix_rank`'s default
+    tolerance, sigma_max * max(shape) * eps, and its singular values in
+    descending order, from one SVD."""
+    sigma = np.linalg.svd(cols, compute_uv=False)
+    tol = sigma[0] * max(cols.shape) * np.finfo(float).eps
+    return int(np.count_nonzero(sigma > tol)), sigma
+
+
+def verify_unique_minimizer(problem: Problem, esupp) -> tuple[bool, str, np.ndarray]:
     """Certify that the minimizer with extended support ``esupp`` is unique.
 
     Every minimizer has the same A x and the same dual point -grad_h, so
@@ -128,18 +139,45 @@ def verify_unique_minimizer(problem: Problem, esupp) -> tuple[bool, str]:
     the certificate conservative.  A custom penalty leaves uniqueness
     unchecked.
 
-    Returns (unique, reason), the reason stating the rank and |D|.
+    Returns (unique, reason, sigma): the reason states the rank and |D|,
+    and sigma holds the singular values of A_D (empty when D is).
     """
     pens = problem.g.penalties
     if any(isinstance(pen, CustomPenalty) for pen in pens):
-        return False, "a custom penalty leaves uniqueness unchecked"
+        return False, "a custom penalty leaves uniqueness unchecked", np.empty(0)
     D = [
         k
         for k in esupp
         if not (isinstance(pens[k], PowerPenalty) and pens[k].weight > 0.0)
     ]
-    rank = int(np.linalg.matrix_rank(problem.h.op[:, D])) if D else 0
-    return rank == len(D), f"rank(A_D) = {rank} of |D| = {len(D)}"
+    rank, sigma = _column_rank(problem.h.op[:, D]) if D else (0, np.empty(0))
+    return rank == len(D), f"rank(A_D) = {rank} of |D| = {len(D)}", sigma
+
+
+def face_growth(problem: Problem, esupp) -> tuple[str, Optional[dict]]:
+    """The growth verdict on the face {x : supp x in J}, J = ``esupp``.
+
+    For such x, f(x) - f* >= 1/2 ||A(x - x_bar)||^2 >= 1/2 sigma_min(A_J)^2
+    ||x - x_bar||^2, as -grad_h(x_bar) is a subgradient of g at x_bar
+    (Bredies & Lorenz, J. Fourier Anal. Appl. 2008).  The verdict is "pass"
+    with {"gamma_face": sigma_min(A_J)^2, "J": [...]} for a certified unique
+    minimizer and an A_J of full column rank, else "skipped: ..." with None.
+    """
+    J = [int(k) for k in esupp]
+    if not J:
+        why = "esupp is empty, so the face {supp x ⊆ esupp} is {x_bar}"
+        return f"skipped: {why}", None
+    unique, why, sigma = verify_unique_minimizer(problem, J)
+    if not unique:
+        return f"skipped: minimizer not certified unique: {why}", None
+    # a certified D has |D| singular values, so D = J exactly when there
+    # are |J| of them and the one SVD already holds sigma_min(A_J)
+    if len(sigma) < len(J):
+        rank, sigma = _column_rank(problem.h.op[:, J])
+        if rank < len(J):
+            why = f"rank(A_J) = {rank} of |J| = {len(J)}"
+            return f"skipped: no growth certificate: {why}", None
+    return "pass", {"gamma_face": float(sigma[-1]) ** 2, "J": J}
 
 
 @dataclass(frozen=True)
@@ -326,7 +364,7 @@ def _tail_window(trace: IterateTrace, f_star: float) -> tuple[np.ndarray, np.nda
     below = np.flatnonzero(gaps <= _rounding_floor(f_star))
     cut = int(below[0]) if below.size else len(gaps)
     ns, gaps = ns[:cut], gaps[:cut]
-    k = max(int(math.ceil(_TAIL_FRACTION * len(ns))), min(len(ns), 2))
+    k = int(math.ceil(_TAIL_FRACTION * len(ns)))
     return ns[len(ns) - k :], gaps[len(gaps) - k :]
 
 

@@ -3,10 +3,9 @@
 A regularizer is a sum g(x) = sum_k g_k(x_k) with g_k = psi_k + sigma_{I_k},
 where sigma_{I_k} is the support function of a closed interval
 I_k = [lo_k, hi_k] with lo_k < 0 < hi_k, and psi_k is a convex scalar
-penalty with psi_k(0) = 0 and psi_k'(0) = 0.  Every I_k then contains
-[-omega, omega] for the margin omega = min_k min(-lo_k, hi_k) > 0.  The
-proximal operator of g factors through the soft-thresholder of the
-interval followed by the prox of the penalty:
+penalty with psi_k(0) = 0 and psi_k'(0) = 0.  The proximal operator of g
+factors through the soft-thresholder of the interval followed by the prox
+of the penalty:
 
     prox_{lam*g}(x)_k = prox_{lam*psi_k}( soft_{lam*I_k}(x_k) )
 
@@ -159,12 +158,6 @@ class SeparableRegularizer:
     @property
     def n(self) -> int:
         return len(self.intervals)
-
-    @property
-    def omega(self) -> float:
-        """The global margin min_k min(-lo_k, hi_k) > 0: every interval
-        contains [-omega, omega]."""
-        return float(min(-self.lower_endpoints.max(), self.upper_endpoints.min()))
 
     @property
     def all_zero_psi(self) -> bool:

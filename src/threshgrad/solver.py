@@ -111,10 +111,10 @@ class IterateTrace:
 
     Row i is iterate x^i, for i = 0..n_iterations.  Iterates are logged by
     their nonzeros, CSR-style: row i holds ``values[offsets[i]:offsets[i+1]]``
-    at the coordinates ``indices[offsets[i]:offsets[i+1]]``.  Supports,
-    support sizes and dense iterates are views over this log, and
-    `distances_to` measures it against a point.  ``residuals[-1]`` is the
-    fixed-point residual of ``x_final``.
+    at the coordinates ``indices[offsets[i]:offsets[i+1]]``.  Supports and
+    support sizes are views over this log, and `distances_to` measures it
+    against a point.  ``residuals[-1]`` is the fixed-point residual of
+    ``x_final``.
     """
 
     ns: np.ndarray
@@ -137,14 +137,6 @@ class IterateTrace:
     @property
     def supp_sizes(self) -> np.ndarray:
         return np.diff(self.offsets)
-
-    @property
-    def iterates(self):
-        """The recorded iterates, rebuilt densely one at a time."""
-        for a, b in zip(self.offsets[:-1], self.offsets[1:]):
-            x = np.zeros(len(self.x0))
-            x[self.indices[a:b]] = self.values[a:b]
-            yield x
 
     def distances_to(self, reference: np.ndarray) -> np.ndarray:
         """||x - reference|| for every recorded iterate x, over dense blocks

@@ -1,7 +1,8 @@
 """Independent reference implementations that tests compare the package
 against: the interval soft-thresholder and projection in scalar form, a
 brute-force scalar minimizer (dense grid plus golden-section refinement),
-per-row iterate distances and a per-point prox gallery.
+dense iterates and per-row distances from a trace's iterate log, and a
+per-point prox gallery.
 """
 
 from __future__ import annotations
@@ -105,11 +106,20 @@ def brute_force_scalar_min(
     return best_x, best_f
 
 
+def iterates(trace):
+    """The recorded iterates of ``trace``, rebuilt densely one at a time
+    from its CSR iterate log."""
+    for a, b in zip(trace.offsets[:-1], trace.offsets[1:]):
+        x = np.zeros(len(trace.x0))
+        x[trace.indices[a:b]] = trace.values[a:b]
+        yield x
+
+
 def distances_by_row(trace, reference) -> np.ndarray:
     """||x - reference|| for every iterate of ``trace``, one dense row and
     one `np.linalg.norm` at a time: the reference for
     `IterateTrace.distances_to`."""
-    return np.array([np.linalg.norm(x - reference) for x in trace.iterates])
+    return np.array([np.linalg.norm(x - reference) for x in iterates(trace)])
 
 
 def gallery_csv_by_point(spec) -> str:

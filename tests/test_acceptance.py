@@ -9,7 +9,7 @@ import math
 import time
 
 import numpy as np
-from oracles import brute_force_scalar_min, soft_interval
+from oracles import brute_force_scalar_min, iterates, soft_interval
 
 from threshgrad.analysis import _builtin_smooth, analyze, generate_synthetic
 from threshgrad.regularizers import (
@@ -50,7 +50,7 @@ def test_criterion_1(acceptance):
     elapsed = time.perf_counter() - t0
 
     recurrence = max(
-        abs(float(x[0]) - 0.5**int(n)) for n, x in zip(trace.ns, trace.iterates)
+        abs(float(x[0]) - 0.5**int(n)) for n, x in zip(trace.ns, iterates(trace))
     )
     checks = {
         "final": abs(float(trace.x_final[0])) <= 1e-10,

@@ -19,8 +19,9 @@ from threshgrad.cli import (
     parse_experiment_config,
     parse_gallery_spec,
     run_experiment,
+    _build_problem,
 )
-from threshgrad.conditioning import polish
+from threshgrad.conditioning import estimate_gamma, polish
 from threshgrad.regularizers import Interval, PowerPenalty, ZeroPenalty
 
 
@@ -49,7 +50,6 @@ def test_parse_minimal_builtin_config(tmp_path):
     assert cfg.interval == Interval(-1.0, 1.0)
     assert cfg.interval_overrides == {}
     assert cfg.penalty == ZeroPenalty()
-    assert not cfg.gamma
 
 
 def test_parse_full_synthetic_config(tmp_path):
@@ -71,9 +71,6 @@ lambda = 0.25
 max_iter = 5000
 x0 = ones
 
-[analysis]
-gamma = true
-
 [output]
 dir = out
 prefix = exp
@@ -84,7 +81,6 @@ prefix = exp
     assert cfg.interval_overrides == {3: Interval(-2.0, 2.0)}
     assert cfg.penalty == PowerPenalty(4.0, 0.5)
     assert (cfg.lam, cfg.max_iter, cfg.x0) == (0.25, 5000, "ones")
-    assert cfg.gamma
     assert cfg.outdir == "out" and cfg.prefix == "exp"
 
 
@@ -101,24 +97,24 @@ prefix = exp
         (MINIMAL + "[regularizer]\npenalty = cubic\n", "penalty"),
         (MINIMAL + "[regularizer]\ninterval_x = -1 1\n", "bad key"),
         (MINIMAL + "[solver]\nrecord_every = 5\n", "unknown key 'record_every'"),
-        (
-            MINIMAL + "[analysis]\nsupport_audit = false\n",
-            "unknown key 'support_audit'",
-        ),
-        (MINIMAL + "[analysis]\nfejer = false\n", "unknown key 'fejer'"),
         (MINIMAL + "[solver]\nx0 = file:/does/not/exist.csv\n", "not found"),
         ("[solver]\nlambda = 0.5\n", "required"),
-        # the analysis tolerances and sampling parameters are library defaults
+        # the solver tolerance is a library default
         (MINIMAL + "[solver]\nresidual_tol = 1e-8\n", "unknown key 'residual_tol'"),
-        (MINIMAL + "[analysis]\nwindow_fraction = 0.5\n", "unknown key 'window_fraction'"),
-        # whether the rate audit applies is read off the run
-        (MINIMAL + "[analysis]\nrate_fit = false\n", "unknown key 'rate_fit'"),
-        (MINIMAL + "[analysis]\ngamma_samples = 10\n", "unknown key 'gamma_samples'"),
-        (MINIMAL + "[analysis]\ngamma_delta = 0.5\n", "unknown key 'gamma_delta'"),
-        (MINIMAL + "[analysis]\ngamma_r = 0.5\n", "unknown key 'gamma_r'"),
-        (MINIMAL + "[analysis]\ngamma_p = 2\n", "unknown key 'gamma_p'"),
-        (MINIMAL + "[analysis]\ngamma_seed = 1\n", "unknown key 'gamma_seed'"),
-        (MINIMAL + "[analysis]\npolish_tol = 1e-12\n", "unknown key 'polish_tol'"),
+        # there is no [analysis] section: its tolerances and sampling
+        # parameters are library defaults, whether the rate audit applies is
+        # read off the run, and the growth certificate runs on every run
+        (MINIMAL + "[analysis]\ngamma = true\n", "unknown section"),
+        (MINIMAL + "[analysis]\nsupport_audit = false\n", "unknown section"),
+        (MINIMAL + "[analysis]\nfejer = false\n", "unknown section"),
+        (MINIMAL + "[analysis]\nwindow_fraction = 0.5\n", "unknown section"),
+        (MINIMAL + "[analysis]\nrate_fit = false\n", "unknown section"),
+        (MINIMAL + "[analysis]\ngamma_samples = 10\n", "unknown section"),
+        (MINIMAL + "[analysis]\ngamma_delta = 0.5\n", "unknown section"),
+        (MINIMAL + "[analysis]\ngamma_r = 0.5\n", "unknown section"),
+        (MINIMAL + "[analysis]\ngamma_p = 2\n", "unknown section"),
+        (MINIMAL + "[analysis]\ngamma_seed = 1\n", "unknown section"),
+        (MINIMAL + "[analysis]\npolish_tol = 1e-12\n", "unknown section"),
         (MINIMAL + "[regularizer]\npenalty = power inf\n", "penalty must be"),
         (MINIMAL + "[regularizer]\npenalty = power 2 inf\n", "penalty must be"),
         (MINIMAL + "[regularizer]\npenalty = power 1.5 1.0 box -1 1\n", "penalty must be"),
@@ -161,9 +157,6 @@ penalty = power 1.5 2.0
 [solver]
 lambda = 0.125
 
-[analysis]
-gamma = true
-
 [output]
 prefix = round
 """
@@ -194,6 +187,33 @@ def test_shipped_config_runs_audits_and_round_trips(tmp_path, name, capsys):
     assert "ok:" in capsys.readouterr().out
     # ex_cq converges in one iteration: no tail, so no rate file
     assert ("rate" in arts) is (name != "ex_cq")
+
+
+@pytest.mark.parametrize("name", ["lasso", "lasso_power15", "lasso_power4", "ex_nocq"])
+def test_shipped_growth_certificate_is_below_the_sampled_constant(tmp_path, name):
+    cfg = parse_experiment_config(CONFIGS / f"{name}.ini")
+    cfg.outdir = str(tmp_path)
+    _, summary = run_experiment(cfg)
+    assert summary["audits"]["gamma"] == "pass"
+    cert = summary["gamma"]
+    assert cert["J"] == summary["support"]["esupp"]
+    problem, _ = _build_problem(cfg)
+    est = estimate_gamma(problem, cert["J"], np.array(summary["x_bar"]))
+    # the sampled minimum bounds the face constant from above; on ex_nocq it
+    # reads 0.99999999614 against the exact 1, hence the relative slack
+    assert cert["gamma_face"] <= est.gamma * (1.0 + 1e-8)
+
+
+def test_run_skips_gamma_on_an_empty_extended_support(tmp_path):
+    # at scale 1e-4 the zero start is optimal with a strictly interior dual
+    # point: esupp is empty, so the face is the point x_bar itself
+    cfg = parse_experiment_config(CONFIGS / "lasso.ini")
+    cfg.scale, cfg.outdir = 1e-4, str(tmp_path)
+    code, summary = run_experiment(cfg)
+    assert code == 0
+    assert summary["n_iterations"] == 0 and summary["support"]["esupp"] == []
+    assert summary["audits"]["gamma"].startswith("skipped: esupp is empty")
+    assert "gamma" not in summary
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +247,7 @@ def test_run_scalar_builtin_end_to_end(tmp_path):
         "trace": "pass",
         "support": "pass",
         "rate": "pass",
-        "gamma": "off",
+        "gamma": "pass",
     }
     for key in ("trace", "support", "rate", "summary"):
         assert os.path.exists(summary["artifacts"][key])
@@ -257,24 +277,16 @@ def test_run_segment_builtin(tmp_path):
 
 def test_run_with_gamma_estimate(tmp_path):
     code, summary = run_builtin(
-        tmp_path,
-        "ex_nocq",
-        "[solver]\nlambda = 0.5\nx0 = ones\n[analysis]\ngamma = true\n",
-        prefix="gam",
+        tmp_path, "ex_nocq", "[solver]\nlambda = 0.5\nx0 = ones\n", prefix="gam"
     )
     assert code == 0
     assert summary["audits"]["gamma"] == "pass"
-    assert summary["gamma"]["gamma"] == pytest.approx(1.0, abs=1e-2)
-    assert summary["gamma"]["p"] == 2.0
+    # A_J = [[1]]: sigma_min^2 is exactly 1
+    assert summary["gamma"] == {"gamma_face": 1.0, "J": [0]}
 
 
 def test_run_gamma_skipped_on_segment(tmp_path):
-    code, summary = run_builtin(
-        tmp_path,
-        "ex_cq",
-        "[analysis]\ngamma = true\n",
-        prefix="skip",
-    )
+    code, summary = run_builtin(tmp_path, "ex_cq", prefix="skip")
     assert code == 0
     # the segment's two esupp columns are parallel
     assert summary["audits"]["gamma"] == (
@@ -380,19 +392,15 @@ def test_run_writes_the_tail_bound_for_power_penalties_above_two(
         assert math.isfinite(bound["trend_slope"])
 
 
-def test_run_fails_gamma_on_an_unbounded_interval(tmp_path):
+def test_run_certifies_gamma_on_an_unbounded_interval(tmp_path):
+    # the certificate reads sigma_min(A_J), so it needs no bounded interval;
+    # the dual point 1 sits on the finite endpoint, so esupp = {0}
     code, summary = run_builtin(
-        tmp_path,
-        "ex_nocq",
-        "[regularizer]\ninterval = -1 inf\n[analysis]\ngamma = true\n",
-        prefix="unb",
+        tmp_path, "ex_nocq", "[regularizer]\ninterval = -inf 1\n", prefix="unb"
     )
-    assert code == 1
-    assert summary["audits"]["gamma"] == "fail"
-    assert "gamma" not in summary
-    assert summary["warnings"][-1] == (
-        "gamma estimation failed: growth estimation requires bounded intervals"
-    )
+    assert code == 0
+    assert summary["audits"]["gamma"] == "pass"
+    assert summary["gamma"] == {"gamma_face": 1.0, "J": [0]}
 
 
 def test_run_synthetic_is_deterministic(tmp_path):
@@ -548,7 +556,6 @@ def test_run_gamma_skipped_on_a_duplicated_column(tmp_path):
         tmp_path,
         _write_csv(tmp_path / "A.csv", a),
         _write_csv(tmp_path / "y.csv", problem.h.y[:, None]),
-        "[analysis]\ngamma = true\n",
     )
     code, summary = run_experiment(parse_experiment_config(cfg))
     assert code == 0
@@ -567,13 +574,15 @@ def test_main_certifies_a_strictly_convex_problem(tmp_path):
         tmp_path,
         _write_csv(tmp_path / "A.csv", [[1.0, 1.0]]),
         _write_csv(tmp_path / "y.csv", [[3.0]]),
-        "[regularizer]\ninterval = -0.1 0.1\npenalty = power 2 1e-4\n"
-        "[analysis]\ngamma = true\n",
+        "[regularizer]\ninterval = -0.1 0.1\npenalty = power 2 1e-4\n",
     )
     assert main(["run", str(cfg)]) == 0
     summary = json.loads((tmp_path / "out" / "run_summary.json").read_text())
-    assert summary["audits"]["gamma"] == "pass"
-    assert summary["gamma"]["gamma"] > 0
+    # unique, yet A_J is rank-deficient: no growth constant on the face
+    assert summary["audits"]["gamma"] == (
+        "skipped: no growth certificate: rank(A_J) = 1 of |J| = 2"
+    )
+    assert "gamma" not in summary
     assert summary["audits"]["rate"].startswith("skipped: converged at iteration 1 ")
 
 

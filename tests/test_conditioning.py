@@ -5,19 +5,22 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from oracles import brute_force_scalar_min
 
-from threshgrad.analysis import analyze, generate_synthetic, growth_audit
+from threshgrad.analysis import analyze, generate_synthetic
 from threshgrad.conditioning import (
     PolishError,
     estimate_gamma,
+    face_growth,
     fit_rate,
     polish,
     rate_rules,
     sublinear_bound_check,
     verify_unique_minimizer,
 )
-from threshgrad.operators import LeastSquaresTerm
+from threshgrad.operators import LeastSquaresTerm, operator_norm
 from threshgrad.regularizers import (
     CustomPenalty,
     Interval,
@@ -270,7 +273,9 @@ def test_unique_minimizer_confirmed_for_scalar_problem():
     p = scalar_problem()
     x_bar = polish(p, np.ones(1))
     assert x_bar[0] == 0.0
-    assert verify_unique_minimizer(p, (0,)) == (True, "rank(A_D) = 1 of |D| = 1")
+    unique, why, sigma = verify_unique_minimizer(p, (0,))
+    assert (unique, why) == (True, "rank(A_D) = 1 of |D| = 1")
+    assert sigma.tolist() == [1.0]
 
 
 def test_unique_minimizer_rejected_on_segment():
@@ -278,7 +283,7 @@ def test_unique_minimizer_rejected_on_segment():
     # (0.5, 0) and (0, -0.5) are both minimizers; their esupp is {0, 1}
     for x in ([0.5, 0.0], [0.0, -0.5]):
         assert p.objective(np.array(x)) == pytest.approx(0.75, abs=1e-12)
-    assert verify_unique_minimizer(p, (0, 1)) == (False, "rank(A_D) = 1 of |D| = 2")
+    assert verify_unique_minimizer(p, (0, 1))[:2] == (False, "rank(A_D) = 1 of |D| = 2")
 
 
 def test_unique_minimizer_drops_strictly_convex_coordinates():
@@ -288,11 +293,11 @@ def test_unique_minimizer_drops_strictly_convex_coordinates():
     h = LeastSquaresTerm([[s, -s]], np.array([s]), lipschitz=4.0)
     pens = (PowerPenalty(2.0, 0.0), PowerPenalty(2.0, 1e-4))
     g = SeparableRegularizer((Interval(-1.0, 1.0),) * 2, pens)
-    assert verify_unique_minimizer(Problem(g=g, h=h), (0, 1)) == (
+    assert verify_unique_minimizer(Problem(g=g, h=h), (0, 1))[:2] == (
         True,
         "rank(A_D) = 1 of |D| = 1",
     )
-    assert verify_unique_minimizer(quartic_problem(), (0,)) == (
+    assert verify_unique_minimizer(quartic_problem(), (0,))[:2] == (
         True,
         "rank(A_D) = 0 of |D| = 0",
     )
@@ -302,7 +307,7 @@ def test_unique_minimizer_unchecked_under_a_custom_penalty():
     pen = CustomPenalty(lambda t: 0.0, lambda t, lam: t)  # psi = 0, exactly
     g = SeparableRegularizer.uniform(1, Interval(-1.0, 1.0), pen)
     h = LeastSquaresTerm([[1.0]], np.array([1.0]), lipschitz=1.0)
-    unique, why = verify_unique_minimizer(Problem(g=g, h=h), ())
+    unique, why, _ = verify_unique_minimizer(Problem(g=g, h=h), ())
     assert not unique
     assert "custom penalty" in why
 
@@ -321,10 +326,75 @@ def test_unique_minimizer_runs_no_solver(monkeypatch):
 
 def test_unique_minimizer_certified_on_every_batch_instance(lasso_batch):
     for seed, run_ in enumerate(lasso_batch.runs):
-        unique, why = verify_unique_minimizer(run_.problem, run_.report.esupp)
+        unique, why, _ = verify_unique_minimizer(run_.problem, run_.report.esupp)
         d = len(run_.report.esupp)
         assert unique, (seed, why)
         assert why == f"rank(A_D) = {d} of |D| = {d}"
+
+
+# ---------------------------------------------------------------------------
+# growth certificate on the extended support
+
+
+def test_face_growth_reads_one_svd_when_d_is_j(monkeypatch):
+    problem = generate_synthetic(20, 50, 0)
+    esupp = analyze(problem, SolverConfig()).report.esupp
+    shapes, svd = [], np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    verdict, cert = face_growth(problem, esupp)
+    assert verdict == "pass" and shapes == [(20, len(esupp))]
+    cols = problem.h.op[:, list(esupp)]
+    assert cert["gamma_face"] == float(svd(cols, compute_uv=False)[-1]) ** 2
+
+
+def test_face_growth_is_below_the_sampled_constant_on_the_batch(lasso_batch):
+    # gamma_J bounds the growth ratio on the face from below and the sampled
+    # minimum bounds it from above (measured: gamma-hat is 1.18-1.76 gamma_J)
+    for run_ in lasso_batch.runs[:6]:
+        verdict, cert = run_.growth
+        assert verdict == "pass"
+        assert cert["J"] == list(run_.report.esupp)
+        est = estimate_gamma(run_.problem, cert["J"], run_.x_bar)
+        assert cert["gamma_face"] <= est.gamma * (1.0 + 1e-8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(1, 8),
+    n=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    penalty=st.sampled_from(
+        [ZeroPenalty(), PowerPenalty(1.5, 0.5), PowerPenalty(2.0), PowerPenalty(4.0, 2.0)]
+    ),
+    radius=st.floats(1e-6, 1.0),
+)
+def test_face_growth_bounds_the_objective_gap_on_the_face(m, n, seed, penalty, radius):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((m, n))
+    assume(operator_norm(a) > 1e-3)
+    h = LeastSquaresTerm(a, 3.0 * rng.standard_normal(m), operator_norm(a) ** 2)
+    ends = rng.uniform(0.1, 2.0, size=(n, 2))
+    g = SeparableRegularizer(
+        tuple(Interval(-lo, hi) for lo, hi in ends), (penalty,) * n
+    )
+    problem = Problem(g=g, h=h)
+    result = analyze(problem, SolverConfig())
+    verdict, cert = result.growth
+    assume(verdict == "pass")
+    J = cert["J"]
+    slack = 1e-12 * max(1.0, abs(result.f_star))
+    for _ in range(20):
+        d = np.zeros(n)
+        d[J] = rng.standard_normal(len(J))
+        x = result.x_bar + radius * rng.uniform() * d / np.linalg.norm(d)
+        gap = problem.objective(x) - result.f_star
+        dist2 = float(np.sum((x - result.x_bar) ** 2))
+        assert gap >= 0.5 * cert["gamma_face"] * dist2 - slack
 
 
 # ---------------------------------------------------------------------------
@@ -509,6 +579,15 @@ def test_fit_rate_too_few_points_is_inconclusive():
     assert rate_rules(rep) == []
 
 
+def test_fit_rate_window_of_two_rows_is_their_last_half():
+    # ceil(0.5 * 2) = 1: two rows above the floor leave one tail point
+    trace = gap_trace([0.5, 0.25, 0.0])
+    trace.converged = False
+    rep = fit_rate(trace, f_star=0.0)
+    assert (rep.regime, rep.n_points) == ("inconclusive", 1)
+    assert rate_rules(rep) == ["rate: inconclusive: 1 usable tail points, need >= 8"]
+
+
 def test_fit_rate_converged_at_start_is_inconclusive():
     p = scalar_problem()
     trace = run(p, SolverConfig(lam=0.5, x0=np.array([0.0])))
@@ -619,12 +698,21 @@ def test_analyze_skips_the_tail_bound_when_its_exponent_overflows():
 
 def test_growth_audit_verdicts():
     scalar = analyze(scalar_problem(), SolverConfig())
-    verdict, est, warnings = growth_audit(scalar)
-    assert (verdict, warnings) == ("pass", [])
-    assert est.gamma > 0 and est.J == (0,)
+    assert scalar.growth == ("pass", {"gamma_face": 1.0, "J": [0]})
     segment = analyze(segment_problem(), SolverConfig())
-    assert growth_audit(segment) == (
+    assert segment.growth == (
         "skipped: minimizer not certified unique: rank(A_D) = 1 of |D| = 2",
         None,
-        [],
+    )
+    assert face_growth(scalar_problem(), ()) == (
+        "skipped: esupp is empty, so the face {supp x ⊆ esupp} is {x_bar}",
+        None,
+    )
+    # the segment's parallel columns under a strictly convex penalty: the
+    # minimizer is unique, yet A_J is rank-deficient
+    pens = (PowerPenalty(2.0, 1e-4),) * 2
+    g = SeparableRegularizer((Interval(-1.0, 1.0),) * 2, pens)
+    assert face_growth(Problem(g=g, h=segment_problem().h), (0, 1)) == (
+        "skipped: no growth certificate: rank(A_J) = 1 of |J| = 2",
+        None,
     )

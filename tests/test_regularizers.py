@@ -331,7 +331,9 @@ def test_g_value_asymmetric_box():
 
 def test_uniform_default_omega_is_smaller_margin():
     g = SeparableRegularizer.uniform(3, Interval(-0.25, 4.0))
-    assert g.omega == 0.25
+    # the margin omega = min_k min(-lo_k, hi_k): every interval contains
+    # [-omega, omega]
+    assert min(-g.lower_endpoints.max(), g.upper_endpoints.min()) == 0.25
 
 
 def test_omega_is_the_smallest_margin_and_needs_a_nonzero_endpoint():
@@ -339,7 +341,7 @@ def test_omega_is_the_smallest_margin_and_needs_a_nonzero_endpoint():
         (Interval(-0.5, 2.0), Interval(-3.0, 0.25), Interval(-1.0, math.inf)),
         (ZeroPenalty(),) * 3,
     )
-    assert g.omega == 0.25
+    assert min(-g.lower_endpoints.max(), g.upper_endpoints.min()) == 0.25
     with pytest.raises(ValueError, match="lo < 0 < hi"):
         Interval(0.0, 1.0)
     with pytest.raises(ValueError, match="lo < 0 < hi"):

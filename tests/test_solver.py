@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import distances_by_row
+from oracles import distances_by_row, iterates
 
 from threshgrad.operators import LeastSquaresTerm
 from threshgrad.regularizers import Interval, PowerPenalty, SeparableRegularizer
@@ -122,7 +122,7 @@ def test_scalar_run_reproduces_geometric_recurrence():
     assert trace.n_iterations == 34
     assert np.array_equal(trace.ns, np.arange(trace.n_iterations + 1))
     # the iteration halves x each step, exactly in floating point
-    for n, x in enumerate(trace.iterates):
+    for n, x in enumerate(iterates(trace)):
         assert x[0] == 0.5 ** n
     assert trace.x_final[0] == 0.5 ** 34
     assert trace.residuals[-1] == 0.5 ** 34
@@ -275,7 +275,7 @@ def test_iterate_log_reproduces_the_dense_iterates():
     want = [x]
     for _ in range(trace.n_iterations):
         want.append(fb_step(p, lam, want[-1])[0])
-    got = list(trace.iterates)
+    got = list(iterates(trace))
     assert len(got) == len(want) == len(trace.ns)
     for g, x in zip(got, want):
         assert g.tobytes() == (x + 0.0).tobytes()  # -0.0 is logged as 0.0

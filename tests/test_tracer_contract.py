@@ -41,12 +41,14 @@ def test_every_tracer_target_resolves_in_the_package():
     [
         # a power penalty sends polish down the FB continuation
         ("lasso_power15", lambda t: t.counts["fb_fallbacks"] > 0),
-        # gamma = true certifies uniqueness without a second solve or polish
+        # the growth certificate reads one rank test: no second solve or
+        # polish, and no sampling
         (
             "ex_nocq",
             lambda t: t.calls["conditioning.verify_unique_minimizer"] == 1
             and t.calls["solver.run"] == 1
-            and t.calls["conditioning.polish"] == 1,
+            and t.calls["conditioning.polish"] == 1
+            and t.calls.get("conditioning.estimate_gamma", 0) == 0,
         ),
     ],
 )
