@@ -196,9 +196,6 @@ class GammaEstimate:
     seed: int
     f_star: float
 
-    def to_dict(self) -> dict:
-        return {**asdict(self), "J": list(self.J)}
-
 
 def estimate_gamma(
     problem: Problem,

@@ -1,8 +1,8 @@
 """Independent reference implementations that tests compare the package
 against: the interval soft-thresholder and projection in scalar form, a
 brute-force scalar minimizer (dense grid plus golden-section refinement),
-dense iterates and per-row distances from a trace's iterate log, and a
-per-point prox gallery.
+dense iterates and per-row distances from a trace's iterate log, g summed
+over one dense point, and a per-point prox gallery.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from typing import Callable
 import numpy as np
 
 from threshgrad.regularizers import (
+    CustomPenalty,
     Interval,
     PowerPenalty,
     SeparableRegularizer,
@@ -120,6 +121,24 @@ def distances_by_row(trace, reference) -> np.ndarray:
     one `np.linalg.norm` at a time: the reference for
     `IterateTrace.distances_to`."""
     return np.array([np.linalg.norm(x - reference) for x in iterates(trace)])
+
+
+def g_dense(x, g) -> float:
+    """g(x) summed over the dense point ``x`` with np.sum, in the order that
+    `g_rows` fixes: 0.0, the interval part of the positive entries, that of
+    the negative entries, then each penalty group, a custom group one
+    coordinate at a time."""
+    total = 0.0
+    pos, neg = x > 0.0, x < 0.0
+    total += float(np.sum(x[pos] * g.upper_endpoints[pos])) if pos.any() else 0.0
+    total += float(np.sum(x[neg] * g.lower_endpoints[neg])) if neg.any() else 0.0
+    for idx, pen in g._groups:
+        if isinstance(pen, PowerPenalty) and pen.weight > 0.0:
+            total += float(np.sum(pen.weight * np.abs(x[idx]) ** pen.p / pen.p))
+        elif isinstance(pen, CustomPenalty):
+            for k in idx:
+                total += float(pen.value(float(x[k])))
+    return total
 
 
 def gallery_csv_by_point(spec) -> str:

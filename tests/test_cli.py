@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from oracles import gallery_csv_by_point
+from oracles import gallery_csv_by_point, iterates
 
 from threshgrad import solver
 from threshgrad.cli import (
@@ -20,6 +20,7 @@ from threshgrad.cli import (
     parse_gallery_spec,
     run_experiment,
     _build_problem,
+    _resolve_x0,
 )
 from threshgrad.conditioning import estimate_gamma, polish
 from threshgrad.regularizers import Interval, PowerPenalty, ZeroPenalty
@@ -1030,3 +1031,27 @@ def test_main_rejects_a_zero_endpoint_at_parse_time(tmp_path, capsys):
         assert err.startswith("config error: ")
         assert f"[regularizer] {key} must be two numbers lo < 0 < hi" in err
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["lasso", "lasso_power15", "lasso_power4", "ex_cq", "ex_nocq"]
+    + [f"seed{s}" for s in range(10)],
+)
+def test_recorded_residuals_are_the_fixed_point_residuals(name):
+    if name.startswith("seed"):
+        problem, cfg = generate_synthetic(20, 50, int(name[4:])), solver.SolverConfig()
+    else:
+        c = parse_experiment_config(CONFIGS / f"{name}.ini")
+        problem, _ = _build_problem(c)
+        cfg = solver.SolverConfig(
+            lam=c.lam, max_iter=c.max_iter, x0=_resolve_x0(c, problem.n)
+        )
+    trace = solver.run(problem, cfg)
+    assert trace.residuals[-1] == solver.fixed_point_residual(
+        problem, trace.lam, trace.x_final
+    )
+    # every earlier row is ||x^i - x^{i+1}|| / lam, read off the iterate log
+    xs = list(iterates(trace))
+    want = [np.linalg.norm(a - b) / trace.lam for a, b in zip(xs, xs[1:])]
+    assert trace.residuals[:-1].tobytes() == np.array(want).tobytes()

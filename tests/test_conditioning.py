@@ -1,7 +1,7 @@
 import json
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -454,12 +454,12 @@ def test_gamma_deterministic_in_seed():
     a = estimate_gamma(p, (0,), np.zeros(1), delta=0.5, r=0.5, p=4.0, seed=7)
     b = estimate_gamma(p, (0,), np.zeros(1), delta=0.5, r=0.5, p=4.0, seed=7)
     assert a.gamma == b.gamma
-    assert a.to_dict() == b.to_dict()
+    assert asdict(a) == asdict(b)
 
 
 def test_gamma_estimate_json_form():
     est = estimate_gamma(scalar_problem(), (0,), np.zeros(1), n_samples=100)
-    d = est.to_dict()
+    d = {**asdict(est), "J": list(est.J)}
     assert set(d) == {
         "gamma", "p", "n_samples", "n_accepted", "J", "delta", "r", "seed", "f_star"
     }

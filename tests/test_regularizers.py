@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import project_interval, soft_interval
+from oracles import g_dense, project_interval, soft_interval
 
 from threshgrad.regularizers import (
     CustomPenalty,
@@ -12,6 +12,7 @@ from threshgrad.regularizers import (
     PowerPenalty,
     SeparableRegularizer,
     ZeroPenalty,
+    g_rows,
     g_value,
     prox_power_scalar,
     prox_separable,
@@ -323,6 +324,38 @@ def test_g_value_asymmetric_box():
     g = SeparableRegularizer.uniform(1, Interval(-0.5, 2.0))
     assert g_value(np.array([3.0]), g) == 6.0
     assert g_value(np.array([-3.0]), g) == 1.5
+
+
+_TINY_AT_ZERO = CustomPenalty(
+    value=lambda t: abs(t) ** 3 + 1e-13, prox=lambda t, lam: t
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300), n_rows=st.integers(0, 40))
+def test_g_rows_is_bitwise_g_of_each_dense_row(seed, n, n_rows):
+    # ragged rows over mixed penalty groups and one-sided intervals; an
+    # entry beyond an infinite endpoint makes its row's g infinite
+    rng = np.random.default_rng(seed)
+    kinds = (ZeroPenalty(), PowerPenalty(1.5), PowerPenalty(4.0, 0.3), _TINY_AT_ZERO)
+    boxes = (Interval(-1.0, 2.0), Interval(-0.5, math.inf), Interval(-math.inf, 3.0))
+    g = SeparableRegularizer(
+        tuple(boxes[k] for k in rng.choice(3, n, p=[0.8, 0.1, 0.1])),
+        tuple(kinds[k] for k in rng.integers(0, 4, n)),
+    )
+    sizes = rng.integers(0, n + 1, n_rows)
+    rows = [np.sort(rng.choice(n, size=k, replace=False)) for k in sizes]
+    values = rng.standard_normal(sizes.sum()) * 10.0 ** rng.integers(-8, 8, sizes.sum())
+    offsets = np.cumsum([0, *sizes], dtype=np.int64)
+    indices = np.concatenate([np.zeros(0, dtype=np.int32), *rows]).astype(np.int32)
+    want = []
+    for a, b in zip(offsets[:-1], offsets[1:]):
+        x = np.zeros(n)
+        x[indices[a:b]] = values[a:b]
+        want.append(g_dense(x, g))
+        assert g_value(x, g) == want[-1]
+    got = g_rows(offsets, indices, values, g)
+    assert got.tobytes() == np.array(want, dtype=float).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import distances_by_row, iterates
+from oracles import distances_by_row, g_dense, iterates
 
 from threshgrad.operators import LeastSquaresTerm
-from threshgrad.regularizers import Interval, PowerPenalty, SeparableRegularizer
+from threshgrad.regularizers import (
+    CustomPenalty,
+    Interval,
+    PowerPenalty,
+    SeparableRegularizer,
+    ZeroPenalty,
+    g_value,
+)
 from threshgrad.solver import (
     Problem,
     SolverConfig,
@@ -319,6 +326,77 @@ def test_distances_to_is_bitwise_the_row_loop_on_ragged_logs(n, sizes):
     )
     r = rng.standard_normal(n)
     assert trace.distances_to(r).tobytes() == distances_by_row(trace, r).tobytes()
+
+
+def mixed_problem(seed, m, n, penalty_of, interval=Interval(-0.05, 0.05)):
+    """A random problem with coordinate k penalized by ``penalty_of(k)``,
+    and a dense random start, so early iterates are dense."""
+    p = random_problem(seed, m, n)
+    g = SeparableRegularizer((interval,) * n, tuple(penalty_of(k) for k in range(n)))
+    x0 = np.random.default_rng(seed).standard_normal(n)
+    return Problem(g=g, h=p.h), x0
+
+
+def custom_penalty():
+    # psi(0) = 1e-13 is within the construction check, so the zero
+    # coordinates of every iterate add to g
+    return CustomPenalty(value=lambda t: 0.5 * t * t + 1e-13, prox=lambda t, lam: t / (1.0 + lam))
+
+
+LOG_OBJECTIVE_CASES = {
+    "psi0": lambda: mixed_problem(3, 8, 12, lambda k: ZeroPenalty()),
+    "power1.5": lambda: mixed_problem(4, 15, 40, lambda k: PowerPenalty(1.5)),
+    "power4": lambda: mixed_problem(5, 15, 40, lambda k: PowerPenalty(4.0)),
+    # a power group on a subset of the coordinates: the F-ordered column
+    # selection would be summed sequentially
+    "power-subset": lambda: mixed_problem(
+        6, 15, 40, lambda k: PowerPenalty(1.5) if k % 2 else ZeroPenalty()
+    ),
+    "custom": lambda: mixed_problem(
+        7, 8, 12, lambda k: custom_penalty() if k % 3 == 0 else ZeroPenalty()
+    ),
+    # 2**18 // 3000 = 87 rows per block, so the 151 rows span two blocks
+    "two-blocks": lambda: mixed_problem(
+        8, 10, 3000, lambda k: PowerPenalty(1.5) if k % 2 else ZeroPenalty()
+    ),
+}
+
+
+@pytest.mark.parametrize("name", LOG_OBJECTIVE_CASES)
+def test_objectives_from_the_log_are_bitwise_h_plus_g_of_each_iterate(name):
+    p, x0 = LOG_OBJECTIVE_CASES[name]()
+    trace = run(p, SolverConfig(max_iter=150, residual_tol=1e-9, x0=x0))
+    xs = list(iterates(trace))
+    want = np.array([p.h.value(x) + g_value(x, p.g) for x in xs])
+    assert trace.objectives.tobytes() == want.tobytes()
+    # g_value, the one-row case, is np.sum over the dense point
+    dense = np.array([p.h.value(x) + g_dense(x, p.g) for x in xs])
+    assert want.tobytes() == dense.tobytes()
+    assert trace.supp_sizes.max() > 8  # long enough to be summed pairwise
+
+
+def test_objective_from_the_log_is_infinite_outside_a_one_sided_interval():
+    h = LeastSquaresTerm([[1.0, 0.5]], np.array([1.0]), lipschitz=1.25)
+    g = SeparableRegularizer((Interval(-1.0, np.inf), Interval(-1.0, 1.0)), (ZeroPenalty(),) * 2)
+    p = Problem(g=g, h=h)
+    trace = run(p, SolverConfig(x0=np.array([1.0, 2.0])))
+    # sigma_{[-1, inf)}(1) = inf at the start; the prox then keeps the first
+    # coordinate at or below 0
+    assert trace.objectives[0] == np.inf
+    assert np.isfinite(trace.objectives[1:]).all() and len(trace.ns) > 1
+    want = np.array([p.h.value(x) + g_dense(x, g) for x in iterates(trace)])
+    assert trace.objectives.tobytes() == want.tobytes()
+
+
+def test_run_raises_on_a_non_finite_iterate():
+    # x^1 = -9e300 has a finite gradient, but the step lam * grad overflows
+    h = LeastSquaresTerm([[1.0]], np.array([0.0]), lipschitz=1e-300)
+    p = Problem(g=SeparableRegularizer.uniform(1), h=h)
+    cfg = SolverConfig(lam=1e300, x0=np.array([10.0]))
+    with np.errstate(over="ignore"), pytest.raises(
+        RuntimeError, match="non-finite iterate at iteration 1"
+    ):
+        run(p, cfg)
 
 
 def test_run_does_two_matvecs_per_step():
