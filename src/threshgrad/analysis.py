@@ -90,19 +90,20 @@ class Analysis:
 def analyze(problem: solver.Problem, solver_cfg: solver.SolverConfig) -> Analysis:
     """Solve, polish, measure the trace against the polished point, certify
     growth on esupp and apply the trace, support and rate rules, each step
-    once; under one power penalty of order p > 2 the rate also carries the
-    tail bound.  A step size or starting point the problem rejects raises
-    ValueError first."""
+    once; under one power penalty of positive weight and order p > 2 on
+    every coordinate the rate also carries the tail bound.  A step size or
+    starting point the problem rejects raises ValueError first."""
     trace = solver.run(problem, solver_cfg)
     x_bar = conditioning.polish(problem, trace.x_final)
     f_star = problem.objective(x_bar)
     dists = trace.distances_to(x_bar)
     report = support.build_support_report(problem, trace, x_bar)
     rate = conditioning.fit_rate(trace, f_star)
-    (_, pen), *others = problem.g._groups
-    if not others and isinstance(pen, PowerPenalty) and pen.p > 2.0:
+    # a penalty group on all n coordinates is the only one
+    whole = [pen for idx, pen in problem.g._groups if len(idx) == problem.n]
+    if whole and isinstance(whole[0], PowerPenalty) and whole[0].p > 2.0:
         try:
-            bound = conditioning.sublinear_bound_check(trace, f_star, pen.p)
+            bound = conditioning.sublinear_bound_check(trace, f_star, whole[0].p)
             rate = replace(rate, tail_bound=bound)
         except ValueError as exc:
             rate = replace(rate, tail_skipped=f"tail bound check skipped: {exc}")

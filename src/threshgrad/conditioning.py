@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .regularizers import CustomPenalty, PowerPenalty
+from .regularizers import PowerPenalty
 from .solver import (
     IterateTrace,
     Problem,
@@ -142,14 +142,11 @@ def verify_unique_minimizer(problem: Problem, esupp) -> tuple[bool, str, np.ndar
     Returns (unique, reason, sigma): the reason states the rank and |D|,
     and sigma holds the singular values of A_D (empty when D is).
     """
-    pens = problem.g.penalties
-    if any(isinstance(pen, CustomPenalty) for pen in pens):
+    groups = problem.g._groups
+    if not all(isinstance(pen, PowerPenalty) for _, pen in groups):
         return False, "a custom penalty leaves uniqueness unchecked", np.empty(0)
-    D = [
-        k
-        for k in esupp
-        if not (isinstance(pens[k], PowerPenalty) and pens[k].weight > 0.0)
-    ]
+    convex = {int(k) for idx, _ in groups for k in idx}
+    D = [k for k in esupp if k not in convex]
     rank, sigma = _column_rank(problem.h.op[:, D]) if D else (0, np.empty(0))
     return rank == len(D), f"rank(A_D) = {rank} of |D| = {len(D)}", sigma
 

@@ -32,6 +32,7 @@ __all__ = [
     "prox_separable",
     "g_rows",
     "g_value",
+    "log_blocks",
 ]
 
 # absolute tolerance of the scalar prox solves
@@ -114,19 +115,12 @@ class CustomPenalty:
 ScalarPenalty = Union[ZeroPenalty, PowerPenalty, CustomPenalty]
 
 
-def _penalty_group_key(pen: ScalarPenalty):
-    if isinstance(pen, PowerPenalty):
-        if pen.weight == 0.0:
-            return ("zero",)
-        return ("power", pen.p, pen.weight)
-    if isinstance(pen, ZeroPenalty):
-        return ("zero",)
-    return ("custom", id(pen))
-
-
 @dataclass(frozen=True, eq=False)
 class SeparableRegularizer:
-    """Per-coordinate (interval, penalty) pairs."""
+    """Per-coordinate (interval, penalty) pairs.  ``_groups`` holds one
+    (coordinates, penalty) pair per nonzero penalty in order of first use,
+    power penalties grouped by value and custom ones by identity; psi_k = 0
+    (`ZeroPenalty()` or weight 0) exactly when k is in no group."""
 
     intervals: tuple[Interval, ...]
     penalties: tuple[ScalarPenalty, ...]
@@ -146,7 +140,11 @@ class SeparableRegularizer:
         object.__setattr__(self, "upper_endpoints", his)
         groups: dict = {}
         for k, pen in enumerate(self.penalties):
-            groups.setdefault(_penalty_group_key(pen), []).append(k)
+            if isinstance(pen, PowerPenalty):
+                if pen.weight > 0.0:
+                    groups.setdefault(pen, []).append(k)
+            elif not isinstance(pen, ZeroPenalty):
+                groups.setdefault(id(pen), []).append(k)
         object.__setattr__(
             self,
             "_groups",
@@ -162,9 +160,7 @@ class SeparableRegularizer:
 
     @property
     def all_zero_psi(self) -> bool:
-        return all(
-            _penalty_group_key(p) == ("zero",) for p in self.penalties
-        )
+        return not self._groups
 
     @classmethod
     def uniform(
@@ -342,20 +338,19 @@ def prox_separable(x: np.ndarray, lam: float, g: SeparableRegularizer) -> np.nda
         raise ValueError(f"expected shape ({g.n},), got {x.shape}")
     if not lam > 0.0:
         raise ValueError(f"lam must be positive, got {lam}")
-    llo = lam * g.lower_endpoints
-    lhi = lam * g.upper_endpoints
-    # u is the result on zero-penalty coordinates; the penalty groups are
-    # disjoint, so each overwrites its own coordinates of u in place
-    u = np.where(x < llo, x - llo, np.where(x > lhi, x - lhi, 0.0))
+    # x minus its clamp to lam*I_k (NaN for an infinite x_k at an infinite
+    # endpoint); the disjoint penalty groups then overwrite theirs in place
+    llo, lhi = lam * g.lower_endpoints, lam * g.upper_endpoints
+    u = x - np.minimum(np.maximum(x, llo), lhi)
     for idx, pen in g._groups:
-        if isinstance(pen, PowerPenalty) and pen.weight > 0.0:
+        if isinstance(pen, PowerPenalty):
             try:
                 u[idx] = _prox_power_vec(u[idx], lam * pen.weight, pen.p)
             except RuntimeError as e:
                 raise RuntimeError(
                     f"prox failed on coordinates {idx.tolist()}: {e}"
                 ) from e
-        elif isinstance(pen, CustomPenalty):
+        else:
             for k in idx:
                 u[k] = pen.prox(float(u[k]), lam)
     return u
@@ -385,6 +380,27 @@ def _row_sums(terms: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return out
 
 
+def log_blocks(offsets, indices, values, n: int, dense: bool = True):
+    """A CSR-style log, whose row i holds ``values[offsets[i]:offsets[i+1]]``
+    at the ascending coordinates ``indices[offsets[i]:offsets[i+1]]`` and
+    zeros elsewhere, in runs of rows of about 2**18 dense entries: yields
+    (span, rows, cols, v, block) for the rows ``span``, their entries' row
+    within the run, coordinate and value, and the dense rows (None unless
+    ``dense``), so that temporaries do not grow with the log."""
+    sizes = np.diff(offsets)
+    step = max(1, 2**18 // n)
+    for i in range(0, len(sizes), step):
+        k = min(step, len(sizes) - i)
+        a, b = offsets[i], offsets[i + k]
+        rows = np.repeat(np.arange(k), sizes[i : i + k])
+        cols, v = indices[a:b], values[a:b]
+        block = None
+        if dense:
+            block = np.zeros((k, n))
+            block[rows, cols] = v
+        yield slice(i, i + k), rows, cols, v, block
+
+
 def g_rows(
     offsets: np.ndarray,
     indices: np.ndarray,
@@ -392,36 +408,26 @@ def g_rows(
     g: SeparableRegularizer,
 ) -> np.ndarray:
     """g(x) = sum_k sigma_{I_k}(x_k) + psi_k(x_k) of every row x of a
-    CSR-style log: row i holds ``values[offsets[i]:offsets[i+1]]`` at the
-    ascending coordinates ``indices[offsets[i]:offsets[i+1]]`` and zeros
-    elsewhere.  +inf propagates.
+    CSR-style log (see `log_blocks`).  +inf propagates.
 
     Each row's value is summed in one fixed order: 0.0, the interval part
     of the positive entries, that of the negative entries, then each
     penalty group in turn; a group of custom penalties adds its values one
     coordinate at a time.  The interval part reads only the nonzeros, the
-    penalty groups a dense block of rows of about 2**18 entries, so the
-    temporaries do not grow with the log.
+    penalty groups the dense rows, built only when there is a group.
     """
     n = g.n
-    sizes = np.diff(offsets)
-    groups = [(idx, pen) for idx, pen in g._groups if _penalty_group_key(pen) != ("zero",)]
-    out = np.empty(len(sizes))
-    step = max(1, 2**18 // n)
-    for i in range(0, len(sizes), step):
-        k = min(step, len(sizes) - i)
-        a, b = offsets[i], offsets[i + k]
-        cols, v = indices[a:b], values[a:b]
-        rows = np.repeat(np.arange(k), sizes[i : i + k])
+    out = np.empty(len(offsets) - 1)
+    for span, rows, cols, v, block in log_blocks(
+        offsets, indices, values, n, dense=bool(g._groups)
+    ):
+        k = span.stop - span.start
         total = np.zeros(k)
         # sigma part via masks so 0 * inf never arises
         for side, ends in ((v > 0.0, g.upper_endpoints), (v < 0.0, g.lower_endpoints)):
             terms = v[side] * ends[cols[side]]
             total += _row_sums(terms, np.bincount(rows[side], minlength=k))
-        if groups:
-            block = np.zeros((k, n))
-            block[rows, cols] = v
-        for idx, pen in groups:
+        for idx, pen in g._groups:
             if isinstance(pen, PowerPenalty):
                 # a column selection comes out F-ordered; its rows must be
                 # contiguous to be summed pairwise
@@ -433,7 +439,7 @@ def g_rows(
                     for t in block[r, idx].tolist():
                         acc += float(pen.value(t))
                     total[r] = acc
-        out[i : i + k] = total
+        out[span] = total
     return out
 
 

@@ -27,6 +27,7 @@ import numpy as np
 
 from .operators import LeastSquaresTerm
 from .regularizers import SeparableRegularizer, g_rows, g_value, prox_separable
+from .regularizers import log_blocks
 
 __all__ = [
     "Problem",
@@ -146,23 +147,18 @@ class IterateTrace:
         return np.diff(self.offsets)
 
     def distances_to(self, reference: np.ndarray) -> np.ndarray:
-        """||x - reference|| for every recorded iterate x, over dense blocks
-        of about 2**18 entries.  numpy hands each row's 1 x n @ n x 1 product
+        """||x - reference|| for every recorded iterate x, over the dense
+        blocks of `log_blocks`.  numpy hands each row's 1 x n @ n x 1 product
         to the BLAS dot of `np.linalg.norm`, so each is bitwise that norm."""
         reference = np.asarray(reference, dtype=float)
         if reference.shape != self.x0.shape:
             raise ValueError("reference shape mismatch")
-        n, sizes = len(reference), self.supp_sizes
-        step = max(1, 2**18 // n)
-        dists = np.empty(len(sizes))
-        for i in range(0, len(sizes), step):
-            k = min(step, len(sizes) - i)
-            a, b = self.offsets[i], self.offsets[i + k]
-            block = np.zeros((k, n))
-            rows = np.repeat(np.arange(k), sizes[i : i + k])
-            block[rows, self.indices[a:b]] = self.values[a:b]
+        dists = np.empty(len(self.offsets) - 1)
+        for span, _, _, _, block in log_blocks(
+            self.offsets, self.indices, self.values, len(reference)
+        ):
             block -= reference
-            dists[i : i + k] = np.sqrt((block[:, None, :] @ block[:, :, None]).ravel())
+            dists[span] = np.sqrt((block[:, None, :] @ block[:, :, None]).ravel())
         return dists
 
 

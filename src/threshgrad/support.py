@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .regularizers import SeparableRegularizer, PowerPenalty, ZeroPenalty
+from .regularizers import SeparableRegularizer, PowerPenalty
 from .solver import IterateTrace, Problem
 
 __all__ = [
@@ -175,9 +175,8 @@ def build_support_report(
     bound = identification_bound(rho_sol, trace.lam, dist0)
     violations, ident_iter = identification_audit(trace, esupp)
     attested = all(
-        isinstance(pen, (ZeroPenalty, PowerPenalty))
-        or getattr(pen, "differentiable", False)
-        for pen in g.penalties
+        isinstance(pen, PowerPenalty) or getattr(pen, "differentiable", False)
+        for _, pen in g._groups
     )
     qual = supp == esupp if attested else None
     active = _indices(mask) if g.all_zero_psi else None

@@ -1,5 +1,6 @@
 """Independent reference implementations that tests compare the package
-against: the interval soft-thresholder and projection in scalar form, a
+against: the interval soft-thresholder and projection in scalar form,
+the per-coordinate soft-thresholder in nested-branch form, a
 brute-force scalar minimizer (dense grid plus golden-section refinement),
 dense iterates and per-row distances from a trace's iterate log, g summed
 over one dense point, and a per-point prox gallery.
@@ -40,6 +41,14 @@ def soft_interval(t, interval: Interval):
     if t > hi:
         return t - hi
     return 0.0
+
+
+def soft_where(x: np.ndarray, lam: float, g: SeparableRegularizer) -> np.ndarray:
+    """The soft-thresholder of lam*I_k on every coordinate as nested
+    `np.where` branches: x - lam*lo below, x - lam*hi above, 0.0 between.
+    The reference for the clamp form in `prox_separable` under psi = 0."""
+    llo, lhi = lam * g.lower_endpoints, lam * g.upper_endpoints
+    return np.where(x < llo, x - llo, np.where(x > lhi, x - lhi, 0.0))
 
 
 def project_interval(t, interval: Interval):

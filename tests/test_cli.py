@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from oracles import gallery_csv_by_point, iterates
 
-from threshgrad import solver
+from threshgrad import cli, solver
 from threshgrad.cli import (
     ConfigError,
     ExperimentConfig,
@@ -23,7 +23,12 @@ from threshgrad.cli import (
     _resolve_x0,
 )
 from threshgrad.conditioning import estimate_gamma, polish
-from threshgrad.regularizers import Interval, PowerPenalty, ZeroPenalty
+from threshgrad.regularizers import (
+    Interval,
+    PowerPenalty,
+    SeparableRegularizer,
+    ZeroPenalty,
+)
 
 
 def write_config(tmp_path, text, name="exp.ini"):
@@ -369,7 +374,7 @@ def test_run_names_why_the_tail_bound_is_skipped(tmp_path):
     "penalty, exponent",
     [
         (PowerPenalty(4.0), 2.0),
-        (PowerPenalty(3.0, 0.0), 3.0),  # weight 0 still names the order
+        (PowerPenalty(3.0, 0.0), None),  # weight 0 is psi = 0: no order
         (PowerPenalty(2.0), None),
         (ZeroPenalty(), None),
     ],
@@ -391,6 +396,35 @@ def test_run_writes_the_tail_bound_for_power_penalties_above_two(
         assert bound["exponent"] == exponent
         assert bound["constant"] > 0.0
         assert math.isfinite(bound["trend_slope"])
+
+
+@pytest.mark.parametrize("spelling", ["weightless", "zero-first", "weightless-first"])
+def test_every_spelling_of_zero_psi_writes_the_same_artifacts(
+    tmp_path, monkeypatch, spelling
+):
+    # the lasso instance: psi = 0 as ZeroPenalty(), as weight 0, or as an
+    # alternation of the two starting with either
+    zero, weightless = ZeroPenalty(), PowerPenalty(4.0, 0.0)
+
+    def artifacts(penalty, outdir):
+        cfg = ExperimentConfig(
+            source="synthetic", m=20, n=50, seed=7, penalty=penalty, outdir=str(outdir)
+        )
+        assert run_experiment(cfg)[0] == 0
+        names = ("run_trace.csv", "run_support.json", "run_rate.json")
+        return [(outdir / name).read_bytes() for name in names]
+
+    want = artifacts(zero, tmp_path / "none")
+    if spelling != "weightless":
+        pair = (zero, weightless) if spelling == "zero-first" else (weightless, zero)
+        build = cli._build_regularizer
+
+        def alternating(cfg, n):
+            g = build(cfg, n)
+            return SeparableRegularizer(g.intervals, tuple(pair[k % 2] for k in range(n)))
+
+        monkeypatch.setattr(cli, "_build_regularizer", alternating)
+    assert artifacts(weightless, tmp_path / spelling) == want
 
 
 def test_run_certifies_gamma_on_an_unbounded_interval(tmp_path):

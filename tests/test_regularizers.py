@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import g_dense, project_interval, soft_interval
+from oracles import g_dense, project_interval, soft_interval, soft_where
 
+from threshgrad import regularizers
 from threshgrad.regularizers import (
     CustomPenalty,
     Interval,
@@ -14,6 +15,7 @@ from threshgrad.regularizers import (
     ZeroPenalty,
     g_rows,
     g_value,
+    log_blocks,
     prox_power_scalar,
     prox_separable,
 )
@@ -296,6 +298,63 @@ def test_prox_firmly_nonexpansive_without_penalty():
     assert np.all(lhs <= rhs + 1e-12)
 
 
+@st.composite
+def zero_psi_prox_inputs(draw):
+    """A psi = 0 regularizer with one-sided and two-sided intervals, a step
+    lam, and an input x whose entries are finite up to 1e300 in magnitude,
+    +-0.0, or exactly +-lam times an endpoint.  lam times every finite
+    endpoint stays a normal float, so the scaled interval keeps 0 inside."""
+    n = draw(st.integers(1, 8))
+    ends = st.floats(1e-150, 1e150)
+    intervals = []
+    for _ in range(n):
+        lo, hi = -draw(ends), draw(ends)
+        side = draw(st.sampled_from(["none", "lo", "hi"]))
+        intervals.append(
+            Interval(-math.inf if side == "lo" else lo, math.inf if side == "hi" else hi)
+        )
+    zero = st.sampled_from([ZeroPenalty(), PowerPenalty(4.0, 0.0)])
+    g = SeparableRegularizer(tuple(intervals), tuple(draw(zero) for _ in range(n)))
+    lam = draw(st.floats(1e-150, 1e150))
+    x = []
+    for iv in intervals:
+        finite_ends = [e for e in (iv.lo, iv.hi) if math.isfinite(e)]
+        x.append(
+            draw(
+                st.one_of(
+                    st.floats(-1e300, 1e300),
+                    st.sampled_from([0.0, -0.0]),
+                    st.sampled_from(finite_ends).map(lambda e: lam * e),
+                    st.sampled_from(finite_ends).map(lambda e: -(lam * e)),
+                )
+            )
+        )
+    return g, lam, np.array(x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=zero_psi_prox_inputs())
+def test_prox_separable_clamp_is_bitwise_the_nested_where(case):
+    g, lam, x = case
+    assert g.all_zero_psi
+    assert prox_separable(x, lam, g).tobytes() == soft_where(x, lam, g).tobytes()
+
+
+def test_prox_separable_infinite_entry_against_its_infinite_endpoint_is_nan():
+    # x - clamp(x) is inf - inf there; the branch form mapped it to 0.0
+    g = SeparableRegularizer(
+        (Interval(-1.0, math.inf), Interval(-math.inf, 2.0), SYM, SYM),
+        (ZeroPenalty(),) * 4,
+    )
+    x = np.array([math.inf, -math.inf, math.inf, -math.inf])
+    with np.errstate(invalid="ignore"):
+        out = prox_separable(x, 0.5, g)
+        want = soft_where(x, 0.5, g)
+    assert np.isnan(out[:2]).all()
+    assert out[2:].tolist() == [math.inf, -math.inf]
+    assert want.tolist() == [0.0, 0.0, math.inf, -math.inf]
+
+
 # ---------------------------------------------------------------------------
 # values and dual box
 
@@ -358,6 +417,22 @@ def test_g_rows_is_bitwise_g_of_each_dense_row(seed, n, n_rows):
     assert got.tobytes() == np.array(want, dtype=float).tobytes()
 
 
+def test_g_rows_builds_dense_rows_only_for_a_penalty_group(monkeypatch):
+    built = []
+
+    def spy(*args, **kwargs):
+        for item in log_blocks(*args, **kwargs):
+            built.append(item[-1] is not None)
+            yield item
+
+    monkeypatch.setattr(regularizers, "log_blocks", spy)
+    offsets, indices = np.array([0, 1, 1]), np.array([2], dtype=np.int32)
+    for pen, dense in ((PowerPenalty(4.0, 0.0), False), (PowerPenalty(4.0), True)):
+        built.clear()
+        g_rows(offsets, indices, np.array([3.0]), SeparableRegularizer.uniform(3, penalty=pen))
+        assert built == [dense]
+
+
 # ---------------------------------------------------------------------------
 # construction rules
 
@@ -389,10 +464,23 @@ def test_regularizer_rejects_length_mismatch():
 
 
 def test_all_zero_psi_includes_weightless_power():
-    g = SeparableRegularizer.uniform(2, penalty=PowerPenalty(3.0, 0.0))
-    assert g.all_zero_psi
+    # psi = 0 in either spelling, alone or mixed in either order, is a
+    # coordinate in no penalty group
+    zero, weightless = ZeroPenalty(), PowerPenalty(4.0, 0.0)
+    for pens in ((zero,) * 2, (weightless,) * 2, (zero, weightless), (weightless, zero)):
+        g = SeparableRegularizer((SYM, SYM), pens)
+        assert g._groups == () and g.all_zero_psi
     g2 = SeparableRegularizer.uniform(2, penalty=PowerPenalty(3.0, 0.5))
     assert not g2.all_zero_psi
+    # power groups are keyed by value, custom ones by identity
+    g3 = SeparableRegularizer(
+        (SYM,) * 5,
+        (PowerPenalty(4, 1), _TINY_AT_ZERO, zero, PowerPenalty(4.0, 1.0), weightless),
+    )
+    assert [(idx.tolist(), pen) for idx, pen in g3._groups] == [
+        ([0, 3], PowerPenalty(4.0, 1.0)),
+        ([1], _TINY_AT_ZERO),
+    ]
 
 
 def test_power_penalty_validation():

@@ -388,12 +388,17 @@ def test_objective_from_the_log_is_infinite_outside_a_one_sided_interval():
     assert trace.objectives.tobytes() == want.tobytes()
 
 
-def test_run_raises_on_a_non_finite_iterate():
+@pytest.mark.parametrize(
+    "interval", [Interval(-1.0, 1.0), Interval(-1.0, np.inf)], ids=["bounded", "one-sided"]
+)
+def test_run_raises_on_a_non_finite_iterate(interval):
     # x^1 = -9e300 has a finite gradient, but the step lam * grad overflows
+    # to +inf; against the infinite endpoint of [-1, inf) the thresholder
+    # gives inf - inf = NaN, not a silent 0
     h = LeastSquaresTerm([[1.0]], np.array([0.0]), lipschitz=1e-300)
-    p = Problem(g=SeparableRegularizer.uniform(1), h=h)
+    p = Problem(g=SeparableRegularizer.uniform(1, interval), h=h)
     cfg = SolverConfig(lam=1e300, x0=np.array([10.0]))
-    with np.errstate(over="ignore"), pytest.raises(
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
         RuntimeError, match="non-finite iterate at iteration 1"
     ):
         run(p, cfg)
