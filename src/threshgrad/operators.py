@@ -55,13 +55,16 @@ class LeastSquaresTerm:
 
     def value(self, x: np.ndarray) -> float:
         r = self.op @ x - self.y
-        return 0.5 * float(r @ r)
+        return 0.5 * float(r.dot(r))
 
     def gradient(self, x: np.ndarray) -> tuple[np.ndarray, float]:
         """The pair (A^T r, h(x)) with r = Ax - y: h(x) is read off the
         same r, so the value costs no matvec beyond the gradient's two."""
-        r = self.op @ x - self.y
-        return self.op.T @ r, 0.5 * float(r @ r)
+        op = self.op
+        r = op @ x
+        r -= self.y
+        # r.dot(r) is r @ r without the matmul dispatch: the same BLAS dot
+        return op.T @ r, 0.5 * float(r.dot(r))
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ import numpy as np
 
 from .operators import LeastSquaresTerm
 from .regularizers import SeparableRegularizer, g_rows, g_value, prox_separable
-from .regularizers import log_blocks
+from .regularizers import log_block_rows, log_blocks
 
 __all__ = [
     "Problem",
@@ -107,8 +107,13 @@ class SolverConfig:
             raise ValueError(f"x0 must have shape ({problem.n},), got {x0.shape}")
         if not np.all(np.isfinite(x0)):
             raise ValueError("x0 must be finite")
-        if self.max_iter < 0 or self.residual_tol < 0:
-            raise ValueError("invalid solver budget")
+        if self.max_iter < 0:
+            raise ValueError(f"max_iter must be >= 0, got {self.max_iter}")
+        # a NaN tolerance would never stop the run
+        if not 0.0 <= self.residual_tol < math.inf:
+            raise ValueError(
+                f"residual_tol must be finite and >= 0, got {self.residual_tol}"
+            )
         return lam, x0
 
 
@@ -170,15 +175,32 @@ def _nonincreasing(values, slack: float) -> bool:
 def fb_step(problem: Problem, lam: float, x: np.ndarray) -> tuple[np.ndarray, float]:
     """One forward-backward step: the pair (prox_{lam*g}(x - lam*grad_h(x)),
     h(x)), both from one gradient call."""
-    grad, hx = problem.h.gradient(x)
-    if not np.isfinite(grad).all():
+    v, hx = problem.h.gradient(x)
+    # np.isfinite(v).all(), without the Python-level wrapper of .all()
+    if np.count_nonzero(np.isfinite(v)) != v.size:
         raise RuntimeError("non-finite gradient; check problem data")
-    return prox_separable(x - lam * grad, lam, problem.g), hx
+    # the forward point in the gradient's buffer: -(lam*grad) + x is
+    # bitwise x - lam*grad, signed zeros included
+    v *= -lam
+    v += x
+    return prox_separable(v, lam, problem.g), hx
 
 
 def fixed_point_residual(problem: Problem, lam: float, x: np.ndarray) -> float:
     """||x - fb_step(x)|| / lam; vanishes exactly at minimizers."""
     return float(np.linalg.norm(x - fb_step(problem, lam, x)[0])) / lam
+
+
+def _block_log(block: np.ndarray) -> tuple:
+    """(sizes, indices, values) of the rows of a dense block of iterates:
+    row by row, bitwise each row's np.flatnonzero and its values there
+    (-0.0 counts as zero)."""
+    rows, cols = np.nonzero(block)
+    return (
+        np.bincount(rows, minlength=len(block)),
+        cols.astype(np.int32),
+        block[rows, cols],
+    )
 
 
 def run(problem: Problem, config: SolverConfig) -> IterateTrace:
@@ -187,48 +209,60 @@ def run(problem: Problem, config: SolverConfig) -> IterateTrace:
 
     Returns the first iterate whose own residual is below tolerance, so the
     residual reported for the final point is genuinely its fixed-point
-    residual.  Every iterate is recorded in the trace's log; its objective
-    is the h(x) that `fb_step` returns plus g(x), which `g_rows` reads off
-    the log after the loop, and `IterateTrace.distances_to` measures it
-    against a point afterwards.
+    residual.  Every iterate is recorded in the trace's log, by way of a
+    dense block of `log_block_rows` rows that is read off with one
+    np.nonzero when full; its objective is the h(x) that `fb_step` returns
+    plus g(x), which `g_rows` reads off the log after the loop, and
+    `IterateTrace.distances_to` measures it against a point afterwards.
     """
     lam, x = config.resolve(problem)
     x0 = x.copy()
+    tol, max_iter = config.residual_tol, config.max_iter
     t0 = time.perf_counter()
     h_values: list = []
     residuals: list = []
-    nonzeros: list = []
-    values: list = []
+    logged: list = []
+    block = np.empty((log_block_rows(problem.n), problem.n))
+    rows = len(block)
+    d = np.empty(problem.n)
 
     converged = False
-    n = 0
+    n = i = 0
+    # bound once: the loop body is a handful of small-array calls
+    subtract, dot, sqrt, isfinite = np.subtract, d.dot, math.sqrt, math.isfinite
+    add_h, add_res = h_values.append, residuals.append
     while True:
         x_next, hx = fb_step(problem, lam, x)
-        d = x - x_next
+        subtract(x, x_next, out=d)
         # bitwise np.linalg.norm(d) / lam; x is finite, so a finite res
         # means a finite x_next
-        res = math.sqrt(d @ d) / lam
-        if not math.isfinite(res) and not np.isfinite(x_next).all():
+        res = sqrt(dot(d)) / lam
+        if not isfinite(res) and not np.isfinite(x_next).all():
             raise RuntimeError(f"non-finite iterate at iteration {n}")
-        h_values.append(hx)
-        residuals.append(res)
-        nz = np.flatnonzero(x)
-        nonzeros.append(nz)
-        values.append(x[nz])
-        if res <= config.residual_tol:
+        add_h(hx)
+        add_res(res)
+        block[i] = x
+        i += 1
+        if i == rows:
+            logged.append(_block_log(block))
+            i = 0
+        if res <= tol:
             converged = True
             break
-        if n >= config.max_iter:
+        if n >= max_iter:
             break
         x = x_next
         n += 1
 
-    offsets = np.cumsum([0] + [len(nz) for nz in nonzeros], dtype=np.int64)
-    indices = np.concatenate(nonzeros, dtype=np.int32)
-    # free the per-row arrays once the log holds them, so that a long run
-    # never holds both copies of the log with the g_rows temporaries
-    del nonzeros
-    values = np.concatenate(values)
+    if i:
+        logged.append(_block_log(block[:i]))
+    # free the block and the per-block arrays once the log holds them, so
+    # that a long run never holds both with the g_rows temporaries
+    del block
+    sizes, indices, values = (np.concatenate(parts) for parts in zip(*logged))
+    del logged
+    offsets = np.zeros(n + 2, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
     return IterateTrace(
         ns=np.arange(n + 1, dtype=np.int64),
         objectives=np.array(h_values, dtype=float)

@@ -57,13 +57,13 @@ def support(x: np.ndarray) -> tuple:
 
 
 def _boundary_mask(u: np.ndarray, g: SeparableRegularizer) -> np.ndarray:
-    """Coordinates where u lies within 1e-8 * max(1, |endpoint|) of a finite
+    """Coordinates where u lies within 1e-8 * |endpoint| of a finite
     endpoint of its interval.  Solutions are only known to solver
-    precision, so the test scales with the endpoint magnitude."""
+    precision, so the test scales with the endpoint, and with no floor:
+    rescaling (A, y, I) to (cA, cy, c^2 I) leaves the mask as it is."""
     near = np.zeros(len(u), dtype=bool)
     for ends in (g.lower_endpoints, g.upper_endpoints):
-        tol = 1e-8 * np.maximum(1.0, np.abs(ends))
-        near |= np.isfinite(ends) & (np.abs(u - ends) <= tol)
+        near |= np.isfinite(ends) & (np.abs(u - ends) <= 1e-8 * np.abs(ends))
     return near
 
 

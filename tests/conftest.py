@@ -1,4 +1,5 @@
-"""Shared fixtures and the acceptance-criteria reporter.
+"""Shared fixtures, the Hypothesis profiles and the acceptance-criteria
+reporter.
 
 Acceptance tests register a verdict per criterion; a terminal-summary hook
 prints one PASS/FAIL line each, so the gate is readable at the end of the
@@ -10,9 +11,15 @@ import time
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import settings
 
 from threshgrad.analysis import analyze, generate_synthetic
 from threshgrad.solver import SolverConfig
+
+# `pytest --hypothesis-profile=ci` draws ten times the default number of
+# examples for every property that does not fix its own count, in the same
+# order on every run
+settings.register_profile("ci", max_examples=1000, derandomize=True)
 
 _ACCEPTANCE: dict = {}
 _EXPECTED: set = set()

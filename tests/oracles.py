@@ -1,6 +1,7 @@
 """Independent reference implementations that tests compare the package
 against: the interval soft-thresholder and projection in scalar form,
-the per-coordinate soft-thresholder in nested-branch form, a
+the per-coordinate soft-thresholder in nested-branch form, the
+forward-backward step formed out of place, a
 brute-force scalar minimizer (dense grid plus golden-section refinement),
 dense iterates and per-row distances from a trace's iterate log, g summed
 over one dense point, and a per-point prox gallery.
@@ -19,6 +20,7 @@ from threshgrad.regularizers import (
     PowerPenalty,
     SeparableRegularizer,
     ZeroPenalty,
+    _prox_power_vec,
     prox_power_scalar,
     prox_separable,
 )
@@ -49,6 +51,26 @@ def soft_where(x: np.ndarray, lam: float, g: SeparableRegularizer) -> np.ndarray
     The reference for the clamp form in `prox_separable` under psi = 0."""
     llo, lhi = lam * g.lower_endpoints, lam * g.upper_endpoints
     return np.where(x < llo, x - llo, np.where(x > lhi, x - lhi, 0.0))
+
+
+def fb_step_reference(problem, lam: float, x: np.ndarray) -> tuple:
+    """The pair (prox_{lam*g}(x - lam*grad_h(x)), h(x)) with every
+    temporary formed afresh: r = Ax - y, x - lam*A^T r, its clamp to
+    lam*I_k from newly formed lam*endpoints, then each penalty group's
+    prox.  The reference for `solver.fb_step`."""
+    a, g = problem.h.op, problem.g
+    r = a @ x - problem.h.y
+    v = x - lam * (a.T @ r)
+    u = v - np.minimum(
+        np.maximum(v, lam * g.lower_endpoints), lam * g.upper_endpoints
+    )
+    for idx, pen in g._groups:
+        if isinstance(pen, PowerPenalty):
+            u[idx] = _prox_power_vec(u[idx], lam * pen.weight, pen.p)
+        else:
+            for k in idx:
+                u[k] = pen.prox(float(u[k]), lam)
+    return u, 0.5 * float(r @ r)
 
 
 def project_interval(t, interval: Interval):

@@ -1,8 +1,11 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import distances_by_row, g_dense, iterates
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import distances_by_row, fb_step_reference, g_dense, iterates
 
 from threshgrad.operators import LeastSquaresTerm
 from threshgrad.regularizers import (
@@ -12,6 +15,7 @@ from threshgrad.regularizers import (
     SeparableRegularizer,
     ZeroPenalty,
     g_value,
+    prox_separable,
 )
 from threshgrad.solver import (
     Problem,
@@ -77,6 +81,12 @@ def test_default_step_is_inverse_lipschitz():
     assert lam == 0.25
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-10])
+def test_residual_tol_must_be_finite_and_nonnegative(tol):
+    with pytest.raises(ValueError, match="residual_tol"):
+        SolverConfig(residual_tol=tol).resolve(scalar_problem())
+
+
 def test_x0_validation():
     p = scalar_problem()
     with pytest.raises(ValueError):
@@ -113,8 +123,97 @@ def test_fb_step_raises_on_nonfinite_gradient():
     # the term rejects non-finite data, but finite data can still overflow
     h = LeastSquaresTerm([[1e300]], [0.0], lipschitz=1.0)
     p = Problem(g=SeparableRegularizer.uniform(1), h=h)
-    with np.errstate(over="ignore"), pytest.raises(RuntimeError):
+    with np.errstate(over="ignore"), pytest.raises(
+        RuntimeError, match="non-finite gradient"
+    ):
         fb_step(p, 0.5, np.array([1.0]))
+
+
+def test_fb_step_raises_on_a_nan_gradient():
+    # Ax - y = 1e308 + 1e308 overflows to r = [inf, inf], so the second
+    # entry of A^T r is inf - inf = NaN (the first is inf)
+    h = LeastSquaresTerm([[1.0, 1.0], [1.0, -1.0]], [-1e308, -1e308], lipschitz=1.0)
+    p = Problem(g=SeparableRegularizer.uniform(2), h=h)
+    x = np.array([1e308, 0.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        grad, _ = h.gradient(x)
+        assert np.isnan(grad[1])
+        with pytest.raises(RuntimeError, match="non-finite gradient"):
+            fb_step(p, 0.5, x)
+
+
+def test_fb_step_checks_the_gradient_before_the_prox():
+    # this prox maps the infinite forward point to 0.0, so a check on the
+    # step's output would pass: only the check on the gradient catches it
+    seen = []
+
+    def prox(t, lam):
+        seen.append(t)
+        return t / (1.0 + lam) if math.isfinite(t) else 0.0
+
+    pen = CustomPenalty(value=lambda t: 0.5 * t * t, prox=prox)
+    h = LeastSquaresTerm([[1e300]], [0.0], lipschitz=1.0)
+    p = Problem(g=SeparableRegularizer.uniform(1, penalty=pen), h=h)
+    with np.errstate(over="ignore"), pytest.raises(
+        RuntimeError, match="non-finite gradient"
+    ):
+        fb_step(p, 0.5, np.array([1.0]))
+    assert seen == []
+    with np.errstate(over="ignore"):
+        v = 1.0 - 0.5 * h.gradient(np.array([1.0]))[0]
+    assert v.tolist() == [-math.inf]
+    assert prox_separable(v, 0.5, p.g).tolist() == [0.0]
+
+
+_ENTRY = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-10.0, 10.0))
+_CUSTOM = CustomPenalty(value=lambda t: 0.5 * t * t, prox=lambda t, lam: t / (1.0 + lam))
+_PENALTIES = [
+    ZeroPenalty(),
+    PowerPenalty(1.5),
+    PowerPenalty(4.0, 0.5),
+    PowerPenalty(4.0 / 3.0),
+    PowerPenalty(2.7, 2.0),
+    PowerPenalty(3.0, 0.0),
+    _CUSTOM,
+]
+
+
+@st.composite
+def step_cases(draw):
+    """A problem with entries of A, y and x drawn among +-0.0 and
+    [-10, 10], intervals bounded or one-sided, and mixed power and
+    custom penalties; a start x; two steps."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 8))
+
+    def vector(size):
+        return np.array(draw(st.lists(_ENTRY, min_size=size, max_size=size)))
+
+    a, y, x = vector(m * n).reshape(m, n), vector(m), vector(n)
+    end = st.floats(1e-3, 5.0)
+    intervals = []
+    for _ in range(n):
+        lo, hi = -draw(end), draw(end)
+        side = draw(st.sampled_from(["both", "lo", "hi"]))
+        intervals.append(
+            Interval(-math.inf if side == "hi" else lo, math.inf if side == "lo" else hi)
+        )
+    penalties = tuple(draw(st.sampled_from(_PENALTIES)) for _ in range(n))
+    g = SeparableRegularizer(tuple(intervals), penalties)
+    lams = draw(st.tuples(st.floats(1e-3, 2.0), st.floats(1e-3, 2.0)))
+    return Problem(g=g, h=LeastSquaresTerm(a, y, lipschitz=1.0)), x, lams
+
+
+@settings(deadline=None)
+@given(case=step_cases())
+def test_fb_step_is_bitwise_the_out_of_place_step(case):
+    p, x, lams = case
+    # one regularizer at two steps in turn: each call must read the
+    # endpoints scaled by its own lam
+    for lam in lams + lams:
+        step, hx = fb_step(p, lam, x)
+        want, want_hx = fb_step_reference(p, lam, x)
+        assert step.tobytes() == want.tobytes()
+        assert np.float64(hx).tobytes() == np.float64(want_hx).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +391,33 @@ def test_iterate_log_reproduces_the_dense_iterates():
     assert np.array_equal(trace.supp_sizes, [np.count_nonzero(x) for x in want])
     assert trace.indices.dtype == np.int32
     assert trace.offsets[-1] == len(trace.indices) == len(trace.values)
+
+
+@pytest.mark.parametrize("max_iter", [0, 86, 150, 173])
+def test_run_log_is_bitwise_each_rows_flatnonzero(max_iter):
+    # 2**18 // 3000 = 87 rows per dense block: one row, one full block, a
+    # full block and a partial one, two full blocks.  Every 300th
+    # coordinate's prox maps 0 to -0.0, and x0 holds -0.0 too, so most
+    # rows hold -0.0 entries, which the log drops as flatnonzero does.
+    n = 3000
+    pen = CustomPenalty(
+        value=lambda t: 0.5 * t * t, prox=lambda t, lam: t / (1.0 + lam) if t else -0.0
+    )
+    p, x0 = mixed_problem(8, 10, n, lambda k: ZeroPenalty() if k % 300 else pen)
+    x0[::7] = -0.0
+    trace = run(p, SolverConfig(max_iter=max_iter, residual_tol=0.0, x0=x0))
+    assert trace.n_iterations == max_iter
+    xs = [x0]
+    for _ in range(max_iter):
+        xs.append(fb_step(p, trace.lam, xs[-1])[0])
+    assert any((np.signbit(x) & (x == 0.0)).any() for x in xs[1:]) or max_iter == 0
+    nz = [np.flatnonzero(x) for x in xs]
+    offsets = np.cumsum([0] + [len(k) for k in nz], dtype=np.int64)
+    assert trace.offsets.tobytes() == offsets.tobytes()
+    assert trace.indices.tobytes() == np.concatenate(nz).astype(np.int32).tobytes()
+    want = np.concatenate([x[k] for x, k in zip(xs, nz)])
+    assert trace.values.tobytes() == want.tobytes()
+    assert trace.x_final.tobytes() == xs[-1].tobytes()
 
 
 def test_distances_to_matches_dense_norms_bitwise():

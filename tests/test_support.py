@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from threshgrad.analysis import analyze, generate_synthetic
 from threshgrad.operators import LeastSquaresTerm
 from threshgrad.regularizers import (
     CustomPenalty,
@@ -102,6 +103,23 @@ def test_extended_support_tolerance_is_1e_8_on_unit_intervals():
     assert report_at([1.0 - 2e-8], g).esupp == ()
     assert report_at([-(1.0 - 0.5e-8)], g).esupp == (0,)
     assert report_at([-(1.0 - 2e-8)], g).esupp == ()
+
+
+@pytest.mark.parametrize("c2", [1e-4, 1e-8])
+def test_extended_support_is_unchanged_by_the_joint_rescaling(c2):
+    # (A, y, I) -> (cA, cy, c^2 I) has the same iterates in exact
+    # arithmetic; at c^2 = 1e-8 a tolerance floor of 1e-8 would put every
+    # dual coordinate within reach of the endpoints +-1e-8
+    p = generate_synthetic(20, 50, 0)
+    c = math.sqrt(c2)
+    scaled = Problem(
+        g=SeparableRegularizer.uniform(50, Interval(-c2, c2)),
+        h=LeastSquaresTerm(c * p.h.op, c * p.h.y, lipschitz=c2),
+    )
+    want, got = analyze(p, SolverConfig()), analyze(scaled, SolverConfig())
+    assert len(want.report.esupp) == 11
+    assert got.report.esupp == want.report.esupp
+    assert got.report.supp == want.report.supp
 
 
 def test_extended_support_ignores_infinite_endpoints():
