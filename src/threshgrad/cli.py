@@ -28,7 +28,13 @@ import numpy as np
 from . import solver, support
 from .analysis import _builtin_smooth, _synthetic_data, analyze
 from .analysis import generate_synthetic
-from .operators import LeastSquaresTerm, operator_norm, read_dense_matrix, read_vector
+from .operators import (
+    LeastSquaresTerm,
+    operator_norm,
+    read_dense_matrix,
+    read_vector,
+    write_text,
+)
 from .regularizers import (
     Interval,
     PowerPenalty,
@@ -375,12 +381,6 @@ def _resolve_x0(cfg: ExperimentConfig, n: int):
 # experiment driver
 
 
-def _json_dump(obj, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _verdict(problems: list, warnings: list) -> str:
     warnings += problems
     return "fail" if problems else "pass"
@@ -410,7 +410,6 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[int, dict]:
         for kind in ("trace", "support", "rate", "summary")
     }
     solver.write_trace_csv(trace, paths["trace"], result.f_star, result.dists)
-    rows = trace.support_rows()
 
     warnings: list = []
     audits = {k: _verdict(result.failures[k], warnings) for k in ("trace", "support")}
@@ -426,12 +425,10 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[int, dict]:
         "wall_time": trace.wall_time,
         "f_star": result.f_star,
         "f_final": float(trace.objectives[-1]),
-        "x_bar": [float(v) for v in result.x_bar],
+        "x_bar": result.x_bar.tolist(),
         "artifacts": {k: str(paths[k]) for k in ("trace", "support")},
         "diagnostics": {
-            "support_changes": sum(
-                not np.array_equal(a, b) for a, b in zip(rows, rows[1:])
-            ),
+            "support_changes": trace.support_changes(),
             "iterate_log_bytes": sum(
                 a.nbytes for a in (trace.offsets, trace.indices, trace.values)
             ),
@@ -456,7 +453,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[int, dict]:
         if result.rate.tail_skipped:
             warnings.append(result.rate.tail_skipped)
         summary["rate"] = result.rate.to_dict()
-        _json_dump(summary["rate"], paths["rate"])
+        support.write_json(summary["rate"], paths["rate"])
         summary["artifacts"]["rate"] = str(paths["rate"])
         audits["rate"] = _verdict(result.failures["rate"], warnings)
 
@@ -475,7 +472,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[int, dict]:
     summary["warnings"] = warnings
     summary["exit_code"] = exit_code
     summary["artifacts"]["summary"] = str(paths["summary"])
-    _json_dump(summary, paths["summary"])
+    support.write_json(summary, paths["summary"])
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     return exit_code, summary
@@ -533,14 +530,14 @@ def emit_prox_gallery(spec: GallerySpec) -> None:
     vs = prox_separable(ts, spec.lam, g)
     if boxed_power:
         vs = np.array(
-            [prox_power_scalar(float(v), spec.lam, pen.p, pen.weight) for v in vs]
+            [prox_power_scalar(v, spec.lam, pen.p, pen.weight) for v in vs.tolist()]
         )
     if spec.box is not None:
         vs = np.clip(vs, *spec.box)
-    lines = ["t,prox"] + [f"{repr(float(t))},{repr(float(v))}" for t, v in zip(ts, vs)]
+    lines = ["t,prox"] + [f"{t!r},{v!r}" for t, v in zip(ts.tolist(), vs.tolist())]
     out = Path(spec.out_path)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text("\n".join(lines) + "\n")
+    write_text(out, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -211,28 +211,32 @@ def prox_power_scalar(t: float, lam: float, p: float, weight: float = 1.0) -> fl
     return sgn * _newton_power_root(a, c, p)
 
 
-def _pow_or_inf(s: float, e: float) -> float:
-    # s**e for s > 0; subnormal s with e < 0 (or huge s with e > 1) can
-    # leave float range, where the solve only needs "astronomically large"
-    try:
-        return s ** e
-    except OverflowError:
-        return math.inf
-
-
 def _newton_power_root(a: float, c: float, p: float) -> float:
     # root of r(s) = s + c*s**(p-1) - a on [0, a]; r(0) = -a < 0, r(a) >= 0.
     # For p < 2 the derivative blows up at 0, so the bracket never collapses
     # onto 0 from the Newton side; bisection guards every step.
     lo, hi = 0.0, a
     s = a
+    # c * (p - 1) * t multiplies left to right, so cp1 * t is the same float
+    p1, p2 = p - 1.0, p - 2.0
+    cp1 = c * p1
     for _ in range(_PROX_MAX_ITER):
-        r = s + c * _pow_or_inf(s, p - 1.0) - a
+        # a power that leaves float range (subnormal s with p < 2, huge s)
+        # only needs to be "astronomically large": it reads +inf
+        try:
+            r = s + c * s**p1 - a
+        except OverflowError:
+            r = s + c * math.inf - a
         if r >= 0.0:
             hi = min(hi, s)
         else:
             lo = max(lo, s)
-        d = 1.0 + c * (p - 1.0) * _pow_or_inf(s, p - 2.0) if s > 0.0 else math.inf
+        d = math.inf
+        if s > 0.0:
+            try:
+                d = 1.0 + cp1 * s**p2
+            except OverflowError:
+                pass
         step = r / d if math.isfinite(d) else 0.0
         s_new = s - step
         if not (lo < s_new < hi):
@@ -296,8 +300,11 @@ def _polish_power_root(s, a, c, p):
     r = s + c * sp ** (p - 1.0) * pos - a
     d = 1.0 + c * (p - 1.0) * sp ** (p - 2.0)
     out = np.where(pos, s - r / d, s)
-    # guard against a polish step overshooting the [0, a] range
-    return np.clip(out, 0.0, a)
+    # guard against a polish step overshooting the [0, a] range; the
+    # min/max pair is np.clip(out, 0.0, a) at half its dispatch cost, and
+    # bitwise it on every out the closed forms give (none is -0.0)
+    np.maximum(out, 0.0, out=out)
+    return np.minimum(out, a, out=out)
 
 
 def _newton_power_root_vec(a: np.ndarray, c: float, p: float) -> np.ndarray:

@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .operators import LeastSquaresTerm
+from .operators import LeastSquaresTerm, write_text
 from .regularizers import SeparableRegularizer, g_rows, g_value, prox_separable
 from .regularizers import log_block_rows, log_blocks
 
@@ -123,9 +123,9 @@ class IterateTrace:
 
     Row i is iterate x^i, for i = 0..n_iterations.  Iterates are logged by
     their nonzeros, CSR-style: row i holds ``values[offsets[i]:offsets[i+1]]``
-    at the coordinates ``indices[offsets[i]:offsets[i+1]]``.  Supports and
-    support sizes are views over this log, and `distances_to` measures it
-    against a point.  ``objectives[i]`` is f(x^i): the h(x^i) of the step
+    at the coordinates ``indices[offsets[i]:offsets[i+1]]``.  Support sizes
+    and support changes are read off this log, and `distances_to` measures
+    it against a point.  ``objectives[i]`` is f(x^i): the h(x^i) of the step
     from x^i plus g(x^i) read off the log.  ``residuals[-1]`` is the
     fixed-point residual of ``x_final``.
     """
@@ -143,13 +143,23 @@ class IterateTrace:
     n_iterations: int
     wall_time: float
 
-    def support_rows(self) -> list:
-        """Exact support of each recorded iterate, as a view into the log."""
-        return np.split(self.indices, self.offsets[1:-1])
-
     @property
     def supp_sizes(self) -> np.ndarray:
         return np.diff(self.offsets)
+
+    def support_changes(self) -> int:
+        """The number of rows whose support differs from the previous row's,
+        read off the log: rows of different sizes differ, and rows of one
+        size are compared entry by entry."""
+        sizes = self.supp_sizes
+        changed = sizes[:-1] != sizes[1:]
+        # the entries of the rows followed by a row of their size, each
+        # with the distance to its position in that row
+        step = np.repeat(np.where(changed, 0, sizes[:-1]), sizes[:-1])
+        at = np.flatnonzero(step)
+        moved = at[self.indices[at] != self.indices[at + step[at]]]
+        changed[np.searchsorted(self.offsets, moved, side="right") - 1] = True
+        return int(np.count_nonzero(changed))
 
     def distances_to(self, reference: np.ndarray) -> np.ndarray:
         """||x - reference|| for every recorded iterate x, over the dense
@@ -321,16 +331,26 @@ def write_trace_csv(trace: IterateTrace, path, f_star: float, dists) -> None:
     ``f_star`` and the distances ``dists`` to the point that attains it.
 
     Floats are written with shortest round-trip repr, so identical runs
-    produce byte-identical files.
+    produce byte-identical files.  Raises ValueError unless there is one
+    distance per trace row.
     """
-    gaps = trace.objectives - f_star
-    cols = zip(trace.ns, gaps, trace.residuals, trace.supp_sizes, dists)
+    dists = np.asarray(dists, dtype=float)
+    if dists.shape != trace.ns.shape:
+        raise ValueError(
+            f"expected {len(trace.ns)} distances, one per trace row, "
+            f"got {dists.size}"
+        )
+    cols = zip(
+        trace.ns.tolist(),
+        (trace.objectives - f_star).tolist(),
+        trace.residuals.tolist(),
+        trace.supp_sizes.tolist(),
+        dists.tolist(),
+    )
     lines = [TRACE_HEADER] + [
-        f"{int(n)},{float(gap)!r},{float(res)!r},{int(size)},{float(d)!r}"
-        for n, gap, res, size, d in cols
+        f"{n},{gap!r},{res!r},{size},{d!r}" for n, gap, res, size, d in cols
     ]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def read_trace_csv(path) -> tuple:

@@ -30,6 +30,7 @@ from typing import Optional
 
 import numpy as np
 
+from .operators import write_text
 from .regularizers import SeparableRegularizer, PowerPenalty
 from .solver import IterateTrace, Problem
 
@@ -44,6 +45,7 @@ __all__ = [
     "report_to_dict",
     "report_rules",
     "write_support_report",
+    "write_json",
 ]
 
 
@@ -208,14 +210,18 @@ def report_to_dict(report: SupportReport) -> dict:
             if report.active_constraints is None
             else list(report.active_constraints)
         ),
-        "dual_point": [float(v) for v in report.dual_point],
+        "dual_point": report.dual_point.tolist(),
     }
 
 
+def write_json(obj, path) -> None:
+    """``obj`` as indented JSON with sorted keys and a final newline, in
+    one write: every JSON artifact of a run is written here."""
+    write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
 def write_support_report(report: SupportReport, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(report_to_dict(report), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(report_to_dict(report), path)
 
 
 def report_rules(rep: dict) -> list:

@@ -17,8 +17,11 @@ from threshgrad.analysis import analyze, generate_synthetic
 from threshgrad.solver import SolverConfig
 
 # `pytest --hypothesis-profile=ci` draws ten times the default number of
-# examples for every property that does not fix its own count, in the same
-# order on every run
+# examples for every property, in the same order on every run.  A property
+# that needs more or fewer examples than the default states its count as a
+# multiple of `settings.default.max_examples`, which is the active
+# profile's count when the test module is imported, so the profile scales
+# it too
 settings.register_profile("ci", max_examples=1000, derandomize=True)
 
 _ACCEPTANCE: dict = {}

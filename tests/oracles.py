@@ -1,10 +1,13 @@
 """Independent reference implementations that tests compare the package
 against: the interval soft-thresholder and projection in scalar form,
 the per-coordinate soft-thresholder in nested-branch form, the
-forward-backward step formed out of place, a
+forward-backward step formed out of place, the least-squares oracle
+spelled with the matmul operator, the scalar Newton power root with its
+overflow helper and the closed-form polish clamped by np.clip, a
 brute-force scalar minimizer (dense grid plus golden-section refinement),
-dense iterates and per-row distances from a trace's iterate log, g summed
-over one dense point, and a per-point prox gallery.
+dense iterates, supports, support changes and per-row distances from a
+trace's iterate log, g summed over one dense point, and a per-point prox
+gallery.
 """
 
 from __future__ import annotations
@@ -71,6 +74,65 @@ def fb_step_reference(problem, lam: float, x: np.ndarray) -> tuple:
             for k in idx:
                 u[k] = pen.prox(float(u[k]), lam)
     return u, 0.5 * float(r @ r)
+
+
+def gradient_matmul(op, y, x) -> tuple:
+    """(A^T r, h(x)) with r = Ax - y, the products spelled with the matmul
+    operator: the reference for `LeastSquaresTerm.gradient`."""
+    r = op @ x
+    r -= y
+    return op.T @ r, 0.5 * float(r.dot(r))
+
+
+def value_matmul(op, y, x) -> float:
+    """h(x) = ||Ax - y||^2 / 2 with Ax spelled with the matmul operator:
+    the reference for `LeastSquaresTerm.value`."""
+    r = op @ x - y
+    return 0.5 * float(r.dot(r))
+
+
+def pow_or_inf(s: float, e: float) -> float:
+    """s**e, or +inf where it leaves float range."""
+    try:
+        return s ** e
+    except OverflowError:
+        return math.inf
+
+
+def newton_power_root(a: float, c: float, p: float) -> float:
+    """Root of s + c*s**(p-1) = a on [0, a] by safeguarded Newton-bisection,
+    each power through `pow_or_inf`: the reference for
+    `regularizers._newton_power_root`."""
+    lo, hi = 0.0, a
+    s = a
+    for _ in range(200):
+        r = s + c * pow_or_inf(s, p - 1.0) - a
+        if r >= 0.0:
+            hi = min(hi, s)
+        else:
+            lo = max(lo, s)
+        d = 1.0 + c * (p - 1.0) * pow_or_inf(s, p - 2.0) if s > 0.0 else math.inf
+        step = r / d if math.isfinite(d) else 0.0
+        s_new = s - step
+        if not (lo < s_new < hi):
+            s_new = 0.5 * (lo + hi)
+        if abs(s_new - s) <= 1e-13 or (hi - lo) <= 1e-13:
+            return s_new
+        s = s_new
+    raise RuntimeError(
+        f"power prox solve did not converge (a={a}, c={c}, p={p}); "
+        "check inputs for overflow"
+    )
+
+
+def polish_power_root_clip(s, a, c, p):
+    """One Newton step on a closed-form power root, clamped to [0, a] by
+    np.clip: the reference for `regularizers._polish_power_root`."""
+    pos = s > 0.0
+    sp = np.where(pos, s, 1.0)
+    r = s + c * sp ** (p - 1.0) * pos - a
+    d = 1.0 + c * (p - 1.0) * sp ** (p - 2.0)
+    return np.clip(np.where(pos, s - r / d, s), 0.0, a)
 
 
 def project_interval(t, interval: Interval):
@@ -145,6 +207,19 @@ def iterates(trace):
         x = np.zeros(len(trace.x0))
         x[trace.indices[a:b]] = trace.values[a:b]
         yield x
+
+
+def support_rows(trace) -> list:
+    """The support of every iterate of ``trace``, as views into its log."""
+    return np.split(trace.indices, trace.offsets[1:-1])
+
+
+def support_changes_by_row(trace) -> int:
+    """The number of rows of ``trace`` whose support differs from the
+    previous row's, one pair of rows at a time: the reference for
+    `IterateTrace.support_changes`."""
+    rows = support_rows(trace)
+    return sum(not np.array_equal(a, b) for a, b in zip(rows, rows[1:]))
 
 
 def distances_by_row(trace, reference) -> np.ndarray:

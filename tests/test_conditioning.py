@@ -363,7 +363,7 @@ def test_face_growth_is_below_the_sampled_constant_on_the_batch(lasso_batch):
         assert cert["gamma_face"] <= est.gamma * (1.0 + 1e-8)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=settings.default.max_examples * 3 // 5, deadline=None)
 @given(
     m=st.integers(1, 8),
     n=st.integers(1, 8),

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import gradient_matmul, value_matmul
 
 from threshgrad.operators import (
     LeastSquaresTerm,
     operator_norm,
     read_dense_matrix,
     read_vector,
+    write_text,
 )
 
 
@@ -129,25 +131,47 @@ def test_gradient_matches_finite_differences():
             assert grad[k] == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=2 * settings.default.max_examples, deadline=None)
 @given(
-    m=st.integers(1, 7),
-    n=st.integers(1, 7),
+    m=st.integers(1, 9),
+    n=st.integers(1, 9),
     seed=st.integers(0, 2**32 - 1),
     scales=st.tuples(*[st.integers(-150, 150)] * 3),
+    layout=st.sampled_from(["C", "F", "column selection", "column slice"]),
+    x_stride=st.sampled_from([1, 2]),
 )
-def test_fused_gradient_and_value_are_bitwise_the_separate_ones(m, n, seed, scales):
+def test_fused_gradient_and_value_are_bitwise_the_separate_ones(
+    m, n, seed, scales, layout, x_stride
+):
+    # ... and bitwise the matmul-operator spelling of each, on every layout
     rng = np.random.default_rng(seed)
-    a, y, x = (
-        rng.standard_normal(shape) * 10.0**e
-        for shape, e in zip(((m, n), m, n), scales)
-    )
+    e_a, e_y, e_x = scales
+    base = rng.standard_normal((m, 2 * n)) * 10.0**e_a
+    a = {
+        "C": np.ascontiguousarray(base[:, :n]),
+        "F": np.asfortranarray(base[:, :n]),
+        # a fancy column selection comes out F-contiguous
+        "column selection": base[:, rng.permutation(2 * n)[:n]],
+        "column slice": base[:, :n],
+    }[layout]
+    y = rng.standard_normal(m) * 10.0**e_y
+    x = (rng.standard_normal(n * x_stride) * 10.0**e_x)[::x_stride]
     h = LeastSquaresTerm(a, y, lipschitz=1.0)
+    assert np.array_equal(h.op, a)
+    if layout == "column slice":
+        # the strided view is held as a C-ordered copy, which the matmul
+        # operator hands to BLAS as it does any contiguous matrix
+        assert h.op.flags.c_contiguous
+    else:
+        assert h.op is a
     with np.errstate(over="ignore", invalid="ignore"):
         grad, value = h.gradient(x)
-        want_grad, want_value = h.op.T @ (h.op @ x - h.y), h.value(x)
+        want_grad, want_value = gradient_matmul(h.op, y, x)
+        separate = h.value(x)
+        want_separate = value_matmul(h.op, y, x)
     assert grad.tobytes() == want_grad.tobytes()
-    assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
+    for got, want in ((value, want_value), (separate, want_separate), (value, separate)):
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def test_least_squares_validation():
@@ -209,3 +233,14 @@ def test_read_vector_rejects_multicolumn(tmp_path):
     path.write_text("1.0,2.0\n3.0,4.0\n")
     with pytest.raises(ValueError):
         read_vector(path)
+
+
+def test_write_text_creates_and_overwrites_to_length(tmp_path):
+    path = tmp_path / "artifact.csv"
+    write_text(path, "a,b\n1,2\n")
+    assert path.read_text() == "a,b\n1,2\n"
+    # shorter, then longer, than the file it overwrites
+    write_text(path, "a\n")
+    assert path.read_bytes() == b"a\n"
+    write_text(str(path), "x" * 10_000 + "\n")
+    assert path.read_text() == "x" * 10_000 + "\n"

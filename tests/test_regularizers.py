@@ -1,12 +1,20 @@
 import math
 import sys
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import g_dense, project_interval, soft_interval, soft_where
+from oracles import (
+    g_dense,
+    newton_power_root,
+    polish_power_root_clip,
+    project_interval,
+    soft_interval,
+    soft_where,
+)
 
 from threshgrad import regularizers
 from threshgrad.regularizers import (
@@ -175,7 +183,7 @@ def test_prox_power_rejects_bad_arguments():
         prox_power_scalar(math.inf, 1.0, 2.0)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=3 * settings.default.max_examples, deadline=None)
 @given(
     t=st.floats(-1e3, 1e3),
     lam=st.floats(1e-6, 1e3),
@@ -196,7 +204,7 @@ def test_prox_power_sign_and_shrinkage(t, lam, p, w):
     assert abs(s - want) <= 1e-9
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=3 * settings.default.max_examples, deadline=None)
 @given(
     a=st.floats(-100, 100),
     b=st.floats(-100, 100),
@@ -223,6 +231,67 @@ def test_vectorized_prox_matches_scalar(p):
     for k, xk in enumerate(x):
         u = soft_interval(float(xk), Interval(-1e-12, 1e-12))
         assert vec[k] == pytest.approx(prox_power_scalar(u, lam, p, w), abs=1e-11)
+
+
+def magnitudes(lo: int, hi: int):
+    """Positive floats m * 10**e with 1 <= m < 10 and lo <= e <= hi."""
+    return st.builds(
+        lambda m, e: m * 10.0**e, st.floats(1.0, 9.99), st.integers(lo, hi)
+    )
+
+
+def outcome(f, *args):
+    """The bytes of f(*args), or the message of the RuntimeError it raises."""
+    try:
+        return np.float64(f(*args)).tobytes()
+    except RuntimeError as exc:
+        return str(exc)
+
+
+@settings(max_examples=3 * settings.default.max_examples, deadline=None)
+@given(
+    a=magnitudes(-300, 300),
+    sign=st.sampled_from([1.0, -1.0]),
+    lam=magnitudes(-100, 100),
+    w=st.sampled_from([1.0, 0.5, 3.0]),
+    p=st.one_of(
+        st.integers(1, 12).map(lambda k: 1.0 + 10.0**-k),  # near 1
+        st.floats(1.01, 8.0),
+        st.floats(8.0, 100.0),
+    ).filter(lambda p: p not in (2.0, 3.0)),
+)
+# s**(p-1) overflows at the first step; s**(p-2) overflows near 0
+@example(a=1e300, sign=1.0, lam=1.0, w=1.0, p=50.0)
+@example(a=5e-324, sign=-1.0, lam=1.0, w=1.0, p=1.0 + 1e-12)
+@example(a=1e-300, sign=1.0, lam=1e100, w=3.0, p=1.5)
+def test_prox_power_scalar_is_bitwise_the_newton_oracle(a, sign, lam, w, p):
+    t = sign * a
+    got = outcome(prox_power_scalar, t, lam, p, w)
+    assert got == outcome(lambda: sign * newton_power_root(a, lam * w, p))
+
+
+finite_inputs = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(-1e3, 1e3),
+    st.builds(lambda s, m: s * m, st.sampled_from([1.0, -1.0]), magnitudes(-300, 300)),
+)
+
+
+@settings(deadline=None)
+@given(
+    u=st.lists(finite_inputs, min_size=1, max_size=20),
+    c=magnitudes(-12, 12),
+    p=st.sampled_from([4.0 / 3.0, 1.5, 4.0]),
+)
+def test_polish_clamp_is_bitwise_np_clip(u, c, p):
+    u = np.array(u)
+    with np.errstate(all="ignore"):
+        got = regularizers._prox_power_vec(u, c, p)
+        with mock.patch.object(
+            regularizers, "_polish_power_root", polish_power_root_clip
+        ):
+            want = regularizers._prox_power_vec(u, c, p)
+    assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +444,7 @@ def zero_psi_prox_inputs(draw):
     return g, lam, np.array(x)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=3 * settings.default.max_examples, deadline=None)
 @given(case=zero_psi_prox_inputs())
 def test_prox_separable_clamp_is_bitwise_the_nested_where(case):
     g, lam, x = case

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import distances_by_row, fb_step_reference, g_dense, iterates
+from oracles import (
+    distances_by_row,
+    fb_step_reference,
+    g_dense,
+    iterates,
+    support_rows,
+)
 
 from threshgrad.operators import LeastSquaresTerm
 from threshgrad.regularizers import (
@@ -237,7 +243,7 @@ def test_scalar_run_reproduces_geometric_recurrence():
     gaps = trace.objectives - f_star
     want = 0.25 ** trace.ns.astype(float) / 2.0
     assert np.allclose(gaps, want, rtol=0, atol=1e-15)
-    assert all(s.tolist() == [0] for s in trace.support_rows())
+    assert all(s.tolist() == [0] for s in support_rows(trace))
     dists = trace.distances_to(np.array([0.0]))
     assert trace_rules(trace.ns, gaps, trace.residuals, dists, f_star) == []
     assert fejer_check(trace, np.array([0.0]))
@@ -250,7 +256,7 @@ def test_run_started_at_minimizer_stops_immediately():
     assert trace.n_iterations == 0
     assert trace.residuals[-1] == 0.0
     assert list(trace.ns) == [0]
-    assert [s.tolist() for s in trace.support_rows()] == [[]]
+    assert [s.tolist() for s in support_rows(trace)] == [[]]
 
 
 def test_run_out_of_budget_reports_not_converged():
@@ -343,6 +349,18 @@ def test_write_trace_csv_golden(tmp_path):
     assert path.read_text() == want
 
 
+@pytest.mark.parametrize("cut", [slice(None, -5), slice(1, None)])
+def test_write_trace_csv_rejects_distances_of_another_length(tmp_path, cut):
+    p = random_problem(5)
+    trace = run(p, SolverConfig(max_iter=500, residual_tol=1e-9))
+    dists = trace.distances_to(trace.x_final)
+    path = tmp_path / "trace.csv"
+    for bad in (dists[cut], np.append(dists, 0.0)):
+        with pytest.raises(ValueError, match=f"expected {len(trace.ns)} distances"):
+            write_trace_csv(trace, path, 0.0, bad)
+    assert not path.exists()
+
+
 def test_trace_csv_round_trips_the_trace_columns(tmp_path):
     p = random_problem(5)
     trace = run(p, SolverConfig(max_iter=500, residual_tol=1e-9))
@@ -385,7 +403,7 @@ def test_iterate_log_reproduces_the_dense_iterates():
     assert len(got) == len(want) == len(trace.ns)
     for g, x in zip(got, want):
         assert g.tobytes() == (x + 0.0).tobytes()  # -0.0 is logged as 0.0
-    assert [s.tolist() for s in trace.support_rows()] == [
+    assert [s.tolist() for s in support_rows(trace)] == [
         np.flatnonzero(x).tolist() for x in want
     ]
     assert np.array_equal(trace.supp_sizes, [np.count_nonzero(x) for x in want])
@@ -536,9 +554,9 @@ def test_run_does_two_matvecs_per_step():
     counts = {"A": 0, "A^T": 0}
 
     class CountedMatrix(np.ndarray):
-        def __matmul__(self, other):
+        def dot(self, other):
             counts["A" if self.shape == (m, n) else "A^T"] += 1
-            return np.asarray(self) @ other
+            return np.asarray(self).dot(other)
 
     # the term converts its matrix with np.asarray, so swap the view in after
     object.__setattr__(p.h, "op", p.h.op.view(CountedMatrix))

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import support_changes_by_row
 
 from threshgrad.analysis import analyze, generate_synthetic
 from threshgrad.operators import LeastSquaresTerm
@@ -56,6 +59,44 @@ def _mk_trace(ns, supports, x0=None, lam=1.0):
         n_iterations=int(ns[-1]),
         wall_time=0.0,
     )
+
+
+@pytest.mark.parametrize(
+    "supports, changes",
+    [
+        ([()], 0),
+        ([(3,)], 0),
+        ([(), ()], 0),
+        ([(), (0,), (), (0,)], 3),
+        ([(1, 2), (1, 3)], 1),
+        ([(1, 2), (1, 2), (2, 3), (2, 3)], 1),
+        ([(0, 1), (2,), (2,), (0, 1)], 2),
+        ([(4,), (), (), (4,), (5,)], 3),
+    ],
+)
+def test_support_changes_of_hand_made_logs(supports, changes):
+    trace = _mk_trace(range(len(supports)), supports, x0=np.zeros(6))
+    assert trace.support_changes() == changes == support_changes_by_row(trace)
+
+
+@settings(deadline=None)
+@given(
+    st.lists(
+        st.lists(st.integers(0, 5), max_size=6, unique=True).map(sorted),
+        min_size=1,
+        max_size=12,
+    )
+)
+def test_support_changes_is_the_row_by_row_count(supports):
+    # six coordinates make equal-size rows with different index sets common
+    trace = _mk_trace(range(len(supports)), supports, x0=np.zeros(6))
+    assert trace.support_changes() == support_changes_by_row(trace)
+
+
+def test_support_changes_is_the_row_by_row_count_on_the_batch(lasso_batch):
+    for run_ in lasso_batch.runs:
+        want = support_changes_by_row(run_.trace)
+        assert run_.trace.support_changes() == want > 0
 
 
 def report_at(u, g, x_bar=None):
