@@ -103,8 +103,8 @@ def write_text(path, text: str) -> None:
     An existing file is overwritten in place and then cut to the length of
     ``text``, not truncated to zero first.  On ext4, closing a file that was
     truncated from a nonzero size and rewritten starts its writeback
-    (auto_da_alloc); measured there, that made rewriting an artifact cost
-    about 0.15-0.35 ms against 0.02 ms in place.
+    (auto_da_alloc): rewriting an artifact cost 0.15-0.35 ms that way
+    against 0.02 ms in place, measured on a 2-vCPU Xeon VM.
     """
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     with open(fd, "w") as fh:
