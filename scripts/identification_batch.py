@@ -24,10 +24,10 @@ def audit_seed(seed: int, m: int, n: int) -> dict:
     report, rate = result.report, result.rate
     return {
         "seed": seed,
-        "violations": report.observed_violations,
-        "budget": math.ceil(report.identification_bound),
-        "identified_at": report.identification_iteration,
-        "esupp_size": len(report.esupp),
+        "violations": report["observed_violations"],
+        "budget": math.ceil(report["identification_bound"]),
+        "identified_at": report["identification_iteration"],
+        "esupp_size": len(report["esupp"]),
         "regime": rate.regime,
         "epsilon": rate.epsilon,
         "r_squared": rate.r_squared,

@@ -72,7 +72,8 @@ class Analysis:
     """One solve of a problem and what was read off it.  ``f_star`` is
     f(x_bar), ``dists`` the distance of each recorded iterate to x_bar,
     ``growth`` the (verdict, certificate or None) of
-    `conditioning.face_growth` on esupp, and ``failures`` maps "trace",
+    `conditioning.face_growth` on esupp, ``report`` the support document
+    of `support.build_support_report`, and ``failures`` maps "trace",
     "support" and "rate" to their failed rules (empty: passed).
     """
 
@@ -81,7 +82,7 @@ class Analysis:
     x_bar: np.ndarray
     f_star: float
     dists: np.ndarray
-    report: support.SupportReport
+    report: dict
     rate: conditioning.RateReport
     growth: tuple
     failures: dict
@@ -107,12 +108,12 @@ def analyze(problem: solver.Problem, solver_cfg: solver.SolverConfig) -> Analysi
             rate = replace(rate, tail_bound=bound)
         except ValueError as exc:
             rate = replace(rate, tail_skipped=f"tail bound check skipped: {exc}")
-    growth = conditioning.face_growth(problem, report.esupp)
+    growth = conditioning.face_growth(problem, report["esupp"])
     failures = {
         "trace": solver.trace_rules(
             trace.ns, trace.objectives - f_star, trace.residuals, dists, f_star
         ),
-        "support": support.report_rules(support.report_to_dict(report)),
+        "support": support.report_rules(report),
         "rate": conditioning.rate_rules(rate),
     }
     return Analysis(

@@ -277,9 +277,9 @@ def _decode(row: _Key, key: str, text: str, origin: str):
 def _read_ini(path, table) -> dict:
     """Values by field of the keys in an INI file, checked against ``table``.
 
-    Unknown sections and keys are errors, and so is a missing required key:
-    a typo silently falling back to a default would invalidate the run it
-    configures.
+    Unknown sections and keys are errors, and so are a missing required key
+    and a non-empty [DEFAULT] section: a typo silently falling back to a
+    default would invalidate the run it configures.
     """
     origin = str(path)
     cp = configparser.ConfigParser(interpolation=None)
@@ -291,6 +291,9 @@ def _read_ini(path, table) -> dict:
     except configparser.Error as exc:
         raise ConfigError(origin, "-", f"INI syntax: {exc}")
 
+    if cp.defaults():
+        message = "section is not allowed: its keys would apply to every section"
+        raise ConfigError(origin, cp.default_section, message)
     rows = {(row.section, row.key): row for row in table}
     values: dict = {}
     index_keys: dict = {}  # (field, index) -> the key that set it
@@ -437,9 +440,9 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[int, dict]:
     }
 
     support.write_support_report(report, paths["support"])
-    summary["support"] = support.report_to_dict(report)
+    summary["support"] = dict(report)
     del summary["support"]["active_constraints"], summary["support"]["dual_point"]
-    if cfg.source == "files" and problem.n - 1 in report.esupp:
+    if cfg.source == "files" and problem.n - 1 in report["esupp"]:
         # only user data can be a truncation of a larger problem;
         # builtins and synthetic instances are intrinsically finite
         warnings.append(

@@ -18,14 +18,14 @@ where rho_sol is the distance of the strictly interior dual coordinates to
 their interval boundaries (+inf when there are none, in which case no
 violation is possible and the bound is 0).
 
-All index sets are 0-based sorted tuples.
+Index sets are 0-based and sorted: tuples from `support`, lists in the
+report document.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -35,27 +35,25 @@ from .regularizers import SeparableRegularizer, PowerPenalty
 from .solver import IterateTrace, Problem
 
 __all__ = [
-    "SupportReport",
     "support",
     "rho",
     "identification_bound",
     "identification_audit",
     "dual_point",
     "build_support_report",
-    "report_to_dict",
     "report_rules",
     "write_support_report",
     "write_json",
 ]
 
 
-def _indices(mask: np.ndarray) -> tuple:
-    return tuple(int(k) for k in np.flatnonzero(mask))
+def _indices(mask: np.ndarray) -> list:
+    return np.flatnonzero(mask).tolist()
 
 
 def support(x: np.ndarray) -> tuple:
     """Indices with x_k != 0, exactly (no magnitude threshold)."""
-    return _indices(np.asarray(x))
+    return tuple(_indices(np.asarray(x)))
 
 
 def _boundary_mask(u: np.ndarray, g: SeparableRegularizer) -> np.ndarray:
@@ -137,25 +135,13 @@ def dual_point(problem: Problem, x: np.ndarray) -> np.ndarray:
     return -problem.h.gradient(x)[0]
 
 
-@dataclass(eq=False)
-class SupportReport:
-    """The support analysis of a run; see `build_support_report`."""
-
-    supp: tuple
-    esupp: tuple
-    rho_sol: float
-    identification_bound: float
-    observed_violations: int
-    identification_iteration: Optional[int]
-    qualification_holds: Optional[bool]
-    active_constraints: Optional[tuple]
-    dual_point: np.ndarray
-
-
 def build_support_report(
     problem: Problem, trace: IterateTrace, x_bar: np.ndarray
-) -> SupportReport:
-    """Full support analysis of a run against its polished solution.
+) -> dict:
+    """Full support analysis of a run against its polished solution, as
+    the JSON document `write_support_report` writes: index sets are lists,
+    rho_sol = +inf is None (the bound is then 0) and the dual point is a
+    list of floats.
 
     The only reader of the dual point u = -grad_h(x_bar).  One boundary
     mask of u (`_boundary_mask`) gives esupp = supp(x_bar) plus the
@@ -170,8 +156,9 @@ def build_support_report(
     x_bar = np.asarray(x_bar, dtype=float)
     u = dual_point(problem, x_bar)
     mask = _boundary_mask(u, g)
-    supp = support(x_bar)
-    esupp = _indices((x_bar != 0.0) | mask)
+    nonzero = x_bar != 0.0
+    supp = _indices(nonzero)
+    esupp = _indices(nonzero | mask)
     rho_sol = rho(u, g)
     dist0 = float(np.linalg.norm(trace.x0 - x_bar))
     bound = identification_bound(rho_sol, trace.lam, dist0)
@@ -180,37 +167,16 @@ def build_support_report(
         isinstance(pen, PowerPenalty) or getattr(pen, "differentiable", False)
         for _, pen in g._groups
     )
-    qual = supp == esupp if attested else None
-    active = _indices(mask) if g.all_zero_psi else None
-    return SupportReport(
-        supp=supp,
-        esupp=esupp,
-        rho_sol=rho_sol,
-        identification_bound=bound,
-        observed_violations=violations,
-        identification_iteration=ident_iter,
-        qualification_holds=qual,
-        active_constraints=active,
-        dual_point=u,
-    )
-
-
-def report_to_dict(report: SupportReport) -> dict:
-    """JSON-ready dict; rho_sol = +inf serializes as null (bound is 0)."""
     return {
-        "supp": list(report.supp),
-        "esupp": list(report.esupp),
-        "rho_sol": None if math.isinf(report.rho_sol) else report.rho_sol,
-        "identification_bound": report.identification_bound,
-        "observed_violations": report.observed_violations,
-        "identification_iteration": report.identification_iteration,
-        "qualification_holds": report.qualification_holds,
-        "active_constraints": (
-            None
-            if report.active_constraints is None
-            else list(report.active_constraints)
-        ),
-        "dual_point": report.dual_point.tolist(),
+        "supp": supp,
+        "esupp": esupp,
+        "rho_sol": None if math.isinf(rho_sol) else rho_sol,
+        "identification_bound": bound,
+        "observed_violations": violations,
+        "identification_iteration": ident_iter,
+        "qualification_holds": supp == esupp if attested else None,
+        "active_constraints": _indices(mask) if g.all_zero_psi else None,
+        "dual_point": u.tolist(),
     }
 
 
@@ -220,13 +186,13 @@ def write_json(obj, path) -> None:
     write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def write_support_report(report: SupportReport, path) -> None:
-    write_json(report_to_dict(report), path)
+def write_support_report(report: dict, path) -> None:
+    write_json(report, path)
 
 
 def report_rules(rep: dict) -> list:
-    """The failed rules of a support report in its JSON form (see
-    `report_to_dict`), as messages (none: it passes).
+    """The failed rules of a support report (the document of
+    `build_support_report`, or its file), as messages (none: it passes).
 
     The support must be identified (identification iteration >= 1), supp
     must lie in esupp with every index in range, rho_sol must be positive,

@@ -54,11 +54,11 @@ def test_criterion_1(acceptance):
     )
     checks = {
         "final": abs(float(trace.x_final[0])) <= 1e-10,
-        "supp": report.supp == (),
-        "esupp": report.esupp == (0,),
-        "dual": abs(float(report.dual_point[0]) - 1.0) <= 1e-10,
-        "qualification": report.qualification_holds is False,
-        "violations": report.observed_violations == 0,
+        "supp": report["supp"] == [],
+        "esupp": report["esupp"] == [0],
+        "dual": abs(float(report["dual_point"][0]) - 1.0) <= 1e-10,
+        "qualification": report["qualification_holds"] is False,
+        "violations": report["observed_violations"] == 0,
         "recurrence": recurrence <= 1e-12,
         "time": elapsed < 1.0,
     }
@@ -86,13 +86,13 @@ def test_criterion_2(acceptance):
     # nearest point of the solution segment {(t, t - 1/2) : t in [0, 1/2]}
     tc = min(max((x_bar[0] + x_bar[1] + 0.5) / 2.0, 0.0), 0.5)
     seg_dist = float(np.hypot(x_bar[0] - tc, x_bar[1] - (tc - 0.5)))
-    dual_err = float(np.max(np.abs(report.dual_point - np.array([1.0, -1.0]))))
+    dual_err = float(np.max(np.abs(np.array(report["dual_point"]) - [1.0, -1.0])))
 
     checks = {
         "segment": seg_dist <= 1e-8,
         "objective": abs(f_val - 0.75) <= 1e-10,
         "dual": dual_err <= 1e-8,
-        "esupp": report.esupp == (0, 1),
+        "esupp": report["esupp"] == [0, 1],
         "time": elapsed < 1.0,
     }
     ok = all(checks.values())
@@ -113,8 +113,8 @@ def test_criterion_2(acceptance):
 def test_criterion_3(acceptance, lasso_batch):
     bad = []
     for seed, r in enumerate(lasso_batch.runs):
-        allowed = math.ceil(r.report.identification_bound)
-        if r.report.observed_violations > allowed:
+        allowed = math.ceil(r.report["identification_bound"])
+        if r.report["observed_violations"] > allowed:
             bad.append(seed)
     within_time = lasso_batch.elapsed <= 120.0
     ok = not bad and within_time
@@ -272,7 +272,7 @@ def test_criterion_8(acceptance, lasso_batch):
 
     bad = []
     for label, r in instances:
-        if r.report.esupp != r.report.active_constraints:
+        if r.report["esupp"] != r.report["active_constraints"]:
             bad.append(label)
     ok = not bad
     detail = f"{len(instances)}/{len(instances)} instances agree"

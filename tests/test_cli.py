@@ -141,6 +141,18 @@ def test_parse_missing_file():
         parse_experiment_config("/no/such/config.ini")
 
 
+def test_experiment_config_rejects_a_default_section(tmp_path, capsys):
+    # configparser copies [DEFAULT] keys into every section
+    path = write_config(tmp_path, "[DEFAULT]\nprefix = p\n" + MINIMAL)
+    with pytest.raises(ConfigError, match=r"\[DEFAULT\] section is not allowed"):
+        parse_experiment_config(path)
+    assert main(["run", str(path)]) == 2
+    assert "[DEFAULT]" in capsys.readouterr().err
+    # a [DEFAULT] header with no keys sets nothing
+    empty = write_config(tmp_path, "[DEFAULT]\n" + MINIMAL, "empty.ini")
+    assert parse_experiment_config(empty).builtin_name == "ex_nocq"
+
+
 def test_files_source_requires_existing_data(tmp_path):
     text = "[problem]\nsource = files\nmatrix = missing.csv\ny = missing.csv\n"
     with pytest.raises(ConfigError, match="not found"):
@@ -308,7 +320,7 @@ def test_run_applies_the_report_rules(tmp_path, monkeypatch):
 
     def claims_qualification(*args, **kwargs):
         report = original(*args, **kwargs)
-        report.qualification_holds = True  # ex_nocq: supp () != esupp (0,)
+        report["qualification_holds"] = True  # ex_nocq: supp [] != esupp [0]
         return report
 
     monkeypatch.setattr(support, "build_support_report", claims_qualification)
@@ -318,6 +330,21 @@ def test_run_applies_the_report_rules(tmp_path, monkeypatch):
     assert code == 1
     assert summary["audits"]["support"] == "fail"
     assert any("qualification claimed" in w for w in summary["warnings"])
+    # the listed failure is read off the document that was written
+    written = json.loads(Path(summary["artifacts"]["support"]).read_text())
+    assert written["qualification_holds"] is True
+    listed = [w for w in summary["warnings"] if w.startswith("support: ")]
+    assert listed == support.report_rules(written) != []
+
+
+@pytest.mark.parametrize("name", ["lasso", "ex_nocq", "lasso_power15"])
+def test_summary_support_is_the_written_document(tmp_path, name):
+    cfg = parse_experiment_config(CONFIGS / f"{name}.ini")
+    cfg.outdir = str(tmp_path)
+    _, summary = run_experiment(cfg)
+    written = json.loads(Path(summary["artifacts"]["support"]).read_text())
+    del written["active_constraints"], written["dual_point"]
+    assert summary["support"] == written
 
 
 def test_run_reports_nonconvergence(tmp_path):
@@ -823,6 +850,19 @@ def test_gallery_spec_validation(tmp_path):
         with pytest.raises(ConfigError):
             parse_gallery_spec(path)
         assert main(["gallery", str(path)]) == 2
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_gallery_spec_rejects_a_default_section(tmp_path, capsys):
+    text = (
+        "[DEFAULT]\nlam = 2\n[grid]\nlo = 0\nhi = 1\nsteps = 5\n"
+        f"[output]\npath = {tmp_path / 'x.csv'}\n"
+    )
+    path = write_config(tmp_path, text, "gal.ini")
+    with pytest.raises(ConfigError, match=r"\[DEFAULT\] section is not allowed"):
+        parse_gallery_spec(path)
+    assert main(["gallery", str(path)]) == 2
+    assert "[DEFAULT]" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
 
 

@@ -326,8 +326,8 @@ def test_unique_minimizer_runs_no_solver(monkeypatch):
 
 def test_unique_minimizer_certified_on_every_batch_instance(lasso_batch):
     for seed, run_ in enumerate(lasso_batch.runs):
-        unique, why, _ = verify_unique_minimizer(run_.problem, run_.report.esupp)
-        d = len(run_.report.esupp)
+        unique, why, _ = verify_unique_minimizer(run_.problem, run_.report["esupp"])
+        d = len(run_.report["esupp"])
         assert unique, (seed, why)
         assert why == f"rank(A_D) = {d} of |D| = {d}"
 
@@ -338,7 +338,7 @@ def test_unique_minimizer_certified_on_every_batch_instance(lasso_batch):
 
 def test_face_growth_reads_one_svd_when_d_is_j(monkeypatch):
     problem = generate_synthetic(20, 50, 0)
-    esupp = analyze(problem, SolverConfig()).report.esupp
+    esupp = analyze(problem, SolverConfig()).report["esupp"]
     shapes, svd = [], np.linalg.svd
 
     def counting_svd(a, *args, **kwargs):
@@ -358,7 +358,7 @@ def test_face_growth_is_below_the_sampled_constant_on_the_batch(lasso_batch):
     for run_ in lasso_batch.runs[:6]:
         verdict, cert = run_.growth
         assert verdict == "pass"
-        assert cert["J"] == list(run_.report.esupp)
+        assert cert["J"] == list(run_.report["esupp"])
         est = estimate_gamma(run_.problem, cert["J"], run_.x_bar)
         assert cert["gamma_face"] <= est.gamma * (1.0 + 1e-8)
 

@@ -22,7 +22,6 @@ from threshgrad.support import (
     identification_audit,
     identification_bound,
     report_rules,
-    report_to_dict,
     rho,
     support,
     write_support_report,
@@ -123,27 +122,27 @@ def test_support_is_exact():
 def test_extended_support_adds_boundary_dual_coordinates():
     g = SeparableRegularizer.uniform(1)
     # at x = 0 with grad = -1 the dual coordinate sits on the endpoint 1
-    assert report_at([1.0], g).esupp == (0,)
-    assert report_at([-0.3], g).esupp == ()
+    assert report_at([1.0], g)["esupp"] == [0]
+    assert report_at([-0.3], g)["esupp"] == []
     # the support itself is always included
     rep = report_at([-0.2], g, x_bar=[0.5])
-    assert np.array_equal(rep.dual_point, [-0.2])
-    assert rep.esupp == (0,)
+    assert np.array_equal(rep["dual_point"], [-0.2])
+    assert rep["esupp"] == [0]
 
 
 def test_extended_support_tolerance_scales_with_endpoint():
     g = SeparableRegularizer.uniform(1, Interval(-1e6, 1e6))
     # within 1e-8 * 1e6 of the endpoint
-    assert report_at([1e6 - 1e-3], g).esupp == (0,)
-    assert report_at([1e6 - 1e-1], g).esupp == ()
+    assert report_at([1e6 - 1e-3], g)["esupp"] == [0]
+    assert report_at([1e6 - 1e-1], g)["esupp"] == []
 
 
 def test_extended_support_tolerance_is_1e_8_on_unit_intervals():
     g = SeparableRegularizer.uniform(1)
-    assert report_at([1.0 - 0.5e-8], g).esupp == (0,)
-    assert report_at([1.0 - 2e-8], g).esupp == ()
-    assert report_at([-(1.0 - 0.5e-8)], g).esupp == (0,)
-    assert report_at([-(1.0 - 2e-8)], g).esupp == ()
+    assert report_at([1.0 - 0.5e-8], g)["esupp"] == [0]
+    assert report_at([1.0 - 2e-8], g)["esupp"] == []
+    assert report_at([-(1.0 - 0.5e-8)], g)["esupp"] == [0]
+    assert report_at([-(1.0 - 2e-8)], g)["esupp"] == []
 
 
 @pytest.mark.parametrize("c2", [1e-4, 1e-8])
@@ -158,15 +157,15 @@ def test_extended_support_is_unchanged_by_the_joint_rescaling(c2):
         h=LeastSquaresTerm(c * p.h.op, c * p.h.y, lipschitz=c2),
     )
     want, got = analyze(p, SolverConfig()), analyze(scaled, SolverConfig())
-    assert len(want.report.esupp) == 11
-    assert got.report.esupp == want.report.esupp
-    assert got.report.supp == want.report.supp
+    assert len(want.report["esupp"]) == 11
+    assert got.report["esupp"] == want.report["esupp"]
+    assert got.report["supp"] == want.report["supp"]
 
 
 def test_extended_support_ignores_infinite_endpoints():
     g = SeparableRegularizer.uniform(1, Interval(-1.0, math.inf))
-    assert report_at([1e12], g).esupp == ()
-    assert report_at([-1.0], g).esupp == (0,)
+    assert report_at([1e12], g)["esupp"] == []
+    assert report_at([-1.0], g)["esupp"] == [0]
 
 
 # ---------------------------------------------------------------------------
@@ -294,26 +293,26 @@ def test_dual_point_agrees_across_minimizers_of_the_segment():
 
 def test_active_constraints_values():
     g = SeparableRegularizer.uniform(2)
-    assert report_at([1.0, -1.0], g).active_constraints == (0, 1)
-    assert report_at([0.3, -1.0], g).active_constraints == (1,)
-    assert report_at(np.zeros(2), g).active_constraints == ()
+    assert report_at([1.0, -1.0], g)["active_constraints"] == [0, 1]
+    assert report_at([0.3, -1.0], g)["active_constraints"] == [1]
+    assert report_at(np.zeros(2), g)["active_constraints"] == []
 
 
 def test_active_constraints_requires_zero_psi():
     g = SeparableRegularizer.uniform(2, penalty=PowerPenalty(2.0, 1.0))
-    assert report_at(np.zeros(2), g).active_constraints is None
+    assert report_at(np.zeros(2), g)["active_constraints"] is None
 
 
 def test_qualification_fails_for_scalar_example():
     g = SeparableRegularizer.uniform(1)
-    assert report_at([1.0], g).qualification_holds is False
+    assert report_at([1.0], g)["qualification_holds"] is False
 
 
 def test_qualification_holds_on_the_segment():
     p = segment_problem()
     trace = _mk_trace([0], [()], x0=np.zeros(2))
     rep = build_support_report(p, trace, np.array([0.25, -0.25]))
-    assert rep.qualification_holds is True
+    assert rep["qualification_holds"] is True
 
 
 def test_qualification_needs_differentiability_attestation():
@@ -321,7 +320,7 @@ def test_qualification_needs_differentiability_attestation():
         value=lambda t: t ** 4, prox=lambda t, lam: t, differentiable=True
     )
     g = SeparableRegularizer.uniform(1, penalty=attested)
-    assert report_at(np.zeros(1), g).qualification_holds is True
+    assert report_at(np.zeros(1), g)["qualification_holds"] is True
 
 
 # ---------------------------------------------------------------------------
@@ -332,26 +331,26 @@ def test_report_for_scalar_problem():
     p = scalar_problem()
     trace = run(p, SolverConfig(lam=0.5, x0=np.array([1.0])))
     rep = build_support_report(p, trace, np.array([0.0]))
-    assert rep.supp == ()
-    assert rep.esupp == (0,)
-    assert rep.rho_sol == math.inf
-    assert rep.identification_bound == 0.0
-    assert rep.observed_violations == 0
-    assert rep.identification_iteration == 1
-    assert rep.qualification_holds is False
-    assert rep.active_constraints == (0,)
-    assert np.array_equal(rep.dual_point, [1.0])
+    assert rep["supp"] == []
+    assert rep["esupp"] == [0]
+    assert rep["rho_sol"] is None
+    assert rep["identification_bound"] == 0.0
+    assert rep["observed_violations"] == 0
+    assert rep["identification_iteration"] == 1
+    assert rep["qualification_holds"] is False
+    assert rep["active_constraints"] == [0]
+    assert np.array_equal(rep["dual_point"], [1.0])
 
 
 def test_report_for_segment_problem():
     p = segment_problem()
     trace = run(p, SolverConfig(residual_tol=1e-12))
     rep = build_support_report(p, trace, np.array([0.25, -0.25]))
-    assert rep.supp == (0, 1)
-    assert rep.esupp == (0, 1)
-    assert rep.qualification_holds is True
-    assert rep.rho_sol == math.inf  # both dual coordinates on the boundary
-    assert rep.identification_bound == 0.0
+    assert rep["supp"] == [0, 1]
+    assert rep["esupp"] == [0, 1]
+    assert rep["qualification_holds"] is True
+    assert rep["rho_sol"] is None  # both dual coordinates on the boundary
+    assert rep["identification_bound"] == 0.0
 
 
 def test_report_reads_one_boundary_mask(monkeypatch):
@@ -379,8 +378,8 @@ def test_report_with_custom_penalty_leaves_qualification_open():
     p = Problem(g=g, h=h)
     trace = run(p, SolverConfig())
     rep = build_support_report(p, trace, np.zeros(1))
-    assert rep.qualification_holds is None
-    assert rep.active_constraints is None
+    assert rep["qualification_holds"] is None
+    assert rep["active_constraints"] is None
 
 
 def test_report_invariants_on_random_instance():
@@ -396,25 +395,24 @@ def test_report_invariants_on_random_instance():
 
     x_bar = polish(p, trace.x_final)
     rep = build_support_report(p, run(p, SolverConfig(residual_tol=1e-10)), x_bar)
-    assert set(rep.supp) <= set(rep.esupp)
-    assert rep.identification_bound >= 0.0
-    if math.isfinite(rep.rho_sol):
-        assert rep.rho_sol > 0.0
-        assert rep.observed_violations <= math.ceil(rep.identification_bound)
-    assert rep.identification_iteration is not None
+    assert set(rep["supp"]) <= set(rep["esupp"])
+    assert rep["identification_bound"] >= 0.0
+    if rep["rho_sol"] is not None:
+        assert rep["rho_sol"] > 0.0
+        assert rep["observed_violations"] <= math.ceil(rep["identification_bound"])
+    assert rep["identification_iteration"] is not None
 
 
 def test_report_serialization_roundtrip(tmp_path):
     p = scalar_problem()
     trace = run(p, SolverConfig(lam=0.5, x0=np.array([1.0])))
     rep = build_support_report(p, trace, np.array([0.0]))
-    d = report_to_dict(rep)
-    assert d["rho_sol"] is None  # +inf maps to null
-    assert d["esupp"] == [0]
+    assert rep["rho_sol"] is None  # +inf maps to null
+    assert rep["esupp"] == [0]
     path = tmp_path / "report.json"
     write_support_report(rep, path)
     loaded = json.loads(path.read_text())
-    assert loaded == json.loads(json.dumps(d))
+    assert loaded == rep
 
 
 SOUND_REPORT = {
@@ -430,18 +428,18 @@ SOUND_REPORT = {
 }
 
 
-def test_report_to_dict_json_form():
+def test_support_report_json_form():
     lists = ("supp", "esupp", "active_constraints", "dual_point")
     p = segment_problem()
     trace = run(p, SolverConfig(residual_tol=1e-12))
-    d = report_to_dict(build_support_report(p, trace, trace.x_final))
+    d = build_support_report(p, trace, trace.x_final)
     assert set(d) == set(SOUND_REPORT)
     assert all(type(d[k]) is list for k in lists)
     assert all(type(v) is float for v in d["dual_point"])
     # a power penalty has no dual box, so no active constraints
     g = SeparableRegularizer.uniform(1, penalty=PowerPenalty(2.0))
     p = Problem(g=g, h=scalar_problem().h)
-    d = report_to_dict(build_support_report(p, run(p, SolverConfig()), np.zeros(1)))
+    d = build_support_report(p, run(p, SolverConfig()), np.zeros(1))
     assert set(d) == set(SOUND_REPORT)
     assert d["active_constraints"] is None
 
@@ -489,6 +487,6 @@ def test_report_rules_flag_each_broken_claim(change, needle):
 def test_report_rules_pass_a_built_report():
     p = segment_problem()
     trace = run(p, SolverConfig(residual_tol=1e-12))
-    rep = report_to_dict(build_support_report(p, trace, trace.x_final))
+    rep = build_support_report(p, trace, trace.x_final)
     assert report_rules(rep) == []
 
