@@ -95,8 +95,7 @@ def analyze(problem: solver.Problem, solver_cfg: solver.SolverConfig) -> Analysi
     every coordinate the rate also carries the tail bound.  A step size or
     starting point the problem rejects raises ValueError first."""
     trace = solver.run(problem, solver_cfg)
-    x_bar = conditioning.polish(problem, trace.x_final)
-    f_star = problem.objective(x_bar)
+    x_bar, f_star = conditioning.polish(problem, trace)
     dists = trace.distances_to(x_bar)
     report = support.build_support_report(problem, trace, x_bar)
     rate = conditioning.fit_rate(trace, f_star)

@@ -503,6 +503,8 @@ class GallerySpec:
             raise ValueError(f"need finite lo < hi, got {self.lo!r} and {self.hi!r}")
         if self.steps < 2:
             raise ValueError(f"need steps >= 2, got {self.steps!r}")
+        if not 0.0 < self.lam < math.inf:
+            raise ValueError(f"need a finite lam > 0, got {self.lam!r}")
         if self.box is not None and not self.box[0] < self.box[1]:
             raise ValueError(f"need a box a < b, got {self.box!r}")
 
@@ -548,9 +550,7 @@ def emit_prox_gallery(spec: GallerySpec) -> None:
 
 
 def _write_csv_matrix(a, path) -> None:
-    with open(path, "w") as fh:
-        for row in a:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    write_text(path, "".join(",".join(map(repr, row)) + "\n" for row in a.tolist()))
 
 
 def cmd_gen(m: int, n: int, seed: int, scale: float, outdir: str, prefix: str) -> int:

@@ -63,7 +63,7 @@ class PolishError(RuntimeError):
     names the residual the continuation stalled at."""
 
 
-def _fb_continuation(problem: Problem, x_from: np.ndarray) -> np.ndarray:
+def _fb_continuation(problem: Problem, x_from: np.ndarray) -> tuple[np.ndarray, float]:
     cfg = SolverConfig(max_iter=_POLISH_ITERS, residual_tol=_POLISH_TOL, x0=x_from)
     trace = run(problem, cfg)
     if not trace.converged:
@@ -71,27 +71,25 @@ def _fb_continuation(problem: Problem, x_from: np.ndarray) -> np.ndarray:
             f"continuation stalled at residual {trace.residuals[-1]:.3e} "
             f"after {trace.n_iterations} iterations (target {_POLISH_TOL:.1e})"
         )
-    return trace.x_final
+    return trace.x_final, float(trace.objectives[-1])
 
 
-def polish(problem: Problem, x_approx: np.ndarray) -> np.ndarray:
-    """Refine a near-solution to fixed-point residual <= 1e-12 (_POLISH_TOL).
+def polish(problem: Problem, trace: IterateTrace) -> tuple[np.ndarray, float]:
+    """Refine a run's last iterate to fixed-point residual <= 1e-12
+    (_POLISH_TOL); returns the pair (x_bar, f(x_bar)).
 
-    For interval-only regularizers on least squares the support and the
-    selected interval endpoints of x_approx determine a linear stationarity
-    system; its minimum-norm correction usually lands within rounding of
-    the solution face in one solve.  The candidate is accepted only if its
-    full-space residual meets 1e-12 and its objective does not exceed the
-    input's; otherwise (and for power penalties, always) the fallback is a
-    plain forward-backward continuation at step 1/L, whose descent property
-    keeps the objective guarantee, capped at _POLISH_ITERS iterations.
+    The input x_approx is ``trace.x_final`` and its objective the trace's
+    last row.  For interval-only regularizers on least squares the support
+    and the selected interval endpoints of x_approx determine a linear
+    stationarity system; its minimum-norm correction usually lands within
+    rounding of the solution face in one solve.  The candidate is accepted
+    only if its full-space residual meets 1e-12 and its objective does not
+    exceed the input's; otherwise (and for power penalties, always) the
+    fallback is a plain forward-backward continuation at step 1/L, whose
+    descent property keeps the objective guarantee, capped at _POLISH_ITERS
+    iterations; its trace's last row is then f(x_bar).
     """
-    x_approx = np.asarray(x_approx, dtype=float)
-    if x_approx.shape != (problem.n,):
-        raise ValueError(f"x_approx must have shape ({problem.n},)")
-    if not np.all(np.isfinite(x_approx)):
-        raise ValueError("x_approx must be finite")
-
+    x_approx = trace.x_final
     g = problem.g
     J = [int(k) for k in np.flatnonzero(x_approx)]
     # the endpoint each nonzero is pushed toward; an absent one leaves no
@@ -110,9 +108,10 @@ def polish(problem: Problem, x_approx: np.ndarray) -> np.ndarray:
             # point nearest the input instead of the min-norm solution
             cand[J] = xj + np.linalg.lstsq(gram, rhs - gram @ xj, rcond=None)[0]
         lam = 1.0 / float(problem.h.lipschitz)
-        met = fixed_point_residual(problem, lam, cand) <= _POLISH_TOL
-        if met and problem.objective(cand) <= problem.objective(x_approx):
-            return cand
+        if fixed_point_residual(problem, lam, cand) <= _POLISH_TOL:
+            f_cand = problem.objective(cand)
+            if f_cand <= trace.objectives[-1]:
+                return cand, f_cand
     return _fb_continuation(problem, x_approx)
 
 

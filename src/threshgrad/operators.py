@@ -57,8 +57,10 @@ class LeastSquaresTerm:
                 raise ValueError(f"the {name} has non-finite entries")
         object.__setattr__(self, "op", a)
         object.__setattr__(self, "y", y)
-        if not self.lipschitz > 0.0:
-            raise ValueError(f"lipschitz must be positive, got {self.lipschitz}")
+        if not 0.0 < self.lipschitz < np.inf:
+            raise ValueError(
+                f"lipschitz must be a finite number > 0, got {self.lipschitz}"
+            )
 
     # The products are spelled with ndarray.dot: on a contiguous matrix it
     # is bitwise the matmul operator (the same BLAS gemv and dot) without

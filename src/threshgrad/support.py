@@ -18,8 +18,8 @@ where rho_sol is the distance of the strictly interior dual coordinates to
 their interval boundaries (+inf when there are none, in which case no
 violation is possible and the bound is 0).
 
-Index sets are 0-based and sorted: tuples from `support`, lists in the
-report document.
+Index sets are 0-based, sorted lists; supp(x) = {k : x_k != 0} exactly,
+with no magnitude threshold.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .regularizers import SeparableRegularizer, PowerPenalty
 from .solver import IterateTrace, Problem
 
 __all__ = [
-    "support",
     "rho",
     "identification_bound",
     "identification_audit",
@@ -49,11 +48,6 @@ __all__ = [
 
 def _indices(mask: np.ndarray) -> list:
     return np.flatnonzero(mask).tolist()
-
-
-def support(x: np.ndarray) -> tuple:
-    """Indices with x_k != 0, exactly (no magnitude threshold)."""
-    return tuple(_indices(np.asarray(x)))
 
 
 def _boundary_mask(u: np.ndarray, g: SeparableRegularizer) -> np.ndarray:

@@ -612,7 +612,7 @@ def test_run_gamma_skipped_on_a_duplicated_column(tmp_path):
     # batch instance seed 3, with a copy of a column where x_bar is nonzero
     problem = generate_synthetic(20, 50, 3)
     trace = solver.run(problem, solver.SolverConfig(residual_tol=1e-10))
-    k = int(np.flatnonzero(polish(problem, trace.x_final))[0])
+    k = int(np.flatnonzero(polish(problem, trace)[0])[0])
     a = np.column_stack([problem.h.op, problem.h.op[:, k]])
     cfg = write_files_config(
         tmp_path,
@@ -875,6 +875,9 @@ def test_gallery_spec_rejects_a_default_section(tmp_path, capsys):
         dict(steps=1),
         dict(box=(1.0, 0.0)),
         dict(box=(0.5, 0.5)),
+        dict(lam=math.inf),
+        dict(lam=0.0),
+        dict(lam=math.nan),
     ],
 )
 def test_gallery_spec_built_in_code_checks_itself(fields):
@@ -903,6 +906,19 @@ def test_gen_writes_deterministic_instance(tmp_path):
     nz = x_true[x_true != 0.0]
     assert len(nz) == math.ceil(20 / 10)
     assert np.all((np.abs(nz) >= 10.0) & (np.abs(nz) <= 20.0))
+
+
+def test_gen_files_are_the_repr_rows(tmp_path):
+    from threshgrad.analysis import _synthetic_data
+
+    # an older, longer file is overwritten to the new length
+    (tmp_path / "inst_y.csv").write_text("9" * 10_000)
+    assert main(["gen", "7", "30", "5", "--scale", "0.5", "--outdir", str(tmp_path),
+                 "--prefix", "inst"]) == 0
+    a, y, x_true = _synthetic_data(7, 30, 5, 0.5)
+    for name, data in (("A", a), ("y", y[:, None]), ("x_true", x_true[:, None])):
+        rows = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in data)
+        assert (tmp_path / f"inst_{name}.csv").read_bytes() == rows.encode(), name
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@ import json
 import math
 import warnings
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -149,9 +150,14 @@ def test_brute_force_validates_bracket():
 # polish
 
 
+def polish_point(p, x):
+    """The x_bar that `polish` returns for a one-row trace of the point x."""
+    return polish(p, run(p, SolverConfig(x0=x, max_iter=0)))[0]
+
+
 def test_polish_scalar_problem_lands_exactly_at_zero():
     p = scalar_problem()
-    assert polish(p, np.array([1e-6]))[0] == 0.0
+    assert polish_point(p, np.array([1e-6]))[0] == 0.0
 
 
 def test_polish_keeps_exact_solution():
@@ -161,7 +167,7 @@ def test_polish_keeps_exact_solution():
     # the correction must stay within ulps and not degrade anything
     p = segment_problem()
     x = np.array([0.25, -0.25])
-    out = polish(p, x)
+    out = polish_point(p, x)
     assert np.max(np.abs(out - x)) <= 1e-14
     assert p.objective(out) <= p.objective(x)
     assert fixed_point_residual(p, 0.25, out) <= 1e-12
@@ -171,7 +177,7 @@ def test_polish_near_solution_on_singular_face():
     from threshgrad.solver import fixed_point_residual
 
     p = segment_problem()
-    x = polish(p, np.array([0.5 + 1e-7, 1e-7]))
+    x = polish_point(p, np.array([0.5 + 1e-7, 1e-7]))
     assert fixed_point_residual(p, 0.25, x) <= 1e-12
     assert p.objective(x) == pytest.approx(0.75, abs=1e-12)
 
@@ -182,7 +188,7 @@ def test_polish_residual_postcondition_on_random_instances():
     for seed in range(3):
         p = lasso_problem(seed)
         trace = run(p, SolverConfig(residual_tol=1e-8))
-        x = polish(p, trace.x_final)
+        x = polish(p, trace)[0]
         lam = 1.0 / p.h.lipschitz
         assert fixed_point_residual(p, lam, x) <= 1e-12
         assert p.objective(x) <= p.objective(trace.x_final) + 1e-15
@@ -195,7 +201,7 @@ def test_polish_with_power_penalty_uses_iterative_fallback():
     g = SeparableRegularizer.uniform(25, penalty=PowerPenalty(4.0, 0.5))
     p = Problem(g=g, h=p.h)
     trace = run(p, SolverConfig(residual_tol=1e-8))
-    x = polish(p, trace.x_final)
+    x = polish(p, trace)[0]
     lam = 1.0 / p.h.lipschitz
     assert fixed_point_residual(p, lam, x) <= 1e-12
     # the continuation is a plain run from the input at the default step
@@ -214,7 +220,7 @@ def test_polish_error_carries_best_point(monkeypatch):
         g=SeparableRegularizer.uniform(1, penalty=PowerPenalty(2.0, 2.0)), h=h
     )
     with pytest.raises(PolishError) as exc:
-        polish(p, np.array([1.0]))
+        polish_point(p, np.array([1.0]))
     assert str(exc.value) == (
         f"continuation stalled at residual {1.5 * 0.25 ** 5:.3e} "
         "after 5 iterations (target 1.0e-12)"
@@ -242,8 +248,9 @@ def test_polish_face_solve_is_bitwise_the_stacked_column_solve():
     face_route = 0
     for seed in range(10):
         p = generate_synthetic(20, 50, seed)
-        x = run(p, SolverConfig(residual_tol=1e-10)).x_final
-        got = polish(p, x)
+        trace = run(p, SolverConfig(residual_tol=1e-10))
+        x = trace.x_final
+        got = polish(p, trace)[0]
         cand = stacked_columns_face_solve(p, x)
         lam = 1.0 / p.h.lipschitz
         if fixed_point_residual(p, lam, cand) <= 1e-12 and (
@@ -252,17 +259,62 @@ def test_polish_face_solve_is_bitwise_the_stacked_column_solve():
             face_route += 1
             assert got.tobytes() == cand.tobytes(), seed
         else:
-            want = _fb_continuation(p, x)
+            want = _fb_continuation(p, x)[0]
             assert got.tobytes() == want.tobytes(), seed
     assert face_route >= 5
 
 
-def test_polish_validates_input():
-    p = scalar_problem()
-    with pytest.raises(ValueError):
-        polish(p, np.zeros(2))
-    with pytest.raises(ValueError):
-        polish(p, np.array([np.nan]))
+def bits(v) -> bytes:
+    return np.float64(v).tobytes()
+
+
+def test_trace_and_analysis_read_the_objective_bitwise_on_the_batch(lasso_batch):
+    # polish compares the face candidate with the trace's last row, and
+    # analyze takes f* from polish: both are bitwise the evaluated objective
+    for run_ in lasso_batch.runs:
+        p, trace = run_.problem, run_.trace
+        assert bits(trace.objectives[-1]) == bits(p.objective(trace.x_final))
+        assert bits(run_.f_star) == bits(p.objective(run_.x_bar))
+        assert type(run_.f_star) is float
+
+
+SHIPPED = Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.mark.parametrize(
+    "name, continued",
+    [
+        ("ex_cq", False),
+        ("ex_nocq", False),
+        ("lasso", True),
+        ("lasso_power15", True),
+        ("lasso_power4", True),
+    ],
+)
+def test_analysis_reads_the_objective_bitwise_on_the_shipped_configs(
+    monkeypatch, name, continued
+):
+    from threshgrad import conditioning
+    from threshgrad.cli import _build_problem, _resolve_x0, parse_experiment_config
+
+    c = parse_experiment_config(SHIPPED / f"{name}.ini")
+    p, _ = _build_problem(c)
+    cfg = SolverConfig(lam=c.lam, max_iter=c.max_iter, x0=_resolve_x0(c, p.n))
+    routes, real = [], conditioning._fb_continuation
+
+    def continuation(problem, x_from):
+        routes.append(real(problem, x_from))
+        return routes[-1]
+
+    monkeypatch.setattr(conditioning, "_fb_continuation", continuation)
+    result = analyze(p, cfg)
+    trace = result.trace
+    assert bits(trace.objectives[-1]) == bits(p.objective(trace.x_final))
+    # the face route returns the candidate's evaluated objective, the
+    # continuation route the last row of its own trace
+    assert bits(result.f_star) == bits(p.objective(result.x_bar))
+    assert type(result.f_star) is float
+    assert bool(routes) is continued
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +323,7 @@ def test_polish_validates_input():
 
 def test_unique_minimizer_confirmed_for_scalar_problem():
     p = scalar_problem()
-    x_bar = polish(p, np.ones(1))
+    x_bar = polish_point(p, np.ones(1))
     assert x_bar[0] == 0.0
     unique, why, sigma = verify_unique_minimizer(p, (0,))
     assert (unique, why) == (True, "rank(A_D) = 1 of |D| = 1")
@@ -414,7 +466,7 @@ def test_gamma_identity_quadratic():
     h = LeastSquaresTerm([[1.0]], np.array([2.0]), lipschitz=1.0)
     g = SeparableRegularizer.uniform(1, Interval(-1e-9, 1e-9))
     p = Problem(g=g, h=h)
-    x_bar = polish(p, np.zeros(1))
+    x_bar = polish_point(p, np.zeros(1))
     assert verify_unique_minimizer(p, (0,))[0]
     est = estimate_gamma(p, (0,), x_bar, delta=0.5, r=0.5, p=2.0)
     assert est.gamma == pytest.approx(1.0, abs=1e-3)

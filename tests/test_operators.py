@@ -192,6 +192,13 @@ def test_least_squares_rejects_non_finite_data(bad):
         LeastSquaresTerm(np.eye(2), [0.0, bad], 1.0)
 
 
+@pytest.mark.parametrize("lipschitz", [math.inf, math.nan, 0.0, -1.0])
+def test_least_squares_requires_a_finite_positive_lipschitz(lipschitz):
+    # an infinite L would surface at run time as an empty step range
+    with pytest.raises(ValueError, match="lipschitz must be a finite number > 0"):
+        LeastSquaresTerm([[1.0]], [1.0], lipschitz=lipschitz)
+
+
 def test_operator_validation():
     for bad in (np.zeros((0, 3)), np.zeros((3, 0)), np.zeros(3), np.zeros((1, 1, 1))):
         with pytest.raises(ValueError):

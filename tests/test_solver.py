@@ -93,6 +93,12 @@ def test_residual_tol_must_be_finite_and_nonnegative(tol):
         SolverConfig(residual_tol=tol).resolve(scalar_problem())
 
 
+def test_run_rejects_an_x0_of_another_shape():
+    # the one check of a start point: `polish` reads its input off a trace
+    with pytest.raises(ValueError, match=r"x0 must have shape \(1,\), got \(2,\)"):
+        run(scalar_problem(), SolverConfig(x0=np.zeros(2), max_iter=0))
+
+
 def test_x0_validation():
     p = scalar_problem()
     with pytest.raises(ValueError):
@@ -530,6 +536,29 @@ def test_objective_from_the_log_is_infinite_outside_a_one_sided_interval():
     assert np.isfinite(trace.objectives[1:]).all() and len(trace.ns) > 1
     want = np.array([p.h.value(x) + g_dense(x, g) for x in iterates(trace)])
     assert trace.objectives.tobytes() == want.tobytes()
+
+
+_PSI = [ZeroPenalty(), PowerPenalty(1.5), PowerPenalty(4.0), _CUSTOM]
+
+
+@settings(deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    psi=st.lists(st.sampled_from(range(len(_PSI))), min_size=1, max_size=10),
+    data=st.data(),
+    max_iter=st.integers(0, 30),
+)
+def test_last_objective_is_bitwise_the_objective_of_x_final(seed, psi, data, max_iter):
+    # `polish` reads f(x_final) off the trace's last row instead of
+    # evaluating it; x0 may hold -0.0, which the log drops
+    n = len(psi)
+    h = random_problem(seed, 6, n).h
+    g = SeparableRegularizer((Interval(-0.5, 0.5),) * n, tuple(_PSI[k] for k in psi))
+    p = Problem(g=g, h=h)
+    x0 = np.array(data.draw(st.lists(_ENTRY, min_size=n, max_size=n)))
+    trace = run(p, SolverConfig(max_iter=max_iter, x0=x0))
+    want = p.objective(trace.x_final)
+    assert np.float64(trace.objectives[-1]).tobytes() == np.float64(want).tobytes()
 
 
 @pytest.mark.parametrize(

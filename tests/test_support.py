@@ -23,7 +23,6 @@ from threshgrad.support import (
     identification_bound,
     report_rules,
     rho,
-    support,
     write_support_report,
 )
 
@@ -114,9 +113,15 @@ def report_at(u, g, x_bar=None):
 
 
 def test_support_is_exact():
-    assert support(np.array([0.5, 0.0])) == (0,)
-    assert support(np.zeros(3)) == ()
-    assert support(np.array([1e-300, 0.0, -2.0])) == (0, 2)
+    # no magnitude threshold; -0.0 is zero.  The dual point 0 is interior,
+    # so esupp adds nothing
+    def supp(x_bar):
+        n = len(x_bar)
+        return report_at(np.zeros(n), SeparableRegularizer.uniform(n), x_bar)["supp"]
+
+    assert supp([0.5, 0.0]) == [0]
+    assert supp([0.0, -0.0, 0.0]) == []
+    assert supp([1e-300, 0.0, -2.0]) == [0, 2]
 
 
 def test_extended_support_adds_boundary_dual_coordinates():
@@ -279,7 +284,7 @@ def test_dual_point_agrees_across_minimizers_of_the_segment():
     sols = []
     for x0 in starts:
         trace = run(p, SolverConfig(x0=x0, residual_tol=1e-12))
-        x_bar = polish(p, trace.x_final)
+        x_bar = polish(p, trace)[0]
         sols.append(x_bar)
         duals.append(dual_point(p, x_bar))
     # the primal landing points spread over the segment ...
@@ -393,7 +398,7 @@ def test_report_invariants_on_random_instance():
     trace = run(p, SolverConfig(residual_tol=1e-10))
     from threshgrad.conditioning import polish
 
-    x_bar = polish(p, trace.x_final)
+    x_bar = polish(p, trace)[0]
     rep = build_support_report(p, run(p, SolverConfig(residual_tol=1e-10)), x_bar)
     assert set(rep["supp"]) <= set(rep["esupp"])
     assert rep["identification_bound"] >= 0.0

@@ -39,16 +39,23 @@ def test_every_tracer_target_resolves_in_the_package():
 @pytest.mark.parametrize(
     "name, route",
     [
-        # a power penalty sends polish down the FB continuation
-        ("lasso_power15", lambda t: t.counts["fb_fallbacks"] > 0),
+        # a power penalty sends polish down the FB continuation, and f(x)
+        # is read off traces: the objective is never evaluated
+        (
+            "lasso_power15",
+            lambda t: t.counts["fb_fallbacks"] > 0
+            and t.calls.get("solver.objective", 0) == 0,
+        ),
         # the growth certificate reads one rank test: no second solve or
-        # polish, and no sampling
+        # polish, and no sampling; the objective is evaluated once, at the
+        # accepted face candidate
         (
             "ex_nocq",
             lambda t: t.calls["conditioning.verify_unique_minimizer"] == 1
             and t.calls["solver.run"] == 1
             and t.calls["conditioning.polish"] == 1
-            and t.calls.get("conditioning.estimate_gamma", 0) == 0,
+            and t.calls.get("conditioning.estimate_gamma", 0) == 0
+            and t.calls["solver.objective"] == 1,
         ),
     ],
 )
