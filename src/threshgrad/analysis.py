@@ -37,6 +37,8 @@ def _synthetic_data(m: int, n: int, seed: int, scale: float):
     determinism contract; changing it changes every seeded artifact."""
     if m < 1 or n < 1:
         raise ValueError("m and n must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if not (math.isfinite(scale) and scale > 0.0):
         raise ValueError(f"scale must be a finite number > 0, got {scale!r}")
     rng = np.random.default_rng(seed)

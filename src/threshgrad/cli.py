@@ -28,13 +28,7 @@ import numpy as np
 from . import solver, support
 from .analysis import _builtin_smooth, _synthetic_data, analyze
 from .analysis import generate_synthetic
-from .operators import (
-    LeastSquaresTerm,
-    operator_norm,
-    read_dense_matrix,
-    read_vector,
-    write_text,
-)
+from .operators import LeastSquaresTerm, read_dense_matrix, read_vector, write_text
 from .regularizers import (
     Interval,
     PowerPenalty,
@@ -72,9 +66,11 @@ class ExperimentConfig:
     """Parsed experiment description; the INI schema is `_EXPERIMENT_KEYS`
     (documented in the README).
 
-    Exactly one problem source is active.  The solver tolerance is a
-    library default; the polish and rate-fit settings are constants of
-    `threshgrad.conditioning`.
+    Exactly one problem source is active.  The ranges of the values are
+    checked where `run_experiment` builds the problem, by
+    `_synthetic_data`, `LeastSquaresTerm` and `SolverConfig.resolve`, before
+    anything is written.  The solver tolerance is a library default; the
+    polish and rate-fit settings are constants of `threshgrad.conditioning`.
     """
 
     # [problem]
@@ -125,10 +121,12 @@ class ExperimentConfig:
 class _Codec:
     """How one INI value is read and written.
 
-    ``parse`` returns the value, or raises ValueError when the text lies
-    outside the domain that ``accepted`` names.  ``fmt`` writes a value back
-    as text that parses to it.  ``none`` is the text of a None value; when
-    it is None, a None value leaves the key out.
+    ``parse`` returns the value, or raises ValueError when the text is not
+    of the form that ``accepted`` names.  It checks syntax only: a value's
+    range is checked once, by the constructor that owns the value.
+    ``fmt`` writes a value back as text that parses to it.  ``none`` is
+    the text of a None value; when it is None, a None value leaves the key
+    out.
     """
 
     parse: Callable[[str], object]
@@ -154,28 +152,13 @@ class _Key:
     source: Optional[str] = None
 
 
-def _checked(kind, accepted: str, ok, fmt=str) -> _Codec:
-    """Codec of ``kind(text)`` restricted to the values where ``ok`` holds."""
-
-    def parse(text):
-        v = kind(text)
-        if not ok(v):
-            raise ValueError(text)
-        return v
-
-    return _Codec(parse, accepted, fmt)
-
-
-def _real(accepted: str, ok=lambda v: True) -> _Codec:
-    return _checked(float, accepted, lambda v: math.isfinite(v) and ok(v), repr)
-
-
-def _integer(lo: int) -> _Codec:
-    return _checked(int, f"an integer >= {lo}", lambda v: v >= lo)
-
-
 def _choice(*names: str) -> _Codec:
-    return _checked(str, "one of " + ", ".join(names), lambda v: v in names)
+    def parse(text):
+        if text not in names:
+            raise ValueError(text)
+        return text
+
+    return _Codec(parse, "one of " + ", ".join(names))
 
 
 def _auto(codec: _Codec) -> _Codec:
@@ -210,8 +193,8 @@ def _parse_x0(text):
     return text
 
 
-_FINITE = _real("a finite number")
-_POSITIVE = _real("a finite number > 0", lambda v: v > 0.0)
+_NUMBER = _Codec(float, "a number", repr)
+_INTEGER = _Codec(int, "an integer")
 _TEXT = _Codec(str, "text")
 _FILE = _Codec(_existing, "an existing file")
 _INTERVAL = _Codec(
@@ -224,7 +207,7 @@ _PENALTY = _Codec(
     "none or power p [weight] with finite p > 1 and finite weight >= 0 (default 1)",
     lambda v: f"power {v.p!r} {v.weight!r}" if isinstance(v, PowerPenalty) else "none",
 )
-_BOX = _Codec(_parse_pair, "two numbers a < b")
+_BOX = _Codec(_parse_pair, "two numbers")
 _SOURCE = _choice("builtin", "files", "synthetic")
 _BUILTIN = _choice("ex_cq", "ex_nocq")
 _X0 = _Codec(_parse_x0, "zeros, ones or file:<path>")
@@ -234,26 +217,26 @@ _EXPERIMENT_KEYS = (
     _Key("problem", "name", "builtin_name", _BUILTIN, required=True, source="builtin"),
     _Key("problem", "matrix", "matrix_path", _FILE, required=True, source="files"),
     _Key("problem", "y", "y_path", _FILE, required=True, source="files"),
-    _Key("problem", "lipschitz", "lipschitz", _auto(_POSITIVE), source="files"),
-    _Key("problem", "m", "m", _integer(1), required=True, source="synthetic"),
-    _Key("problem", "n", "n", _integer(1), required=True, source="synthetic"),
-    _Key("problem", "seed", "seed", _integer(0), required=True, source="synthetic"),
-    _Key("problem", "scale", "scale", _POSITIVE, source="synthetic"),
+    _Key("problem", "lipschitz", "lipschitz", _auto(_NUMBER), source="files"),
+    _Key("problem", "m", "m", _INTEGER, required=True, source="synthetic"),
+    _Key("problem", "n", "n", _INTEGER, required=True, source="synthetic"),
+    _Key("problem", "seed", "seed", _INTEGER, required=True, source="synthetic"),
+    _Key("problem", "scale", "scale", _NUMBER, source="synthetic"),
     _Key("regularizer", "interval", "interval", _INTERVAL),
     _Key("regularizer", "interval_<k>", "interval_overrides", _INTERVAL),
     _Key("regularizer", "penalty", "penalty", _PENALTY),
-    _Key("solver", "lambda", "lam", _auto(_POSITIVE)),
-    _Key("solver", "max_iter", "max_iter", _integer(0)),
+    _Key("solver", "lambda", "lam", _auto(_NUMBER)),
+    _Key("solver", "max_iter", "max_iter", _INTEGER),
     _Key("solver", "x0", "x0", _X0),
     _Key("output", "dir", "outdir", _TEXT),
     _Key("output", "prefix", "prefix", _TEXT),
 )
 
 _GALLERY_KEYS = (
-    _Key("grid", "lo", "lo", _FINITE, required=True),
-    _Key("grid", "hi", "hi", _FINITE, required=True),
-    _Key("grid", "steps", "steps", _integer(2), required=True),
-    _Key("grid", "lam", "lam", _POSITIVE),
+    _Key("grid", "lo", "lo", _NUMBER, required=True),
+    _Key("grid", "hi", "hi", _NUMBER, required=True),
+    _Key("grid", "steps", "steps", _INTEGER, required=True),
+    _Key("grid", "lam", "lam", _NUMBER),
     _Key("regularizer", "interval", "interval", _INTERVAL),
     _Key("regularizer", "penalty", "penalty", _PENALTY),
     _Key("regularizer", "box", "box", _BOX),
@@ -357,15 +340,9 @@ def _build_problem(cfg: ExperimentConfig):
     if cfg.source == "builtin":
         h = _builtin_smooth(cfg.builtin_name)
     elif cfg.source == "files":
-        a = read_dense_matrix(cfg.matrix_path)
-        y = read_vector(cfg.y_path)
-        # a placeholder L first, so the term rejects non-finite data
-        # before the SVD sees it
-        h = LeastSquaresTerm(a, y, lipschitz=cfg.lipschitz or 1.0)
-        l_source = "config"
-        if cfg.lipschitz is None:
-            h = replace(h, lipschitz=operator_norm(h.op) ** 2)
-            l_source = "exact"
+        a, y = read_dense_matrix(cfg.matrix_path), read_vector(cfg.y_path)
+        h = LeastSquaresTerm(a, y, cfg.lipschitz)
+        l_source = "exact" if cfg.lipschitz is None else "config"
     else:
         h = generate_synthetic(cfg.m, cfg.n, cfg.seed, cfg.scale).h
     n = h.op.shape[1]

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -33,12 +34,13 @@ class LeastSquaresTerm:
     ``op`` is the matrix A, held as a C- or F-contiguous float ndarray (a
     strided view is copied to C order).  ``lipschitz`` may be
     any upper bound on ||A||^2; looseness only shrinks the admissible step
-    range.
+    range.  Left out, it is the exact ``operator_norm(A) ** 2``, taken
+    after A and y pass their checks.
     """
 
     op: np.ndarray
     y: np.ndarray
-    lipschitz: float
+    lipschitz: Optional[float] = None
 
     def __post_init__(self):
         a = np.asarray(self.op, dtype=float)
@@ -57,6 +59,8 @@ class LeastSquaresTerm:
                 raise ValueError(f"the {name} has non-finite entries")
         object.__setattr__(self, "op", a)
         object.__setattr__(self, "y", y)
+        if self.lipschitz is None:
+            object.__setattr__(self, "lipschitz", operator_norm(a) ** 2)
         if not 0.0 < self.lipschitz < np.inf:
             raise ValueError(
                 f"lipschitz must be a finite number > 0, got {self.lipschitz}"

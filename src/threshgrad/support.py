@@ -38,7 +38,6 @@ __all__ = [
     "rho",
     "identification_bound",
     "identification_audit",
-    "dual_point",
     "build_support_report",
     "report_rules",
     "write_support_report",
@@ -123,12 +122,6 @@ def identification_audit(
     return len(violating), last_violation + 1
 
 
-def dual_point(problem: Problem, x: np.ndarray) -> np.ndarray:
-    """-grad_h(x); approximates the unique dual solution when x is a
-    (near-)minimizer."""
-    return -problem.h.gradient(x)[0]
-
-
 def build_support_report(
     problem: Problem, trace: IterateTrace, x_bar: np.ndarray
 ) -> dict:
@@ -148,7 +141,7 @@ def build_support_report(
     """
     g = problem.g
     x_bar = np.asarray(x_bar, dtype=float)
-    u = dual_point(problem, x_bar)
+    u = -problem.h.gradient(x_bar)[0]
     mask = _boundary_mask(u, g)
     nonzero = x_bar != 0.0
     supp = _indices(nonzero)

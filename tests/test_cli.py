@@ -745,6 +745,83 @@ def test_run_rejects_its_step_or_start_and_writes_nothing(tmp_path, extra):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "section, key, value, needle",
+    [
+        ("problem", "m", "0", "m and n must be >= 1"),
+        ("problem", "seed", "-1", "seed must be >= 0, got -1"),
+        ("problem", "scale", "0", "scale must be a finite number > 0, got 0.0"),
+        ("problem", "scale", "nan", "scale must be a finite number > 0, got nan"),
+        ("problem", "lipschitz", "0", "lipschitz must be a finite number > 0, got 0.0"),
+        ("problem", "lipschitz", "nan", "lipschitz must be a finite number > 0, got nan"),
+        ("problem", "lipschitz", "-1", "lipschitz must be a finite number > 0, got -1.0"),
+        ("solver", "lambda", "0", "step lam=0.0 outside"),
+        ("solver", "lambda", "nan", "step lam=nan outside"),
+        ("solver", "lambda", "inf", "step lam=inf outside"),
+        ("solver", "max_iter", "-1", "max_iter must be >= 0, got -1"),
+    ],
+)
+def test_run_rejects_an_out_of_range_value_and_writes_nothing(
+    tmp_path, capsys, section, key, value, needle
+):
+    # the INI parses syntax only; the constructor that owns the value
+    # rejects it when `run` builds the problem, before anything is written
+    if key == "lipschitz":
+        assert main(["gen", "3", "4", "1", "--outdir", str(tmp_path), "--prefix", "inst"]) == 0
+        capsys.readouterr()
+        problem = {"source": "files", "matrix": tmp_path / "inst_A.csv", "y": tmp_path / "inst_y.csv"}
+    elif key in ("m", "seed", "scale"):
+        problem = {"source": "synthetic", "m": 3, "n": 4, "seed": 1}
+    else:
+        problem = {"source": "builtin", "name": "ex_nocq"}
+    sections = {"problem": problem, "solver": {}, "output": {"dir": tmp_path / "out"}}
+    sections[section][key] = value
+    text = "".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+        for name, keys in sections.items()
+    )
+    assert main(["run", str(write_config(tmp_path, text))]) == 2
+    assert needle in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_files_config_built_in_code_rejects_a_zero_lipschitz(tmp_path):
+    # a zero L is no Lipschitz constant: the term rejects it before any output
+    assert main(["gen", "3", "4", "1", "--outdir", str(tmp_path), "--prefix", "inst"]) == 0
+    cfg = ExperimentConfig(
+        source="files",
+        matrix_path=str(tmp_path / "inst_A.csv"),
+        y_path=str(tmp_path / "inst_y.csv"),
+        lipschitz=0.0,
+        outdir=str(tmp_path / "out"),
+    )
+    with pytest.raises(ValueError, match="lipschitz must be a finite number > 0"):
+        run_experiment(cfg)
+    assert not (tmp_path / "out").exists()
+
+
+def test_auto_lipschitz_builds_the_term_once(tmp_path, monkeypatch):
+    from threshgrad.operators import LeastSquaresTerm
+
+    assert main(["gen", "6", "9", "4", "--outdir", str(tmp_path), "--prefix", "inst"]) == 0
+    cfg = parse_experiment_config(
+        write_files_config(
+            tmp_path, tmp_path / "inst_A.csv", tmp_path / "inst_y.csv", "lipschitz = auto\n"
+        )
+    )
+    calls = []
+    post_init = LeastSquaresTerm.__post_init__
+
+    def spy(self):
+        calls.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(LeastSquaresTerm, "__post_init__", spy)
+    problem, l_source = _build_problem(cfg)
+    assert len(calls) == 1 and l_source == "exact"
+    assert calls[0] is problem.h
+
+
 # ---------------------------------------------------------------------------
 # prox gallery
 
@@ -801,7 +878,16 @@ def test_gallery_power_box_penalty(tmp_path):
     assert vs == [-0.25, -0.25, 0.0, 0.0, 0.0, 0.25, 0.25]
 
 
-@pytest.mark.parametrize("name", ["gallery_l1", "gallery_power15_box"])
+@pytest.mark.parametrize(
+    "name",
+    [
+        "gallery_l1",
+        "gallery_asymmetric_box",
+        "gallery_power2",
+        "gallery_power4",
+        "gallery_power15_box",
+    ],
+)
 def test_gallery_csv_equals_the_per_point_reference(tmp_path, name):
     # one prox_separable call over the grid writes the bytes that one
     # call per grid point writes
@@ -844,6 +930,8 @@ def test_gallery_spec_validation(tmp_path):
         "[grid]\nlo = 0\nsteps = 5\n[output]\npath = x.csv\n",
         "[grid]\nlo = 0\nhi = 1\n[output]\npath = x.csv\n",
         "[grid]\nlo = 0\nhi = inf\nsteps = 5\n[output]\npath = x.csv\n",
+        "[grid]\nlo = nan\nhi = 1\nsteps = 5\n[output]\npath = x.csv\n",
+        "[grid]\nlo = 0\nhi = 1\nsteps = 5\nlam = 0\n[output]\npath = x.csv\n",
     ]
     for text in bad:
         path = write_config(tmp_path, text, "bad.ini")
@@ -923,7 +1011,11 @@ def test_gen_files_are_the_repr_rows(tmp_path):
 
 @pytest.mark.parametrize(
     "args",
-    [["0", "5", "1"], *(["3", "4", "1", "--scale", s] for s in ("nan", "inf", "0"))],
+    [
+        ["0", "5", "1"],
+        ["3", "4", "-1"],
+        *(["3", "4", "1", "--scale", s] for s in ("nan", "inf", "0")),
+    ],
 )
 def test_gen_rejects_out_of_domain_sizes_and_scales(tmp_path, args):
     out = tmp_path / "gen"

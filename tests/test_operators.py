@@ -199,6 +199,24 @@ def test_least_squares_requires_a_finite_positive_lipschitz(lipschitz):
         LeastSquaresTerm([[1.0]], [1.0], lipschitz=lipschitz)
 
 
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+def test_least_squares_default_lipschitz_is_the_exact_norm(layout):
+    a = np.random.default_rng(3).standard_normal((7, 11))
+    a = {"C": a, "F": np.asfortranarray(a), "strided": a[:, ::2]}[layout]
+    h = LeastSquaresTerm(a, np.zeros(7))
+    want = np.float64(operator_norm(a) ** 2)
+    assert np.float64(h.lipschitz).tobytes() == want.tobytes()
+
+
+def test_least_squares_checks_its_data_before_the_default_lipschitz():
+    # non-finite data fails its own check, not inside the SVD
+    with pytest.raises(ValueError, match="the matrix has non-finite entries"):
+        LeastSquaresTerm([[math.nan]], [0.0])
+    # a zero matrix has ||A||^2 = 0, which is no Lipschitz constant
+    with pytest.raises(ValueError, match="lipschitz must be a finite number > 0, got 0.0"):
+        LeastSquaresTerm([[0.0, 0.0]], [1.0])
+
+
 def test_operator_validation():
     for bad in (np.zeros((0, 3)), np.zeros((3, 0)), np.zeros(3), np.zeros((1, 1, 1))):
         with pytest.raises(ValueError):

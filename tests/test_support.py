@@ -18,7 +18,6 @@ from threshgrad.regularizers import (
 from threshgrad.solver import IterateTrace, Problem, SolverConfig, run
 from threshgrad.support import (
     build_support_report,
-    dual_point,
     identification_audit,
     identification_bound,
     report_rules,
@@ -262,6 +261,12 @@ def test_audit_on_real_run():
 # dual point, active constraints, qualification
 
 
+def dual_point(p, x):
+    """The report's dual point at x, read through a one-row trace of x."""
+    trace = run(p, SolverConfig(x0=x, max_iter=0))
+    return np.array(build_support_report(p, trace, x)["dual_point"])
+
+
 def test_dual_point_values():
     p = scalar_problem()
     assert dual_point(p, np.array([0.0]))[0] == 1.0
@@ -286,7 +291,7 @@ def test_dual_point_agrees_across_minimizers_of_the_segment():
         trace = run(p, SolverConfig(x0=x0, residual_tol=1e-12))
         x_bar = polish(p, trace)[0]
         sols.append(x_bar)
-        duals.append(dual_point(p, x_bar))
+        duals.append(build_support_report(p, trace, x_bar)["dual_point"])
     # the primal landing points spread over the segment ...
     spread = max(np.linalg.norm(a - b) for a in sols for b in sols)
     assert spread > 1e-3
