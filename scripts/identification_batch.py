@@ -21,16 +21,18 @@ from threshgrad.solver import SolverConfig
 
 def audit_seed(seed: int, m: int, n: int) -> dict:
     result = analyze(generate_synthetic(m, n, seed), SolverConfig())
-    report, rate = result.report, result.rate
+    report = result.report
+    # a seed whose rate audit is skipped has no rate document
+    rate = result.rate or {"regime": "skipped", "epsilon": None, "r_squared": None}
     return {
         "seed": seed,
         "violations": report["observed_violations"],
         "budget": math.ceil(report["identification_bound"]),
         "identified_at": report["identification_iteration"],
         "esupp_size": len(report["esupp"]),
-        "regime": rate.regime,
-        "epsilon": rate.epsilon,
-        "r_squared": rate.r_squared,
+        "regime": rate["regime"],
+        "epsilon": rate["epsilon"],
+        "r_squared": rate["r_squared"],
     }
 
 

@@ -123,7 +123,9 @@ class _Codec:
 
     ``parse`` returns the value, or raises ValueError when the text is not
     of the form that ``accepted`` names.  It checks syntax only: a value's
-    range is checked once, by the constructor that owns the value.
+    range is checked once, by the constructor that owns the value.  When
+    ``make`` is set, that constructor builds the value from what ``parse``
+    read, and the message of its ValueError is the one the user sees.
     ``fmt`` writes a value back as text that parses to it.  ``none`` is
     the text of a None value; when it is None, a None value leaves the key
     out.
@@ -133,6 +135,7 @@ class _Codec:
     accepted: str
     fmt: Callable[[object], str] = str
     none: Optional[str] = None
+    make: Optional[Callable[[object], object]] = None
 
 
 @dataclass(frozen=True)
@@ -166,12 +169,13 @@ def _auto(codec: _Codec) -> _Codec:
 
 
 def _parse_penalty(text):
+    """The arguments of `PowerPenalty`, or () for none."""
     toks = text.split()
     if toks == ["none"]:
-        return ZeroPenalty()
+        return ()
     if toks[:1] != ["power"] or len(toks) not in (2, 3):
         raise ValueError(text)
-    return PowerPenalty(*map(float, toks[1:]))  # raises ValueError out of range
+    return tuple(map(float, toks[1:]))
 
 
 def _parse_pair(text):
@@ -198,14 +202,16 @@ _INTEGER = _Codec(int, "an integer")
 _TEXT = _Codec(str, "text")
 _FILE = _Codec(_existing, "an existing file")
 _INTERVAL = _Codec(
-    lambda text: Interval(*_parse_pair(text)),  # ValueError outside lo < 0 < hi
-    "two numbers lo < 0 < hi, at most one of them infinite",
+    _parse_pair,
+    "two numbers lo hi",
     lambda v: f"{v.lo!r} {v.hi!r}",
+    make=lambda pair: Interval(*pair),
 )
 _PENALTY = _Codec(
     _parse_penalty,
-    "none or power p [weight] with finite p > 1 and finite weight >= 0 (default 1)",
+    "none or power p [weight]",
     lambda v: f"power {v.p!r} {v.weight!r}" if isinstance(v, PowerPenalty) else "none",
+    make=lambda args: PowerPenalty(*args) if args else ZeroPenalty(),
 )
 _BOX = _Codec(_parse_pair, "two numbers")
 _SOURCE = _choice("builtin", "files", "synthetic")
@@ -245,16 +251,22 @@ _GALLERY_KEYS = (
 
 
 def _decode(row: _Key, key: str, text: str, origin: str):
-    if text == row.codec.none:
+    codec = row.codec
+    if text == codec.none:
         return None
     try:
-        return row.codec.parse(text)
+        value = codec.parse(text)
     except FileNotFoundError as exc:
         raise ConfigError(origin, row.section, f"{key}: file not found: {exc}")
     except ValueError:
-        raise ConfigError(
-            origin, row.section, f"{key} must be {row.codec.accepted}, got {text!r}"
-        )
+        message = f"{key} must be {codec.accepted}, got {text!r}"
+        raise ConfigError(origin, row.section, message)
+    if codec.make is None:
+        return value
+    try:
+        return codec.make(value)
+    except ValueError as exc:
+        raise ConfigError(origin, row.section, f"{key}: {exc}")
 
 
 def _read_ini(path, table) -> dict:
@@ -361,15 +373,11 @@ def _resolve_x0(cfg: ExperimentConfig, n: int):
 # experiment driver
 
 
-def _verdict(problems: list, warnings: list) -> str:
-    warnings += problems
-    return "fail" if problems else "pass"
-
-
 def run_experiment(cfg: ExperimentConfig) -> tuple[int, dict]:
-    """Build the problem, `analyze` it and write the artifacts; the
-    growth certificate of the analysis is the `gamma` audit and, when it
-    passes, ``summary["gamma"]``.
+    """Build the problem, `analyze` it and write the artifacts.  The
+    summary copies the analysis's audits and warnings; its ``rate`` is the
+    rate document and its ``gamma`` the growth certificate, each present
+    when its audit is not skipped.
 
     Returns (exit_code, summary).  Exit code 0 means the solver converged
     and no audit failed; audits that were skipped for a stated reason
@@ -391,8 +399,6 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[int, dict]:
     }
     solver.write_trace_csv(trace, paths["trace"], result.f_star, result.dists)
 
-    warnings: list = []
-    audits = {k: _verdict(result.failures[k], warnings) for k in ("trace", "support")}
     summary: dict = {
         "config_ini": cfg.to_ini(),
         "source": cfg.source,
@@ -419,6 +425,14 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[int, dict]:
     support.write_support_report(report, paths["support"])
     summary["support"] = dict(report)
     del summary["support"]["active_constraints"], summary["support"]["dual_point"]
+    if result.rate is not None:
+        summary["rate"] = result.rate
+        support.write_json(result.rate, paths["rate"])
+        summary["artifacts"]["rate"] = str(paths["rate"])
+    if result.growth is not None:
+        summary["gamma"] = result.growth
+
+    warnings = list(result.warnings)
     if cfg.source == "files" and problem.n - 1 in report["esupp"]:
         # only user data can be a truncation of a larger problem;
         # builtins and synthetic instances are intrinsically finite
@@ -426,29 +440,9 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[int, dict]:
             "extended support touches the last coordinate; if this instance "
             "truncates a larger problem, the truncation is too short"
         )
-
-    if result.rate.skipped:
-        audits["rate"] = f"skipped: {result.rate.skipped}"
-    else:
-        if result.rate.tail_skipped:
-            warnings.append(result.rate.tail_skipped)
-        summary["rate"] = result.rate.to_dict()
-        support.write_json(summary["rate"], paths["rate"])
-        summary["artifacts"]["rate"] = str(paths["rate"])
-        audits["rate"] = _verdict(result.failures["rate"], warnings)
-
-    audits["gamma"], certificate = result.growth
-    if certificate is not None:
-        summary["gamma"] = certificate
-
-    failed = [k for k, v in audits.items() if v == "fail"]
+    failed = "fail" in result.audits.values()
     exit_code = 0 if trace.converged and not failed else 1
-    if not trace.converged:
-        warnings.append(
-            f"solver stopped at residual {trace.residuals[-1]:.3e} without "
-            f"reaching {solver_cfg.residual_tol:.1e}"
-        )
-    summary["audits"] = audits
+    summary["audits"] = dict(result.audits)
     summary["warnings"] = warnings
     summary["exit_code"] = exit_code
     summary["artifacts"]["summary"] = str(paths["summary"])

@@ -18,7 +18,7 @@ library check, not part of a run.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -34,7 +34,6 @@ from .solver import (
 
 __all__ = [
     "GammaEstimate",
-    "RateReport",
     "PolishError",
     "polish",
     "verify_unique_minimizer",
@@ -150,8 +149,9 @@ def verify_unique_minimizer(problem: Problem, esupp) -> tuple[bool, str, np.ndar
     return rank == len(D), f"rank(A_D) = {rank} of |D| = {len(D)}", sigma
 
 
-def face_growth(problem: Problem, esupp) -> tuple[str, Optional[dict]]:
-    """The growth verdict on the face {x : supp x in J}, J = ``esupp``.
+def face_growth(problem: Problem, J: list) -> tuple[str, Optional[dict]]:
+    """The growth verdict on the face {x : supp x in J}, for J the extended
+    support as the support document lists it.
 
     For such x, f(x) - f* >= 1/2 ||A(x - x_bar)||^2 >= 1/2 sigma_min(A_J)^2
     ||x - x_bar||^2, as -grad_h(x_bar) is a subgradient of g at x_bar
@@ -159,7 +159,6 @@ def face_growth(problem: Problem, esupp) -> tuple[str, Optional[dict]]:
     with {"gamma_face": sigma_min(A_J)^2, "J": [...]} for a certified unique
     minimizer and an A_J of full column rank, else "skipped: ..." with None.
     """
-    J = [int(k) for k in esupp]
     if not J:
         why = "esupp is empty, so the face {supp x ⊆ esupp} is {x_bar}"
         return f"skipped: {why}", None
@@ -297,41 +296,6 @@ def estimate_gamma(
     )
 
 
-@dataclass(frozen=True)
-class RateReport:
-    """Tail decay classification of the objective gap.
-
-    regime 'linear' carries epsilon = exp(slope of log gap vs n) in (0,1);
-    'sublinear' carries exponent q > 0 and constant from gap ~ C * n^-q;
-    'inconclusive' carries only the diagnostics.  r2_linear / r2_loglog are
-    reported side by side regardless of the verdict; ``skipped`` says why a
-    converged run has no rate.  `analysis.analyze` sets ``tail_bound`` to
-    the `sublinear_bound_check` result when it applies, or ``tail_skipped``
-    to the warning naming why it does not.
-    """
-
-    regime: str
-    r2_linear: float
-    r2_loglog: float
-    window: Optional[tuple[int, int]]
-    n_points: int
-    epsilon: Optional[float] = None
-    exponent: Optional[float] = None
-    constant: Optional[float] = None
-    r_squared: Optional[float] = None
-    tail_bound: Optional[dict] = None
-    tail_skipped: Optional[str] = None
-    skipped: Optional[str] = None
-
-    def to_dict(self) -> dict:
-        """The fields as JSON; the two skip reasons are not results."""
-        out = asdict(self)
-        del out["tail_skipped"], out["skipped"]
-        if self.tail_bound is None:
-            del out["tail_bound"]
-        return {**out, "window": None if self.window is None else list(self.window)}
-
-
 def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     # slope, intercept, R^2
     A = np.column_stack([x, np.ones_like(x)])
@@ -361,61 +325,67 @@ def _tail_window(trace: IterateTrace, f_star: float) -> tuple[np.ndarray, np.nda
     return ns[len(ns) - k :], gaps[len(gaps) - k :]
 
 
-def fit_rate(trace: IterateTrace, f_star: float) -> RateReport:
-    """Classify the tail of f(x^n) - f* as geometric or power-law decay.
+def fit_rate(trace: IterateTrace, f_star: float) -> dict:
+    """Classify the tail of f(x^n) - f* as geometric or power-law decay;
+    returns the document that ``<prefix>_rate.json`` holds.
 
     Fits log gap against n and against log n on the tail window (the last
     half of the rows above the rounding floor) and picks the better fit
     among those with negative slope and R^2 >= 0.99; the geometric reading
-    wins ties.  Fewer than 8 usable points in the window is inconclusive by
-    construction, and ``skipped`` when the run converged: it stopped before
-    it left a tail, so there is no rate to classify.
+    wins ties.  Regime 'linear' carries epsilon = exp(slope of log gap vs
+    n) in (0, 1); 'sublinear' carries exponent q > 0 and constant from
+    gap ~ C * n^-q; 'inconclusive' carries only the diagnostics, r2_linear
+    and r2_loglog, which every regime reports side by side.  Fewer than 8
+    usable points in the window is inconclusive by construction, with no
+    fit and ``window`` None.
     """
     ns, gaps = _tail_window(trace, f_star)
+    rate = {
+        "regime": "inconclusive",
+        "r2_linear": 0.0,
+        "r2_loglog": 0.0,
+        "window": None,
+        "n_points": len(ns),
+        "epsilon": None,
+        "exponent": None,
+        "constant": None,
+        "r_squared": None,
+    }
     if len(ns) < _MIN_FIT_POINTS:
-        why = (
-            f"converged at iteration {trace.n_iterations} with {len(ns)} "
-            f"usable tail points, need >= {_MIN_FIT_POINTS} to fit a rate"
-        )
-        skipped = why if trace.converged else None
-        return RateReport("inconclusive", 0.0, 0.0, None, len(ns), skipped=skipped)
+        return rate
     logg = np.log(gaps)
     slope_lin, _, r2_lin = _ols(ns, logg)
     slope_log, icpt_log, r2_log = _ols(np.log(ns), logg)
-    fit = (r2_lin, r2_log, (int(ns[0]), int(ns[-1])), len(ns))
+    rate.update(r2_linear=r2_lin, r2_loglog=r2_log, window=[int(ns[0]), int(ns[-1])])
 
     linear_ok = slope_lin < 0.0 and r2_lin >= _R2_THRESHOLD
     sublinear_ok = slope_log < 0.0 and r2_log >= _R2_THRESHOLD
     if linear_ok and (not sublinear_ok or r2_lin >= r2_log):
-        return RateReport(
-            "linear", *fit, epsilon=math.exp(slope_lin), r_squared=r2_lin
-        )
-    if sublinear_ok:
-        return RateReport(
-            "sublinear",
-            *fit,
+        rate.update(regime="linear", epsilon=math.exp(slope_lin), r_squared=r2_lin)
+    elif sublinear_ok:
+        rate.update(
+            regime="sublinear",
             exponent=-slope_log,
             constant=math.exp(icpt_log),
             r_squared=r2_log,
         )
-    return RateReport("inconclusive", *fit)
+    return rate
 
 
-def rate_rules(rate: RateReport) -> list:
-    """The failed rules of a rate report, as messages (none: it passes).
+def rate_rules(rate: dict) -> list:
+    """The failed rules of a rate document, as messages (none: it passes).
 
-    A report passes when `fit_rate` read a regime or skipped the run (it
-    converged before it left 8 usable tail points); any other inconclusive
-    report fails with the reason no regime was read.
+    A document passes when `fit_rate` read a regime; an inconclusive one
+    fails with the reason no regime was read.
     """
-    if rate.regime != "inconclusive" or rate.skipped:
+    if rate["regime"] != "inconclusive":
         return []
-    if rate.n_points < _MIN_FIT_POINTS:
-        why = f"{rate.n_points} usable tail points, need >= {_MIN_FIT_POINTS}"
+    if rate["n_points"] < _MIN_FIT_POINTS:
+        why = f"{rate['n_points']} usable tail points, need >= {_MIN_FIT_POINTS}"
     else:
         why = (
             f"no decreasing fit reaches R^2 >= {_R2_THRESHOLD} (r2_linear "
-            f"{rate.r2_linear:.6g}, r2_loglog {rate.r2_loglog:.6g})"
+            f"{rate['r2_linear']:.6g}, r2_loglog {rate['r2_loglog']:.6g})"
         )
     return [f"rate: inconclusive: {why}"]
 

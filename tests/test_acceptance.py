@@ -137,17 +137,19 @@ def test_criterion_4(acceptance, lasso_batch):
     r2s, eps = [], []
     for seed, r in enumerate(lasso_batch.runs):
         rate = r.rate
-        if not (
-            rate.regime == "linear"
-            and rate.r_squared is not None
-            and rate.r_squared >= 0.99
-            and rate.epsilon is not None
-            and 0.0 < rate.epsilon < 1.0
+        if rate is None:
+            bad.append((seed, r.audits["rate"]))
+        elif not (
+            rate["regime"] == "linear"
+            and rate["r_squared"] is not None
+            and rate["r_squared"] >= 0.99
+            and rate["epsilon"] is not None
+            and 0.0 < rate["epsilon"] < 1.0
         ):
-            bad.append((seed, rate.regime))
+            bad.append((seed, rate["regime"]))
         else:
-            r2s.append(rate.r_squared)
-            eps.append(rate.epsilon)
+            r2s.append(rate["r_squared"])
+            eps.append(rate["epsilon"])
     ok = not bad
     if ok:
         detail = (
@@ -171,9 +173,9 @@ def test_criterion_5(acceptance):
         h = generate_synthetic(20, 50, seed).h
         quartic = SeparableRegularizer.uniform(50, penalty=PowerPenalty(4.0, 1.0))
         result = analyze(Problem(g=quartic, h=h), config)
-        slopes.append(result.rate.tail_bound["trend_slope"])
+        slopes.append(result.rate["tail_bound"]["trend_slope"])
         p15 = SeparableRegularizer.uniform(50, penalty=PowerPenalty(1.5, 1.0))
-        regimes.append(analyze(Problem(g=p15, h=h), config).rate.regime)
+        regimes.append(analyze(Problem(g=p15, h=h), config).rate["regime"])
 
     quartic_ok = all(s <= 0.02 for s in slopes)
     p15_ok = all(reg == "linear" for reg in regimes)

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import pytest
 from oracles import gallery_csv_by_point, iterates
 
 from threshgrad import cli, solver
+from threshgrad.analysis import analyze
 from threshgrad.cli import (
     ConfigError,
     ExperimentConfig,
@@ -121,8 +123,14 @@ prefix = exp
         (MINIMAL + "[analysis]\ngamma_p = 2\n", "unknown section"),
         (MINIMAL + "[analysis]\ngamma_seed = 1\n", "unknown section"),
         (MINIMAL + "[analysis]\npolish_tol = 1e-12\n", "unknown section"),
-        (MINIMAL + "[regularizer]\npenalty = power inf\n", "penalty must be"),
-        (MINIMAL + "[regularizer]\npenalty = power 2 inf\n", "penalty must be"),
+        (
+            MINIMAL + "[regularizer]\npenalty = power inf\n",
+            r"\[regularizer\] penalty: power penalty needs finite p > 1, got inf",
+        ),
+        (
+            MINIMAL + "[regularizer]\npenalty = power 2 inf\n",
+            r"\[regularizer\] penalty: power penalty needs finite weight >= 0, got inf",
+        ),
         (MINIMAL + "[regularizer]\npenalty = power 1.5 1.0 box -1 1\n", "penalty must be"),
         (MINIMAL + "[regularizer]\ninterval = -1 1 2\n", "interval must be"),
         (
@@ -205,6 +213,19 @@ def test_shipped_config_runs_audits_and_round_trips(tmp_path, name, capsys):
     assert "ok:" in capsys.readouterr().out
     # ex_cq converges in one iteration: no tail, so no rate file
     assert ("rate" in arts) is (name != "ex_cq")
+    # the audits are decided in analyze; run writes its rate document as is
+    problem, _ = _build_problem(cfg)
+    x0 = _resolve_x0(cfg, problem.n)
+    result = analyze(
+        problem, solver.SolverConfig(lam=cfg.lam, max_iter=cfg.max_iter, x0=x0)
+    )
+    assert result.audits == summary["audits"]
+    assert result.warnings == summary["warnings"]
+    rate_file = Path(cfg.outdir) / f"{cfg.prefix}_rate.json"
+    if result.rate is None:
+        assert "rate" not in summary and not rate_file.exists()
+    else:
+        assert json.loads(rate_file.read_text()) == result.rate == summary["rate"]
 
 
 @pytest.mark.parametrize("name", ["lasso", "lasso_power15", "lasso_power4", "ex_nocq"])
@@ -526,14 +547,16 @@ def test_run_experiment_solves_once_with_fejer(tmp_path, monkeypatch):
     assert all(row.split(",")[4] for row in rows)  # every distance written
 
 
-def test_identification_batch_solves_once_per_seed(monkeypatch):
-    import importlib.util
-    from pathlib import Path
-
+def _batch_script():
     path = Path(__file__).resolve().parents[1] / "scripts" / "identification_batch.py"
     spec = importlib.util.spec_from_file_location("identification_batch", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_identification_batch_solves_once_per_seed(monkeypatch):
+    script = _batch_script()
     calls = _counting(monkeypatch, solver)
     # the benchmark serves prebuilt instances through this module global
     built = _counting(monkeypatch, script, "generate_synthetic")
@@ -541,6 +564,23 @@ def test_identification_batch_solves_once_per_seed(monkeypatch):
     assert calls.n == 1 and built.n == 1
     assert row["violations"] <= row["budget"]
     assert row["regime"] == "linear"
+
+
+def test_identification_batch_row_of_a_skipped_seed(monkeypatch):
+    # ex_cq converges in one iteration, so its rate audit is skipped
+    script = _batch_script()
+    problem, _ = _build_problem(ExperimentConfig(builtin_name="ex_cq"))
+    monkeypatch.setattr(script, "generate_synthetic", lambda m, n, seed: problem)
+    assert script.audit_seed(3, 1, 2) == {
+        "seed": 3,
+        "violations": 0,
+        "budget": 0,
+        "identified_at": 1,
+        "esupp_size": 2,
+        "regime": "skipped",
+        "epsilon": None,
+        "r_squared": None,
+    }
 
 
 def test_run_from_config_echo_reproduces_trace(tmp_path):
@@ -649,8 +689,6 @@ def test_main_certifies_a_strictly_convex_problem(tmp_path):
 
 
 def test_run_writes_the_distances_analyze_measured(tmp_path):
-    from threshgrad.analysis import analyze
-
     cfg = ExperimentConfig(
         source="synthetic", m=20, n=50, seed=3, outdir=str(tmp_path)
     )
@@ -748,7 +786,7 @@ def test_run_rejects_its_step_or_start_and_writes_nothing(tmp_path, extra):
 @pytest.mark.parametrize(
     "section, key, value, needle",
     [
-        ("problem", "m", "0", "m and n must be >= 1"),
+        ("problem", "m", "0", "m and n must be >= 1, got m=0, n=4"),
         ("problem", "seed", "-1", "seed must be >= 0, got -1"),
         ("problem", "scale", "0", "scale must be a finite number > 0, got 0.0"),
         ("problem", "scale", "nan", "scale must be a finite number > 0, got nan"),
@@ -1211,7 +1249,8 @@ def test_main_rejects_a_zero_endpoint_at_parse_time(tmp_path, capsys):
         err = capsys.readouterr().err
         key = line.split(" = ")[0]
         assert err.startswith("config error: ")
-        assert f"[regularizer] {key} must be two numbers lo < 0 < hi" in err
+        lo, hi = map(float, line.split(" = ")[1].split())
+        assert f"[regularizer] {key}: interval [{lo}, {hi}] must have lo < 0 < hi" in err
         assert not out.exists()
 
 

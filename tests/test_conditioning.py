@@ -1,7 +1,7 @@
 import json
 import math
 import warnings
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -408,9 +408,9 @@ def test_face_growth_is_below_the_sampled_constant_on_the_batch(lasso_batch):
     # gamma_J bounds the growth ratio on the face from below and the sampled
     # minimum bounds it from above (measured: gamma-hat is 1.18-1.76 gamma_J)
     for run_ in lasso_batch.runs[:6]:
-        verdict, cert = run_.growth
-        assert verdict == "pass"
-        assert cert["J"] == list(run_.report["esupp"])
+        assert run_.audits["gamma"] == "pass"
+        cert = run_.growth
+        assert cert["J"] == run_.report["esupp"]
         est = estimate_gamma(run_.problem, cert["J"], run_.x_bar)
         assert cert["gamma_face"] <= est.gamma * (1.0 + 1e-8)
 
@@ -436,8 +436,8 @@ def test_face_growth_bounds_the_objective_gap_on_the_face(m, n, seed, penalty, r
     )
     problem = Problem(g=g, h=h)
     result = analyze(problem, SolverConfig())
-    verdict, cert = result.growth
-    assume(verdict == "pass")
+    assume(result.audits["gamma"] == "pass")
+    cert = result.growth
     J = cert["J"]
     slack = 1e-12 * max(1.0, abs(result.f_star))
     for _ in range(20):
@@ -574,61 +574,67 @@ def test_gamma_reports_excessive_rejection():
 
 def test_fit_rate_geometric_sequence():
     rep = fit_rate(gap_trace(0.9 ** np.arange(1, 201)), f_star=0.0)
-    assert rep.regime == "linear"
-    assert rep.epsilon == pytest.approx(0.9, abs=1e-6)
-    assert rep.r_squared >= 0.999999
-    assert rep.window[1] == 200
+    assert rep["regime"] == "linear"
+    assert rep["epsilon"] == pytest.approx(0.9, abs=1e-6)
+    assert rep["r_squared"] >= 0.999999
+    assert rep["window"][1] == 200
     assert rate_rules(rep) == []
 
 
 def test_fit_rate_power_law_sequence():
     n = np.arange(1, 501, dtype=float)
     rep = fit_rate(gap_trace(7.0 * n ** -2.0), f_star=0.0)
-    assert rep.regime == "sublinear"
-    assert rep.exponent == pytest.approx(2.0, abs=1e-6)
-    assert rep.constant == pytest.approx(7.0, rel=1e-6)
+    assert rep["regime"] == "sublinear"
+    assert rep["exponent"] == pytest.approx(2.0, abs=1e-6)
+    assert rep["constant"] == pytest.approx(7.0, rel=1e-6)
     # both fits are diagnosed; the log-log one is exact and wins
-    assert rep.r2_loglog > rep.r2_linear
+    assert rep["r2_loglog"] > rep["r2_linear"]
 
 
 def test_fit_rate_noisy_geometric_sequence():
     rng = np.random.default_rng(8)
     gaps = 0.9 ** np.arange(1, 301) * (1.0 + 1e-3 * rng.uniform(-1, 1, 300))
     rep = fit_rate(gap_trace(gaps), f_star=0.0)
-    assert rep.regime == "linear"
-    assert rep.epsilon == pytest.approx(0.9, abs=1e-3)
+    assert rep["regime"] == "linear"
+    assert rep["epsilon"] == pytest.approx(0.9, abs=1e-3)
 
 
 def test_fit_rate_on_scalar_run():
     p = scalar_problem()
     trace = run(p, SolverConfig(lam=0.5, x0=np.array([1.0])))
     rep = fit_rate(trace, f_star=0.5)
-    assert rep.regime == "linear"
-    assert rep.epsilon == pytest.approx(0.25, abs=1e-9)
-    assert rep.r_squared == pytest.approx(1.0, abs=1e-12)
+    assert rep["regime"] == "linear"
+    assert rep["epsilon"] == pytest.approx(0.25, abs=1e-9)
+    assert rep["r_squared"] == pytest.approx(1.0, abs=1e-12)
     # gap falls below the rounding floor at n = 23; half-window of the
     # remaining 22 points
-    assert rep.window == (12, 22)
-    assert rep.n_points == 11
+    assert rep["window"] == [12, 22]
+    assert rep["n_points"] == 11
 
 
 def test_fit_rate_too_few_points_is_inconclusive():
     trace = gap_trace(0.5 ** np.arange(1, 6))
     trace.converged = False
     rep = fit_rate(trace, f_star=0.0)
-    assert rep.regime == "inconclusive"
-    assert rep.epsilon is None and rep.exponent is None
+    assert rep["regime"] == "inconclusive"
+    assert rep["epsilon"] is None and rep["exponent"] is None
     # the half-fraction tail window of 5 recorded gaps keeps 3 points
-    assert rep.n_points == 3
-    assert rep.skipped is None
+    assert rep["n_points"] == 3
     assert rate_rules(rep) == ["rate: inconclusive: 3 usable tail points, need >= 8"]
-    # a run that converged that early has no rate to fail
-    trace.converged = True
-    rep = fit_rate(trace, f_star=0.0)
-    assert rep.skipped == (
-        "converged at iteration 5 with 3 usable tail points, need >= 8 to fit a rate"
+
+
+def test_analyze_skips_the_rate_of_a_run_that_converged_that_early():
+    # x = -100, -49, -23.5, -10.75, -4.375, -1.1875, then exactly 0 = x_bar:
+    # five gaps above the floor, whose last half keeps 3 points
+    config = SolverConfig(lam=0.5, x0=np.array([-100.0]))
+    result = analyze(scalar_problem(), config)
+    assert fit_rate(result.trace, result.f_star)["n_points"] == 3
+    assert result.rate is None
+    assert result.audits["rate"] == (
+        "skipped: converged at iteration 6 with 3 usable tail points, "
+        "need >= 8 to fit a rate"
     )
-    assert rate_rules(rep) == []
+    assert result.warnings == []
 
 
 def test_fit_rate_window_of_two_rows_is_their_last_half():
@@ -636,7 +642,7 @@ def test_fit_rate_window_of_two_rows_is_their_last_half():
     trace = gap_trace([0.5, 0.25, 0.0])
     trace.converged = False
     rep = fit_rate(trace, f_star=0.0)
-    assert (rep.regime, rep.n_points) == ("inconclusive", 1)
+    assert (rep["regime"], rep["n_points"]) == ("inconclusive", 1)
     assert rate_rules(rep) == ["rate: inconclusive: 1 usable tail points, need >= 8"]
 
 
@@ -644,19 +650,19 @@ def test_fit_rate_converged_at_start_is_inconclusive():
     p = scalar_problem()
     trace = run(p, SolverConfig(lam=0.5, x0=np.array([0.0])))
     rep = fit_rate(trace, f_star=0.5)
-    assert rep.regime == "inconclusive"
-    assert rep.n_points == 0
+    assert rep["regime"] == "inconclusive"
+    assert rep["n_points"] == 0
 
 
 def test_fit_rate_erratic_sequence_is_inconclusive():
     n = np.arange(1, 101, dtype=float)
     rep = fit_rate(gap_trace(np.exp(np.sin(n))), f_star=0.0)
-    assert rep.regime == "inconclusive"
-    assert rep.r2_linear < 0.99 and rep.r2_loglog < 0.99
-    assert rep.window is not None
+    assert rep["regime"] == "inconclusive"
+    assert rep["r2_linear"] < 0.99 and rep["r2_loglog"] < 0.99
+    assert rep["window"] is not None
     assert rate_rules(rep) == [
         "rate: inconclusive: no decreasing fit reaches R^2 >= 0.99 "
-        f"(r2_linear {rep.r2_linear:.6g}, r2_loglog {rep.r2_loglog:.6g})"
+        f"(r2_linear {rep['r2_linear']:.6g}, r2_loglog {rep['r2_loglog']:.6g})"
     ]
 
 
@@ -667,18 +673,21 @@ RATE_KEYS = {
 
 
 def test_fit_rate_report_serializes():
-    rep = fit_rate(gap_trace(0.9 ** np.arange(1, 100)), f_star=0.0)
-    d = rep.to_dict()
+    d = fit_rate(gap_trace(0.9 ** np.arange(1, 100)), f_star=0.0)
     assert d["regime"] == "linear"
     assert d["window"] == [50, 99]
     assert set(d) == RATE_KEYS and type(d["window"]) is list
-    assert fit_rate(gap_trace([0.5, 0.25]), 0.0).to_dict()["window"] is None
-    # the skip message is a warning, not part of the record
-    bound = {"exponent": 2.0, "constant": 1.0, "trend_slope": -1.0}
-    d = replace(rep, tail_bound=bound, tail_skipped="x").to_dict()
-    assert set(d) == RATE_KEYS | {"tail_bound"} and d["tail_bound"] == bound
-    assert set(replace(rep, tail_skipped="x", skipped="y").to_dict()) == RATE_KEYS
     assert json.loads(json.dumps(d)) == d
+    short = fit_rate(gap_trace([0.5, 0.25]), 0.0)
+    assert set(short) == RATE_KEYS and short["window"] is None
+    # analyze adds the tail bound when it applies, and nothing else
+    quartic = Problem(
+        g=SeparableRegularizer.uniform(30, penalty=PowerPenalty(4.0)),
+        h=generate_synthetic(12, 30, 5).h,
+    )
+    rate = analyze(quartic, SolverConfig()).rate
+    assert set(rate) == RATE_KEYS | {"tail_bound"}
+    assert json.loads(json.dumps(rate)) == rate
 
 
 # ---------------------------------------------------------------------------
@@ -722,16 +731,16 @@ def test_analyze_applies_the_tail_bound_to_one_power_penalty_only():
         h=generate_synthetic(12, 30, 5).h,
     )
     result = analyze(quartic, SolverConfig())
-    assert result.rate.tail_bound == sublinear_bound_check(
+    assert result.rate["tail_bound"] == sublinear_bound_check(
         result.trace, result.f_star, 4.0
     )
-    assert result.rate.tail_skipped is None
+    assert result.warnings == []
     # a mixed regularizer has no single order p
     pens = (PowerPenalty(4.0),) * 29 + (ZeroPenalty(),)
     mixed = Problem(g=SeparableRegularizer(quartic.g.intervals, pens), h=quartic.h)
-    rate = analyze(mixed, SolverConfig()).rate
-    assert (rate.tail_bound, rate.tail_skipped) == (None, None)
-    assert "tail_bound" not in rate.to_dict()
+    result = analyze(mixed, SolverConfig())
+    assert "tail_bound" not in result.rate
+    assert result.warnings == []
 
 
 def test_analyze_skips_the_tail_bound_when_its_exponent_overflows():
@@ -742,21 +751,24 @@ def test_analyze_skips_the_tail_bound_when_its_exponent_overflows():
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rate = analyze(near_two, SolverConfig()).rate
-    assert rate.tail_bound is None and "tail_bound" not in rate.to_dict()
-    assert rate.tail_skipped.startswith("tail bound check skipped: ")
-    assert "n^2001 overflows" in rate.tail_skipped
+        result = analyze(near_two, SolverConfig())
+    assert "tail_bound" not in result.rate
+    [skipped] = result.warnings
+    assert skipped.startswith("tail bound check skipped: ")
+    assert "n^2001 overflows" in skipped
+    assert result.audits["rate"] == "pass"
 
 
 def test_growth_audit_verdicts():
     scalar = analyze(scalar_problem(), SolverConfig())
-    assert scalar.growth == ("pass", {"gamma_face": 1.0, "J": [0]})
+    assert scalar.audits["gamma"] == "pass"
+    assert scalar.growth == {"gamma_face": 1.0, "J": [0]}
     segment = analyze(segment_problem(), SolverConfig())
-    assert segment.growth == (
-        "skipped: minimizer not certified unique: rank(A_D) = 1 of |D| = 2",
-        None,
+    assert segment.audits["gamma"] == (
+        "skipped: minimizer not certified unique: rank(A_D) = 1 of |D| = 2"
     )
-    assert face_growth(scalar_problem(), ()) == (
+    assert segment.growth is None
+    assert face_growth(scalar_problem(), []) == (
         "skipped: esupp is empty, so the face {supp x ⊆ esupp} is {x_bar}",
         None,
     )
@@ -764,7 +776,7 @@ def test_growth_audit_verdicts():
     # minimizer is unique, yet A_J is rank-deficient
     pens = (PowerPenalty(2.0, 1e-4),) * 2
     g = SeparableRegularizer((Interval(-1.0, 1.0),) * 2, pens)
-    assert face_growth(Problem(g=g, h=segment_problem().h), (0, 1)) == (
+    assert face_growth(Problem(g=g, h=segment_problem().h), [0, 1]) == (
         "skipped: no growth certificate: rank(A_J) = 1 of |J| = 2",
         None,
     )
