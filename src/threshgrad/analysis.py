@@ -15,7 +15,7 @@ from . import conditioning, solver, support
 from .operators import LeastSquaresTerm, operator_norm
 from .regularizers import PowerPenalty, SeparableRegularizer
 
-__all__ = ["Analysis", "analyze", "generate_synthetic"]
+__all__ = ["Analysis", "analyze", "decide_audits", "generate_synthetic"]
 
 
 def _builtin_smooth(name: str):
@@ -36,9 +36,10 @@ def _synthetic_data(m: int, n: int, seed: int, scale: float):
     `operator_norm`), sparse x_true with ceil(n/10) entries of magnitude
     10..20, y = A x_true + 0.1 * noise.  Draw order is part of the
     determinism contract; changing it changes every seeded artifact."""
-    if m < 1 or n < 1:
+    # a config built in code may leave a size None
+    if m is None or n is None or m < 1 or n < 1:
         raise ValueError(f"m and n must be >= 1, got m={m}, n={n}")
-    if seed < 0:
+    if seed is None or seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     if not (math.isfinite(scale) and scale > 0.0):
         raise ValueError(f"scale must be a finite number > 0, got {scale!r}")
@@ -70,24 +71,47 @@ def generate_synthetic(m: int, n: int, seed: int, scale: float = 1.0):
     return solver.Problem(g=g, h=h)
 
 
+def decide_audits(
+    columns, f_star: float, converged: bool, report: dict, p: Optional[float] = None
+) -> tuple[dict, list, Optional[dict]]:
+    """The trace, support and rate verdicts of a run, as (audits, warnings,
+    rate); `analyze` and `threshgrad audit` both decide them here.
+    ``columns`` are the trace's (n, f_gap, residual, dist_to_ref), as
+    `solver.read_trace_csv` returns them, and ``p`` is the order of a power
+    penalty on every coordinate, if any.  ``warnings`` lists the failed
+    rules and why the tail bound was skipped; ``rate`` is the rate
+    document, None when its audit is skipped."""
+    ns, gaps, residuals, dists = columns
+    failed = {
+        "trace": solver.trace_rules(ns, gaps, residuals, dists, f_star),
+        "support": support.report_rules(report),
+    }
+    audits = {kind: "fail" if rules else "pass" for kind, rules in failed.items()}
+    audits["rate"], warnings, rate = conditioning.fit_rate(
+        ns, gaps, f_star, converged, p
+    )
+    return audits, failed["trace"] + failed["support"] + warnings, rate
+
+
 @dataclass(eq=False)
 class Analysis:
     """One solve of a problem and what was read off it.  ``f_star`` is
-    f(x_bar), ``dists`` the distance of each recorded iterate to x_bar,
-    ``report`` the support document of `support.build_support_report`,
-    ``rate`` the rate document of `conditioning.fit_rate` (None when the
-    rate audit is skipped) and ``growth`` the certificate of
-    `conditioning.face_growth` on esupp (None when the gamma audit is
-    skipped).  ``audits`` maps "trace", "support", "rate" and "gamma" to
-    "pass", "fail" or "skipped: <why>"; ``warnings`` lists the failed
-    rules, the reason the tail bound was skipped and whether the solver
-    stopped short of its tolerance, in that order.
+    f(x_bar), ``gaps`` and ``dists`` each recorded iterate's objective gap
+    to f_star and distance to x_bar, ``report`` the support document,
+    ``rate`` the rate document (None when the rate audit is skipped) and
+    ``growth`` the certificate of `conditioning.face_growth` on esupp (None
+    when the gamma audit is skipped).  ``audits`` maps "trace", "support",
+    "rate" (as `decide_audits` gives them, and `threshgrad audit` from the
+    files) and "gamma" to "pass", "fail" or "skipped: <why>"; ``warnings``
+    lists the failed rules, the reason the tail bound was skipped and
+    whether the solver stopped short of its tolerance, in that order.
     """
 
     problem: solver.Problem
     trace: solver.IterateTrace
     x_bar: np.ndarray
     f_star: float
+    gaps: np.ndarray
     dists: np.ndarray
     report: dict
     rate: Optional[dict]
@@ -98,48 +122,21 @@ class Analysis:
 
 def analyze(problem: solver.Problem, solver_cfg: solver.SolverConfig) -> Analysis:
     """Solve, polish, measure the trace against the polished point, certify
-    growth on esupp and apply the trace, support and rate rules, each step
-    once; under one power penalty of positive weight and order p > 2 on
-    every coordinate the rate also carries the tail bound.  A run that
-    converged before it left 8 usable tail points has no rate: its rate
-    audit is skipped.  A step size or starting point the problem rejects
+    growth on esupp and decide the other audits by `decide_audits`, each
+    step once, with the order p of a power penalty of positive weight on
+    every coordinate.  A step size or starting point the problem rejects
     raises ValueError first."""
     trace = solver.run(problem, solver_cfg)
     x_bar, f_star = conditioning.polish(problem, trace)
+    gaps = trace.objectives - f_star
     dists = trace.distances_to(x_bar)
     report = support.build_support_report(problem, trace, x_bar)
-    rate = conditioning.fit_rate(trace, f_star)
-    warnings: list = []
-
-    def verdict(failed: list) -> str:
-        warnings.extend(failed)
-        return "fail" if failed else "pass"
-
-    audits = {
-        "trace": verdict(solver.trace_rules(
-            trace.ns, trace.objectives - f_star, trace.residuals, dists, f_star
-        )),
-        "support": verdict(support.report_rules(report)),
-    }
-    min_points = conditioning._MIN_FIT_POINTS
-    if trace.converged and rate["n_points"] < min_points:
-        audits["rate"] = (
-            f"skipped: converged at iteration {trace.n_iterations} with "
-            f"{rate['n_points']} usable tail points, need >= {min_points} "
-            "to fit a rate"
-        )
-        rate = None
-    else:
-        # a penalty group on all n coordinates is the only one
-        whole = [pen for idx, pen in problem.g._groups if len(idx) == problem.n]
-        if whole and isinstance(whole[0], PowerPenalty) and whole[0].p > 2.0:
-            try:
-                rate["tail_bound"] = conditioning.sublinear_bound_check(
-                    trace, f_star, whole[0].p
-                )
-            except ValueError as exc:
-                warnings.append(f"tail bound check skipped: {exc}")
-        audits["rate"] = verdict(conditioning.rate_rules(rate))
+    # a penalty group on all n coordinates is the only one
+    whole = [pen for idx, pen in problem.g._groups if len(idx) == problem.n]
+    p = whole[0].p if whole and isinstance(whole[0], PowerPenalty) else None
+    audits, warnings, rate = decide_audits(
+        (trace.ns, gaps, trace.residuals, dists), f_star, trace.converged, report, p
+    )
     audits["gamma"], growth = conditioning.face_growth(problem, report["esupp"])
     if not trace.converged:
         warnings.append(
@@ -147,5 +144,6 @@ def analyze(problem: solver.Problem, solver_cfg: solver.SolverConfig) -> Analysi
             f"reaching {solver_cfg.residual_tol:.1e}"
         )
     return Analysis(
-        problem, trace, x_bar, f_star, dists, report, rate, growth, audits, warnings
+        problem, trace, x_bar, f_star, gaps, dists, report, rate, growth, audits,
+        warnings,
     )

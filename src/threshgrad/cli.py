@@ -6,7 +6,7 @@ Subcommands:
     run <config.ini>      build, analyze, audit, emit artifacts
     gallery <spec.ini>    tabulate a scalar prox curve as CSV
     gen <m> <n> <seed>    write a seeded synthetic instance to CSV files
-    audit <trace.csv> <support.json>   recheck emitted artifacts
+    audit <trace.csv> <support.json>   re-derive trace, support and rate verdicts
 
 Config files are INI; the full schema is documented in the README and in
 `parse_experiment_config`.
@@ -26,7 +26,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from . import solver, support
-from .analysis import _builtin_smooth, _synthetic_data, analyze
+from .analysis import _builtin_smooth, _synthetic_data, analyze, decide_audits
 from .analysis import generate_synthetic
 from .operators import LeastSquaresTerm, read_dense_matrix, read_vector, write_text
 from .regularizers import (
@@ -397,7 +397,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[int, dict]:
         kind: outdir / f"{cfg.prefix}_{kind}.{'csv' if kind == 'trace' else 'json'}"
         for kind in ("trace", "support", "rate", "summary")
     }
-    solver.write_trace_csv(trace, paths["trace"], result.f_star, result.dists)
+    solver.write_trace_csv(trace, paths["trace"], result.gaps, result.dists)
 
     summary: dict = {
         "config_ini": cfg.to_ini(),
@@ -442,9 +442,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[int, dict]:
         )
     failed = "fail" in result.audits.values()
     exit_code = 0 if trace.converged and not failed else 1
-    summary["audits"] = dict(result.audits)
-    summary["warnings"] = warnings
-    summary["exit_code"] = exit_code
+    summary.update(audits=dict(result.audits), warnings=warnings, exit_code=exit_code)
     summary["artifacts"]["summary"] = str(paths["summary"])
     support.write_json(summary, paths["summary"])
     for w in warnings:
@@ -539,32 +537,56 @@ def cmd_gen(m: int, n: int, seed: int, scale: float, outdir: str, prefix: str) -
 
 
 def cmd_audit(trace_path, support_path) -> int:
-    """Apply the trace and support report rules to finished artifacts; f*
-    comes from the <prefix>_summary.json written beside <prefix>_trace.csv."""
+    """Re-derive a run's trace, support and rate verdicts from its files by
+    `decide_audits`, as `analyze` does; f* and whether the run converged
+    come from the <prefix>_summary.json beside <prefix>_trace.csv.  The
+    <prefix>_rate.json there must exist exactly when the rate audit is not
+    skipped, and hold the re-derived document, ``tail_bound`` aside."""
     problems, trace_path = [], Path(trace_path)
-    f_star = None
+    stem = trace_path.name[: -len("trace.csv")]
     try:
         if not trace_path.name.endswith("_trace.csv"):
             raise ValueError("the trace is not named <prefix>_trace.csv")
-        name = trace_path.name[: -len("trace.csv")] + "summary.json"
-        f_star = float(json.loads(trace_path.with_name(name).read_text())["f_star"])
+        summary = json.loads(trace_path.with_name(stem + "summary.json").read_text())
+        f_star, converged = float(summary["f_star"]), bool(summary["converged"])
     except (OSError, ValueError, KeyError, TypeError) as exc:
-        problems.append(f"summary: cannot read f_star: {exc!r}")
+        problems.append(f"summary: cannot read f_star and converged: {exc!r}")
     try:
         columns = solver.read_trace_csv(trace_path)
-        if f_star is not None:
-            problems += solver.trace_rules(*columns, f_star)
     except (OSError, ValueError) as exc:
         problems.append(f"trace: {exc}")
     try:
-        problems += support.report_rules(json.loads(Path(support_path).read_text()))
+        report = json.loads(Path(support_path).read_text())
+        if not problems:
+            # a report without its keys raises here, in the support rules
+            audits, problems, rate = decide_audits(columns, f_star, converged, report)
+            rate_path = trace_path.with_name(stem + "rate.json")
+            problems += _rate_file_rules(rate_path, audits["rate"], rate)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         problems.append(f"support: cannot load: {exc!r}")
     for p in problems:
         print(f"FAIL {p}")
     if not problems:
-        print("ok: trace and support report are consistent")
+        print("ok: trace, support report and rate are consistent")
     return 1 if problems else 0
+
+
+def _rate_file_rules(path: Path, verdict: str, rate: Optional[dict]) -> list:
+    """A rate file's failed rules against the ``rate`` re-derived from the
+    trace; a skipped rate audit has no document and admits no file."""
+    if rate is None:
+        stray = f"rate: {path.name} exists, but the rate audit is {verdict}"
+        return [stray] if path.exists() else []
+    try:
+        written = json.loads(path.read_text())
+        written.pop("tail_bound", None)
+    except (OSError, ValueError, AttributeError) as exc:
+        return [f"rate: cannot load: {exc!r}"]
+    keys = rate.keys() | written.keys()
+    differ = ", ".join(sorted(k for k in keys if rate.get(k) != written.get(k)))
+    if not differ:
+        return []
+    return [f"rate: {path.name} differs from the trace's rate in {differ}"]
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +611,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--scale", type=float, default=1.0)
     p_gen.add_argument("--outdir", default=".")
     p_gen.add_argument("--prefix", default="instance")
-    p_aud = sub.add_parser("audit", help="recheck emitted artifacts")
+    p_aud = sub.add_parser("audit", help="re-derive trace, support and rate verdicts")
     p_aud.add_argument("trace", help="trace CSV")
     p_aud.add_argument("report", help="support report JSON")
     return parser

@@ -10,9 +10,9 @@ high-accuracy reference minimizer x_bar, `verify_unique_minimizer`
 certifies by a rank test on its extended support J that it is the only
 one, `face_growth` certifies order 2 on the face {supp x in J} with
 gamma = sigma_min(A_J)^2, and `fit_rate` classifies the decay of the
-objective gap along a trace.  `estimate_gamma` samples the growth ratio
-near x_bar, an upper bound on the constant by construction; it is a
-library check, not part of a run.
+objective gap along a trace into the rate verdict.  `estimate_gamma`
+samples the growth ratio near x_bar, an upper bound on the constant by
+construction; it is a library check, not part of a run.
 """
 
 from __future__ import annotations
@@ -40,8 +40,6 @@ __all__ = [
     "face_growth",
     "estimate_gamma",
     "fit_rate",
-    "rate_rules",
-    "sublinear_bound_check",
 ]
 
 _SAMPLE_CHUNK = 512  # fixed chunk so sample streams nest across budgets
@@ -307,16 +305,16 @@ def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return float(coef[0]), float(coef[1]), r2
 
 
-def _tail_window(trace: IterateTrace, f_star: float) -> tuple[np.ndarray, np.ndarray]:
+def _tail_window(ns, gaps, f_star: float) -> tuple[np.ndarray, np.ndarray]:
     """Rows n >= 1 with gap above the rounding floor, last half only.
 
     The rounding floor cuts the numerically converged tail whose log
     is rounding noise; the above-floor segment is taken as a prefix so a
     converged run contributes its pre-floor decay.
     """
-    gaps = trace.objectives - f_star
-    keep = trace.ns >= 1
-    ns = trace.ns[keep].astype(float)
+    ns, gaps = np.asarray(ns), np.asarray(gaps, dtype=float)
+    keep = ns >= 1
+    ns = ns[keep].astype(float)
     gaps = gaps[keep]
     below = np.flatnonzero(gaps <= _rounding_floor(f_star))
     cut = int(below[0]) if below.size else len(gaps)
@@ -325,9 +323,28 @@ def _tail_window(trace: IterateTrace, f_star: float) -> tuple[np.ndarray, np.nda
     return ns[len(ns) - k :], gaps[len(gaps) - k :]
 
 
-def fit_rate(trace: IterateTrace, f_star: float) -> dict:
-    """Classify the tail of f(x^n) - f* as geometric or power-law decay;
-    returns the document that ``<prefix>_rate.json`` holds.
+def _tail_bound(ns: np.ndarray, gaps: np.ndarray, p: float) -> dict:
+    """Consistency of the tail window with a gap <= C1 * n^(-p/(p-2)) bound:
+    {"exponent": p/(p-2), "constant": C1, "trend_slope": slope}, with C1 the
+    max of gap * n^(p/(p-2)) and slope the log-log trend of that product,
+    <= 0 up to fit noise when the bound holds (faster decay is consistent:
+    the rate theorem is one-sided).  Raises ValueError when the product
+    leaves the float range, as p near 2 makes the exponent huge."""
+    q = p / (p - 2.0)
+    with np.errstate(over="ignore"):
+        z = gaps * ns ** q
+    if not np.all(np.isfinite(z)):
+        raise ValueError(f"n^{q:g} overflows on the tail window (p = {p:g})")
+    slope, _, _ = _ols(np.log(ns), np.log(z))
+    return {"exponent": q, "constant": float(np.max(z)), "trend_slope": slope}
+
+
+def fit_rate(
+    ns, gaps, f_star: float, converged: bool, p: Optional[float] = None
+) -> tuple[str, list, Optional[dict]]:
+    """The rate verdict of a run from its trace columns n and f_gap, as
+    `solver.read_trace_csv` returns them: (verdict, warnings, rate), with
+    ``rate`` the document that ``<prefix>_rate.json`` holds.
 
     Fits log gap against n and against log n on the tail window (the last
     half of the rows above the rounding floor) and picks the better fit
@@ -335,24 +352,23 @@ def fit_rate(trace: IterateTrace, f_star: float) -> dict:
     wins ties.  Regime 'linear' carries epsilon = exp(slope of log gap vs
     n) in (0, 1); 'sublinear' carries exponent q > 0 and constant from
     gap ~ C * n^-q; 'inconclusive' carries only the diagnostics, r2_linear
-    and r2_loglog, which every regime reports side by side.  Fewer than 8
-    usable points in the window is inconclusive by construction, with no
-    fit and ``window`` None.
+    and r2_loglog, which every regime reports side by side, and fails the
+    audit, with the reason among the warnings.  With fewer than 8 usable
+    points there is no fit: the audit is skipped, with no document, when
+    the run converged, else the document is 'inconclusive' with
+    ``window`` None.  Given the order p > 2 of a power penalty on every
+    coordinate, the document holds the window's `_tail_bound` too.
     """
-    ns, gaps = _tail_window(trace, f_star)
-    rate = {
-        "regime": "inconclusive",
-        "r2_linear": 0.0,
-        "r2_loglog": 0.0,
-        "window": None,
-        "n_points": len(ns),
-        "epsilon": None,
-        "exponent": None,
-        "constant": None,
-        "r_squared": None,
-    }
+    last = int(ns[-1])
+    ns, gaps = _tail_window(ns, gaps, f_star)
+    rate = dict.fromkeys(("window", "epsilon", "exponent", "constant", "r_squared"))
+    rate.update(regime="inconclusive", r2_linear=0.0, r2_loglog=0.0, n_points=len(ns))
     if len(ns) < _MIN_FIT_POINTS:
-        return rate
+        why = f"{len(ns)} usable tail points, need >= {_MIN_FIT_POINTS}"
+        if converged:
+            why = f"converged at iteration {last} with {why} to fit a rate"
+            return f"skipped: {why}", [], None
+        return "fail", [f"rate: inconclusive: {why}"], rate
     logg = np.log(gaps)
     slope_lin, _, r2_lin = _ols(ns, logg)
     slope_log, icpt_log, r2_log = _ols(np.log(ns), logg)
@@ -369,50 +385,16 @@ def fit_rate(trace: IterateTrace, f_star: float) -> dict:
             constant=math.exp(icpt_log),
             r_squared=r2_log,
         )
-    return rate
-
-
-def rate_rules(rate: dict) -> list:
-    """The failed rules of a rate document, as messages (none: it passes).
-
-    A document passes when `fit_rate` read a regime; an inconclusive one
-    fails with the reason no regime was read.
-    """
+    warnings = []
+    if p is not None and p > 2.0:
+        try:
+            rate["tail_bound"] = _tail_bound(ns, gaps, p)
+        except ValueError as exc:
+            warnings.append(f"tail bound check skipped: {exc}")
     if rate["regime"] != "inconclusive":
-        return []
-    if rate["n_points"] < _MIN_FIT_POINTS:
-        why = f"{rate['n_points']} usable tail points, need >= {_MIN_FIT_POINTS}"
-    else:
-        why = (
-            f"no decreasing fit reaches R^2 >= {_R2_THRESHOLD} (r2_linear "
-            f"{rate['r2_linear']:.6g}, r2_loglog {rate['r2_loglog']:.6g})"
-        )
-    return [f"rate: inconclusive: {why}"]
-
-
-def sublinear_bound_check(trace: IterateTrace, f_star: float, p: float) -> dict:
-    """Consistency with a gap <= C1 * n^(-p/(p-2)) tail bound.
-
-    Returns {"exponent": p/(p-2), "constant": C1, "trend_slope": slope}: C1
-    is the max of gap * n^(p/(p-2)) over the tail window and slope is the
-    log-log trend of that product, which should be <= 0 up to fit noise
-    when the bound holds.  Decay faster than the bound (very negative
-    slope) is consistent: the rate theorem is one-sided.  Raises ValueError
-    when the check does not apply: p <= 2, fewer than 8 tail points, or a
-    product beyond the float range (p near 2 makes the exponent huge).
-    """
-    if not p > 2.0:
-        raise ValueError("the power-law tail bound applies for p > 2 only")
-    ns, gaps = _tail_window(trace, f_star)
-    if len(ns) < _MIN_FIT_POINTS:
-        raise ValueError(
-            f"only {len(ns)} usable points in the tail window, need "
-            f">= {_MIN_FIT_POINTS}"
-        )
-    q = p / (p - 2.0)
-    with np.errstate(over="ignore"):
-        z = gaps * ns ** q
-    if not np.all(np.isfinite(z)):
-        raise ValueError(f"n^{q:g} overflows on the tail window (p = {p:g})")
-    slope, _, _ = _ols(np.log(ns), np.log(z))
-    return {"exponent": q, "constant": float(np.max(z)), "trend_slope": slope}
+        return "pass", warnings, rate
+    warnings.append(
+        f"rate: inconclusive: no decreasing fit reaches R^2 >= {_R2_THRESHOLD} "
+        f"(r2_linear {r2_lin:.6g}, r2_loglog {r2_log:.6g})"
+    )
+    return "fail", warnings, rate

@@ -326,29 +326,25 @@ def trace_rules(ns, gaps, residuals, dists, f_star: float) -> list:
     return [f"trace: {message}" for ok, message in rules if not ok]
 
 
-def write_trace_csv(trace: IterateTrace, path, f_star: float, dists) -> None:
-    """CSV columns (n, f_gap, residual, supp_size, dist_to_ref): the gap to
-    ``f_star`` and the distances ``dists`` to the point that attains it.
+def write_trace_csv(trace: IterateTrace, path, gaps, dists) -> None:
+    """CSV columns (n, f_gap, residual, supp_size, dist_to_ref): the gaps
+    ``gaps`` to the optimum and the distances ``dists`` to the point that
+    attains it.
 
     Floats are written with shortest round-trip repr, so identical runs
     produce byte-identical files.  Raises ValueError unless there is one
-    distance per trace row.
+    gap and one distance per trace row.
     """
-    dists = np.asarray(dists, dtype=float)
-    if dists.shape != trace.ns.shape:
+    gaps, dists = np.asarray(gaps, dtype=float), np.asarray(dists, dtype=float)
+    if not gaps.shape == dists.shape == trace.ns.shape:
         raise ValueError(
-            f"expected {len(trace.ns)} distances, one per trace row, "
-            f"got {dists.size}"
+            f"expected {len(trace.ns)} gaps and distances, one per trace row, "
+            f"got {gaps.size} and {dists.size}"
         )
-    cols = zip(
-        trace.ns.tolist(),
-        (trace.objectives - f_star).tolist(),
-        trace.residuals.tolist(),
-        trace.supp_sizes.tolist(),
-        dists.tolist(),
-    )
+    cols = (trace.ns, gaps, trace.residuals, trace.supp_sizes, dists)
     lines = [TRACE_HEADER] + [
-        f"{n},{gap!r},{res!r},{size},{d!r}" for n, gap, res, size, d in cols
+        f"{n},{gap!r},{res!r},{size},{d!r}"
+        for n, gap, res, size, d in zip(*(col.tolist() for col in cols))
     ]
     write_text(path, "\n".join(lines) + "\n")
 

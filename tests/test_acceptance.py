@@ -292,11 +292,11 @@ def test_criterion_9(acceptance, lasso_batch, tmp_path):
     mismatched = []
     for seed, r in enumerate(lasso_batch.runs):
         stored = tmp_path / f"batch_{seed}.csv"
-        write_trace_csv(r.trace, stored, r.f_star, r.dists)
+        write_trace_csv(r.trace, stored, r.gaps, r.dists)
 
         again = analyze(generate_synthetic(20, 50, seed), SolverConfig())
         fresh = tmp_path / f"fresh_{seed}.csv"
-        write_trace_csv(again.trace, fresh, again.f_star, again.dists)
+        write_trace_csv(again.trace, fresh, again.gaps, again.dists)
 
         if stored.read_bytes() != fresh.read_bytes():
             mismatched.append(seed)

@@ -10,7 +10,7 @@ import pytest
 from oracles import gallery_csv_by_point, iterates
 
 from threshgrad import cli, solver
-from threshgrad.analysis import analyze
+from threshgrad.analysis import analyze, decide_audits
 from threshgrad.cli import (
     ConfigError,
     ExperimentConfig,
@@ -24,7 +24,7 @@ from threshgrad.cli import (
     _build_problem,
     _resolve_x0,
 )
-from threshgrad.conditioning import estimate_gamma, polish
+from threshgrad.conditioning import estimate_gamma, fit_rate, polish
 from threshgrad.regularizers import (
     Interval,
     PowerPenalty,
@@ -1034,6 +1034,23 @@ def test_gen_writes_deterministic_instance(tmp_path):
     assert np.all((np.abs(nz) >= 10.0) & (np.abs(nz) <= 20.0))
 
 
+@pytest.mark.parametrize(
+    "missing, message",
+    [
+        ("m", "m and n must be >= 1, got m=None, n=50"),
+        ("n", "m and n must be >= 1, got m=20, n=None"),
+        ("seed", "seed must be >= 0, got None"),
+    ],
+)
+def test_synthetic_config_built_in_code_names_a_missing_size(tmp_path, missing, message):
+    sizes = {"m": 20, "n": 50, "seed": 7, missing: None}
+    cfg = ExperimentConfig(source="synthetic", outdir=str(tmp_path / "out"), **sizes)
+    with pytest.raises(ValueError) as raised:
+        run_experiment(cfg)
+    assert str(raised.value) == message
+    assert not (tmp_path / "out").exists()
+
+
 def test_gen_files_are_the_repr_rows(tmp_path):
     from threshgrad.analysis import _synthetic_data
 
@@ -1168,6 +1185,56 @@ def test_audit_requires_the_summary(tmp_path, capsys):
     assert "FAIL summary" in capsys.readouterr().out
 
 
+def shipped_run(tmp_path, name):
+    """The summary of a shipped config run into ``tmp_path``."""
+    cfg = parse_experiment_config(CONFIGS / f"{name}.ini")
+    cfg.outdir = str(tmp_path)
+    return run_experiment(cfg)[1]
+
+
+@pytest.mark.parametrize("name", EXPERIMENT_CONFIGS)
+def test_audit_re_derives_the_summary_verdicts_from_the_files(tmp_path, name):
+    summary = shipped_run(tmp_path, name)
+    arts = summary["artifacts"]
+    columns = solver.read_trace_csv(arts["trace"])
+    report = json.loads(Path(arts["support"]).read_text())
+    audits, _, rate = decide_audits(
+        columns, summary["f_star"], summary["converged"], report
+    )
+    assert audits == {k: summary["audits"][k] for k in ("trace", "support", "rate")}
+    # the files do not name the penalty, so the tail bound is not re-derived
+    want = dict(summary.get("rate", {}))
+    want.pop("tail_bound", None)
+    assert (rate or {}) == want
+    assert main(["audit", arts["trace"], arts["support"]]) == 0
+
+
+@pytest.mark.parametrize("case", ["epsilon", "regime", "deleted", "stray"])
+def test_audit_fails_a_rate_file_that_is_not_the_trace_s_rate(tmp_path, capsys, case):
+    name = "ex_cq" if case == "stray" else "lasso"
+    summary = shipped_run(tmp_path, name)
+    arts = summary["artifacts"]
+    rate_file = tmp_path / f"{name}_rate.json"
+    if case == "stray":
+        # the document a run that had not converged would have written
+        columns = solver.read_trace_csv(arts["trace"])
+        rate = fit_rate(columns[0], columns[1], summary["f_star"], False)[2]
+        rate_file.write_text(json.dumps(rate))
+        want = f"FAIL rate: {rate_file.name} exists, but the rate audit is skipped: "
+    elif case == "deleted":
+        rate_file.unlink()
+        want = "FAIL rate: cannot load: FileNotFoundError"
+    else:
+        rate = json.loads(rate_file.read_text())
+        rate[case] = {"epsilon": rate["epsilon"] / 2, "regime": "sublinear"}[case]
+        rate_file.write_text(json.dumps(rate))
+        want = f"FAIL rate: {rate_file.name} differs from the trace's rate in {case}\n"
+    capsys.readouterr()
+    assert main(["audit", arts["trace"], arts["support"]]) == 1
+    [line] = capsys.readouterr().out.splitlines(keepends=True)
+    assert line.startswith(want)
+
+
 LARGE_F_STAR = 3577.30190131785  # f* of the 1000x5000 synthetic instance, seed 0
 
 
@@ -1180,7 +1247,9 @@ def hand_written_artifacts(tmp_path, last_gap):
         "n,f_gap,residual,supp_size,dist_to_ref\n"
         + "".join(f"{n},{gap!r},{res!r},1,{res!r}\n" for n, gap, res in rows)
     )
-    (tmp_path / "big_summary.json").write_text(json.dumps({"f_star": LARGE_F_STAR}))
+    # converged, with one tail point: the rate audit is skipped
+    summary = {"f_star": LARGE_F_STAR, "converged": True}
+    (tmp_path / "big_summary.json").write_text(json.dumps(summary))
     support = tmp_path / "big_support.json"
     support.write_text(
         json.dumps(

@@ -17,8 +17,6 @@ from threshgrad.conditioning import (
     face_growth,
     fit_rate,
     polish,
-    rate_rules,
-    sublinear_bound_check,
     verify_unique_minimizer,
 )
 from threshgrad.operators import LeastSquaresTerm, operator_norm
@@ -29,7 +27,7 @@ from threshgrad.regularizers import (
     SeparableRegularizer,
     ZeroPenalty,
 )
-from threshgrad.solver import IterateTrace, Problem, SolverConfig, run
+from threshgrad.solver import Problem, SolverConfig, run
 
 
 def scalar_problem():
@@ -63,25 +61,15 @@ def quartic_problem(weight=1.0):
     return Problem(g=g, h=h)
 
 
-def gap_trace(gaps, f_star=0.0, start_n=1):
-    """Trace scaffold carrying a prescribed objective-gap sequence."""
+def gap_columns(gaps, start_n=1):
+    """Trace columns (n, f_gap) carrying a prescribed objective-gap sequence."""
     gaps = np.asarray(gaps, dtype=float)
-    k = len(gaps)
-    ns = np.arange(start_n, start_n + k, dtype=np.int64)
-    return IterateTrace(
-        ns=ns,
-        objectives=f_star + gaps,
-        residuals=np.zeros(k),
-        offsets=np.zeros(k + 1, dtype=np.int64),
-        indices=np.zeros(0, dtype=np.int32),
-        values=np.zeros(0),
-        x_final=np.zeros(1),
-        x0=np.zeros(1),
-        lam=1.0,
-        converged=True,
-        n_iterations=int(ns[-1]),
-        wall_time=0.0,
-    )
+    return np.arange(start_n, start_n + len(gaps)), gaps
+
+
+def fitted(gaps, p=None):
+    """The rate document of a run that did not converge, with these gaps."""
+    return fit_rate(*gap_columns(gaps), 0.0, False, p)[2]
 
 
 def bisect_root(fun, lo, hi, tol=1e-14):
@@ -573,17 +561,18 @@ def test_gamma_reports_excessive_rejection():
 
 
 def test_fit_rate_geometric_sequence():
-    rep = fit_rate(gap_trace(0.9 ** np.arange(1, 201)), f_star=0.0)
+    columns = gap_columns(0.9 ** np.arange(1, 201))
+    verdict, warnings, rep = fit_rate(*columns, 0.0, False)
     assert rep["regime"] == "linear"
     assert rep["epsilon"] == pytest.approx(0.9, abs=1e-6)
     assert rep["r_squared"] >= 0.999999
     assert rep["window"][1] == 200
-    assert rate_rules(rep) == []
+    assert (verdict, warnings) == ("pass", [])
 
 
 def test_fit_rate_power_law_sequence():
     n = np.arange(1, 501, dtype=float)
-    rep = fit_rate(gap_trace(7.0 * n ** -2.0), f_star=0.0)
+    rep = fitted(7.0 * n ** -2.0)
     assert rep["regime"] == "sublinear"
     assert rep["exponent"] == pytest.approx(2.0, abs=1e-6)
     assert rep["constant"] == pytest.approx(7.0, rel=1e-6)
@@ -594,7 +583,7 @@ def test_fit_rate_power_law_sequence():
 def test_fit_rate_noisy_geometric_sequence():
     rng = np.random.default_rng(8)
     gaps = 0.9 ** np.arange(1, 301) * (1.0 + 1e-3 * rng.uniform(-1, 1, 300))
-    rep = fit_rate(gap_trace(gaps), f_star=0.0)
+    rep = fitted(gaps)
     assert rep["regime"] == "linear"
     assert rep["epsilon"] == pytest.approx(0.9, abs=1e-3)
 
@@ -602,7 +591,8 @@ def test_fit_rate_noisy_geometric_sequence():
 def test_fit_rate_on_scalar_run():
     p = scalar_problem()
     trace = run(p, SolverConfig(lam=0.5, x0=np.array([1.0])))
-    rep = fit_rate(trace, f_star=0.5)
+    verdict, _, rep = fit_rate(trace.ns, trace.objectives - 0.5, 0.5, trace.converged)
+    assert verdict == "pass"
     assert rep["regime"] == "linear"
     assert rep["epsilon"] == pytest.approx(0.25, abs=1e-9)
     assert rep["r_squared"] == pytest.approx(1.0, abs=1e-12)
@@ -612,15 +602,22 @@ def test_fit_rate_on_scalar_run():
     assert rep["n_points"] == 11
 
 
-def test_fit_rate_too_few_points_is_inconclusive():
-    trace = gap_trace(0.5 ** np.arange(1, 6))
-    trace.converged = False
-    rep = fit_rate(trace, f_star=0.0)
+def test_fit_rate_too_few_points_is_inconclusive_unless_converged():
+    columns = gap_columns(0.5 ** np.arange(1, 6))
+    verdict, warnings, rep = fit_rate(*columns, 0.0, False)
     assert rep["regime"] == "inconclusive"
     assert rep["epsilon"] is None and rep["exponent"] is None
     # the half-fraction tail window of 5 recorded gaps keeps 3 points
     assert rep["n_points"] == 3
-    assert rate_rules(rep) == ["rate: inconclusive: 3 usable tail points, need >= 8"]
+    assert verdict == "fail"
+    assert warnings == ["rate: inconclusive: 3 usable tail points, need >= 8"]
+    # a run that converged that early has no rate to fit
+    assert fit_rate(*columns, 0.0, True) == (
+        "skipped: converged at iteration 5 with 3 usable tail points, "
+        "need >= 8 to fit a rate",
+        [],
+        None,
+    )
 
 
 def test_analyze_skips_the_rate_of_a_run_that_converged_that_early():
@@ -628,7 +625,9 @@ def test_analyze_skips_the_rate_of_a_run_that_converged_that_early():
     # five gaps above the floor, whose last half keeps 3 points
     config = SolverConfig(lam=0.5, x0=np.array([-100.0]))
     result = analyze(scalar_problem(), config)
-    assert fit_rate(result.trace, result.f_star)["n_points"] == 3
+    assert fit_rate(result.trace.ns, result.gaps, result.f_star, False)[2][
+        "n_points"
+    ] == 3
     assert result.rate is None
     assert result.audits["rate"] == (
         "skipped: converged at iteration 6 with 3 usable tail points, "
@@ -639,28 +638,33 @@ def test_analyze_skips_the_rate_of_a_run_that_converged_that_early():
 
 def test_fit_rate_window_of_two_rows_is_their_last_half():
     # ceil(0.5 * 2) = 1: two rows above the floor leave one tail point
-    trace = gap_trace([0.5, 0.25, 0.0])
-    trace.converged = False
-    rep = fit_rate(trace, f_star=0.0)
+    verdict, warnings, rep = fit_rate(*gap_columns([0.5, 0.25, 0.0]), 0.0, False)
     assert (rep["regime"], rep["n_points"]) == ("inconclusive", 1)
-    assert rate_rules(rep) == ["rate: inconclusive: 1 usable tail points, need >= 8"]
+    assert verdict == "fail"
+    assert warnings == ["rate: inconclusive: 1 usable tail points, need >= 8"]
 
 
-def test_fit_rate_converged_at_start_is_inconclusive():
+def test_fit_rate_converged_at_start_has_no_fit():
     p = scalar_problem()
     trace = run(p, SolverConfig(lam=0.5, x0=np.array([0.0])))
-    rep = fit_rate(trace, f_star=0.5)
+    gaps = trace.objectives - 0.5
+    rep = fit_rate(trace.ns, gaps, 0.5, False)[2]
     assert rep["regime"] == "inconclusive"
     assert rep["n_points"] == 0
+    assert fit_rate(trace.ns, gaps, 0.5, trace.converged)[0] == (
+        "skipped: converged at iteration 0 with 0 usable tail points, "
+        "need >= 8 to fit a rate"
+    )
 
 
 def test_fit_rate_erratic_sequence_is_inconclusive():
     n = np.arange(1, 101, dtype=float)
-    rep = fit_rate(gap_trace(np.exp(np.sin(n))), f_star=0.0)
+    verdict, warnings, rep = fit_rate(*gap_columns(np.exp(np.sin(n))), 0.0, True)
     assert rep["regime"] == "inconclusive"
     assert rep["r2_linear"] < 0.99 and rep["r2_loglog"] < 0.99
     assert rep["window"] is not None
-    assert rate_rules(rep) == [
+    assert verdict == "fail"
+    assert warnings == [
         "rate: inconclusive: no decreasing fit reaches R^2 >= 0.99 "
         f"(r2_linear {rep['r2_linear']:.6g}, r2_loglog {rep['r2_loglog']:.6g})"
     ]
@@ -673,12 +677,12 @@ RATE_KEYS = {
 
 
 def test_fit_rate_report_serializes():
-    d = fit_rate(gap_trace(0.9 ** np.arange(1, 100)), f_star=0.0)
+    d = fitted(0.9 ** np.arange(1, 100))
     assert d["regime"] == "linear"
     assert d["window"] == [50, 99]
     assert set(d) == RATE_KEYS and type(d["window"]) is list
     assert json.loads(json.dumps(d)) == d
-    short = fit_rate(gap_trace([0.5, 0.25]), 0.0)
+    short = fitted([0.5, 0.25])
     assert set(short) == RATE_KEYS and short["window"] is None
     # analyze adds the tail bound when it applies, and nothing else
     quartic = Problem(
@@ -696,33 +700,36 @@ def test_fit_rate_report_serializes():
 
 def test_tail_bound_exact_power_law():
     n = np.arange(1, 201, dtype=float)
-    bound = sublinear_bound_check(gap_trace(5.0 * n ** -2.0), 0.0, p=4.0)
+    bound = fitted(5.0 * n ** -2.0, p=4.0)["tail_bound"]
     assert bound["exponent"] == 2.0
     assert bound["constant"] == pytest.approx(5.0, rel=1e-12)
     assert abs(bound["trend_slope"]) <= 1e-8
 
 
 def test_tail_bound_faster_decay_is_consistent():
-    bound = sublinear_bound_check(gap_trace(0.5 ** np.arange(1, 101)), 0.0, p=4.0)
+    bound = fitted(0.5 ** np.arange(1, 101), p=4.0)["tail_bound"]
     assert bound["trend_slope"] < 0.0
 
 
 def test_tail_bound_flags_slower_decay():
     n = np.arange(1, 201, dtype=float)
-    bound = sublinear_bound_check(gap_trace(n ** -1.0), 0.0, p=4.0)
+    bound = fitted(n ** -1.0, p=4.0)["tail_bound"]
     assert bound["trend_slope"] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_tail_bound_needs_p_above_two():
-    trace = gap_trace(0.5 ** np.arange(1, 50))
-    with pytest.raises(ValueError):
-        sublinear_bound_check(trace, 0.0, p=2.0)
+    columns = gap_columns(0.5 ** np.arange(1, 50))
+    for p in (None, 1.5, 2.0):
+        verdict, warnings, rate = fit_rate(*columns, 0.0, False, p)
+        assert (verdict, warnings) == ("pass", [])
+        assert "tail_bound" not in rate
 
 
 def test_tail_bound_needs_enough_points():
-    with pytest.raises(ValueError):
-        sublinear_bound_check(gap_trace([0.5, 0.25]), 0.0, p=4.0)
-
+    # no fit, so no bound either: the one warning is the rate's own
+    verdict, warnings, rate = fit_rate(*gap_columns([0.5, 0.25]), 0.0, False, 4.0)
+    assert "tail_bound" not in rate
+    assert warnings == ["rate: inconclusive: 1 usable tail points, need >= 8"]
 
 
 def test_analyze_applies_the_tail_bound_to_one_power_penalty_only():
@@ -731,9 +738,16 @@ def test_analyze_applies_the_tail_bound_to_one_power_penalty_only():
         h=generate_synthetic(12, 30, 5).h,
     )
     result = analyze(quartic, SolverConfig())
-    assert result.rate["tail_bound"] == sublinear_bound_check(
-        result.trace, result.f_star, 4.0
-    )
+    # p / (p - 2) = 2: the product gap * n^2 over the fit window
+    first, last = result.rate["window"]
+    n = np.arange(first, last + 1, dtype=float)
+    z = result.gaps[first : last + 1] * n ** 2.0
+    slope = np.polyfit(np.log(n), np.log(z), 1)[0]
+    assert result.rate["tail_bound"] == {
+        "exponent": 2.0,
+        "constant": float(np.max(z)),
+        "trend_slope": pytest.approx(slope, rel=1e-9, abs=1e-12),
+    }
     assert result.warnings == []
     # a mixed regularizer has no single order p
     pens = (PowerPenalty(4.0),) * 29 + (ZeroPenalty(),)

@@ -345,7 +345,8 @@ def test_write_trace_csv_golden(tmp_path):
     cfg = SolverConfig(lam=0.5, x0=np.array([1.0]), max_iter=2, residual_tol=0.0)
     trace = run(p, cfg)
     path = tmp_path / "trace.csv"
-    write_trace_csv(trace, path, 0.5, trace.distances_to(np.array([0.0])))
+    dists = trace.distances_to(np.array([0.0]))
+    write_trace_csv(trace, path, trace.objectives - 0.5, dists)
     want = (
         "n,f_gap,residual,supp_size,dist_to_ref\n"
         "0,0.5,1.0,1,1.0\n"
@@ -356,14 +357,17 @@ def test_write_trace_csv_golden(tmp_path):
 
 
 @pytest.mark.parametrize("cut", [slice(None, -5), slice(1, None)])
-def test_write_trace_csv_rejects_distances_of_another_length(tmp_path, cut):
+def test_write_trace_csv_rejects_columns_of_another_length(tmp_path, cut):
     p = random_problem(5)
     trace = run(p, SolverConfig(max_iter=500, residual_tol=1e-9))
-    dists = trace.distances_to(trace.x_final)
+    gaps, dists = trace.objectives, trace.distances_to(trace.x_final)
     path = tmp_path / "trace.csv"
+    want = f"expected {len(trace.ns)} gaps and distances, one per trace row"
     for bad in (dists[cut], np.append(dists, 0.0)):
-        with pytest.raises(ValueError, match=f"expected {len(trace.ns)} distances"):
-            write_trace_csv(trace, path, 0.0, bad)
+        with pytest.raises(ValueError, match=want):
+            write_trace_csv(trace, path, gaps, bad)
+        with pytest.raises(ValueError, match=want):
+            write_trace_csv(trace, path, bad, dists)
     assert not path.exists()
 
 
@@ -373,7 +377,7 @@ def test_trace_csv_round_trips_the_trace_columns(tmp_path):
     f_star = float(trace.objectives[-1])
     path = tmp_path / "trace.csv"
     want = trace.distances_to(trace.x_final)
-    write_trace_csv(trace, path, f_star, want)
+    write_trace_csv(trace, path, trace.objectives - f_star, want)
     ns, gaps, residuals, dists = read_trace_csv(path)
     assert np.array_equal(ns, trace.ns)
     assert np.array(gaps).tobytes() == (trace.objectives - f_star).tobytes()
@@ -388,7 +392,8 @@ def test_trace_csv_deterministic_across_runs(tmp_path):
     for tag in ("a", "b"):
         trace = run(p, cfg)
         path = tmp_path / f"{tag}.csv"
-        write_trace_csv(trace, path, 0.0, trace.distances_to(trace.x_final))
+        dists = trace.distances_to(trace.x_final)
+        write_trace_csv(trace, path, trace.objectives, dists)
         paths.append(path.read_bytes())
     assert paths[0] == paths[1]
 
