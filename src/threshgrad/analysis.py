@@ -6,6 +6,7 @@ extended support, and the verdict of every audit."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -36,6 +37,10 @@ def _synthetic_data(m: int, n: int, seed: int, scale: float):
     `operator_norm`), sparse x_true with ceil(n/10) entries of magnitude
     10..20, y = A x_true + 0.1 * noise.  Draw order is part of the
     determinism contract; changing it changes every seeded artifact."""
+    for name, value in (("m", m), ("n", n), ("seed", seed)):
+        # numpy integers are Integral too; None is named below
+        if value is not None and not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     # a config built in code may leave a size None
     if m is None or n is None or m < 1 or n < 1:
         raise ValueError(f"m and n must be >= 1, got m={m}, n={n}")

@@ -557,13 +557,13 @@ def cmd_audit(trace_path, support_path) -> int:
         problems.append(f"trace: {exc}")
     try:
         report = json.loads(Path(support_path).read_text())
-        if not problems:
-            # a report without its keys raises here, in the support rules
-            audits, problems, rate = decide_audits(columns, f_star, converged, report)
-            rate_path = trace_path.with_name(stem + "rate.json")
-            problems += _rate_file_rules(rate_path, audits["rate"], rate)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError) as exc:
         problems.append(f"support: cannot load: {exc!r}")
+    if not problems:
+        # a report with a missing or malformed key fails the support rules
+        audits, problems, rate = decide_audits(columns, f_star, converged, report)
+        rate_path = trace_path.with_name(stem + "rate.json")
+        problems += _rate_file_rules(rate_path, audits["rate"], rate)
     for p in problems:
         print(f"FAIL {p}")
     if not problems:

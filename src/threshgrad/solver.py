@@ -184,10 +184,17 @@ def _nonincreasing(values, slack: float) -> bool:
 
 def fb_step(problem: Problem, lam: float, x: np.ndarray) -> tuple[np.ndarray, float]:
     """One forward-backward step: the pair (prox_{lam*g}(x - lam*grad_h(x)),
-    h(x)), both from one gradient call."""
+    h(x)), both from one gradient call.
+
+    Raises RuntimeError, before the prox, when the gradient has an inf or
+    NaN entry.  One BLAS dot decides almost every step: squares cannot
+    cancel, so an inf or NaN entry makes v.dot(v) inf or NaN, and a finite
+    v.dot(v) proves every entry finite.  Only a dot that is not finite
+    (a non-finite entry, or finite entries whose squares overflow, above
+    about 1.3e154) falls back to the exact entrywise test.  numpy warns of
+    that overflow, as it does of the residual's dot in `run`."""
     v, hx = problem.h.gradient(x)
-    # np.isfinite(v).all(), without the Python-level wrapper of .all()
-    if np.count_nonzero(np.isfinite(v)) != v.size:
+    if not math.isfinite(v.dot(v)) and np.count_nonzero(np.isfinite(v)) != v.size:
         raise RuntimeError("non-finite gradient; check problem data")
     # the forward point in the gradient's buffer: -(lam*grad) + x is
     # bitwise x - lam*grad, signed zeros included
@@ -204,12 +211,15 @@ def fixed_point_residual(problem: Problem, lam: float, x: np.ndarray) -> float:
 def _block_log(block: np.ndarray) -> tuple:
     """(sizes, indices, values) of the rows of a dense block of iterates:
     row by row, bitwise each row's np.flatnonzero and its values there
-    (-0.0 counts as zero)."""
-    rows, cols = np.nonzero(block)
+    (-0.0 counts as zero).  The block is C-contiguous, so one pass over
+    its flat view finds the nonzeros in row order and gathers them."""
+    flat = block.ravel()
+    at = flat.nonzero()[0]
+    rows, cols = np.divmod(at, block.shape[1])
     return (
         np.bincount(rows, minlength=len(block)),
         cols.astype(np.int32),
-        block[rows, cols],
+        flat[at],
     )
 
 
@@ -220,8 +230,8 @@ def run(problem: Problem, config: SolverConfig) -> IterateTrace:
     Returns the first iterate whose own residual is below tolerance, so the
     residual reported for the final point is genuinely its fixed-point
     residual.  Every iterate is recorded in the trace's log, by way of a
-    dense block of `log_block_rows` rows that is read off with one
-    np.nonzero when full; its objective is the h(x) that `fb_step` returns
+    dense block of `log_block_rows` rows that is read off in one flat pass
+    when full; its objective is the h(x) that `fb_step` returns
     plus g(x), which `g_rows` reads off the log after the loop, and
     `IterateTrace.distances_to` measures it against a point afterwards.
     """

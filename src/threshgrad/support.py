@@ -177,17 +177,60 @@ def write_support_report(report: dict, path) -> None:
     write_json(report, path)
 
 
+def _is_int(v) -> bool:
+    # a JSON integer: bool is an int subclass, and true is no integer
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return _is_int(v) or isinstance(v, float)
+
+
+def _is_index_set(v) -> bool:
+    return isinstance(v, list) and all(map(_is_int, v))
+
+
+def _or_null(test):
+    return lambda v: v is None or test(v)
+
+
+# what each key that the rules read must hold, as (test, description)
+_REPORT_TYPES = {
+    "supp": (_is_index_set, "a list of ints"),
+    "esupp": (_is_index_set, "a list of ints"),
+    "rho_sol": (_or_null(_is_number), "a number or null"),
+    "identification_bound": (_is_number, "a number"),
+    "observed_violations": (_is_int, "an int"),
+    "identification_iteration": (_or_null(_is_int), "an int or null"),
+    "qualification_holds": (_or_null(lambda v: isinstance(v, bool)), "a bool or null"),
+    "dual_point": (lambda v: isinstance(v, list), "a list"),
+}
+
+
 def report_rules(rep: dict) -> list:
     """The failed rules of a support report (the document of
     `build_support_report`, or its file), as messages (none: it passes).
 
+    Every key the rules read must be present and of its JSON type (index
+    sets are lists of ints); a report that is not fails on that alone.
     The support must be identified (identification iteration >= 1), supp
     must lie in esupp with every index in range, rho_sol must be positive,
     the violations must stay within ceil(bound) (the bound is 0 when
     rho_sol is null), and a claimed qualification needs supp == esupp.
     `threshgrad run` applies these rules to the report it writes and
-    `threshgrad audit` to the file.  Raises KeyError for a missing key.
+    `threshgrad audit` to the file.
     """
+    if not isinstance(rep, dict):
+        return [f"support: the report is a {type(rep).__name__}, not a JSON object"]
+    malformed = [
+        f"support: missing key {key!r}"
+        if key not in rep
+        else f"support: {key} is not {what}"
+        for key, (holds, what) in _REPORT_TYPES.items()
+        if key not in rep or not holds(rep[key])
+    ]
+    if malformed:
+        return malformed
     supp, esupp = set(rep["supp"]), set(rep["esupp"])
     rho_sol, bound = rep["rho_sol"], rep["identification_bound"]
     ident, n = rep["identification_iteration"], len(rep["dual_point"])

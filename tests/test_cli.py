@@ -1051,6 +1051,31 @@ def test_synthetic_config_built_in_code_names_a_missing_size(tmp_path, missing, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "sizes, message",
+    [
+        ({"m": 3.0}, "m must be an integer, got 3.0"),
+        ({"n": "50"}, "n must be an integer, got '50'"),
+        ({"seed": 0.5}, "seed must be an integer, got 0.5"),
+    ],
+)
+def test_synthetic_config_built_in_code_names_a_non_integer_size(tmp_path, sizes, message):
+    sizes = {"m": 20, "n": 50, "seed": 7, **sizes}
+    cfg = ExperimentConfig(source="synthetic", outdir=str(tmp_path / "out"), **sizes)
+    with pytest.raises(ValueError) as raised:
+        run_experiment(cfg)
+    assert str(raised.value) == message
+    assert not (tmp_path / "out").exists()
+
+
+def test_synthetic_data_takes_numpy_integers():
+    from threshgrad.analysis import _synthetic_data
+
+    got = _synthetic_data(np.int64(7), np.int32(30), np.uint8(5), 0.5)
+    for a, b in zip(got, _synthetic_data(7, 30, 5, 0.5)):
+        assert a.tobytes() == b.tobytes()
+
+
 def test_gen_files_are_the_repr_rows(tmp_path):
     from threshgrad.analysis import _synthetic_data
 
@@ -1155,9 +1180,16 @@ def test_audit_missing_files(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "key,value", [("rho_sol", None), ("identification_bound", "x")]
+    "key,value,want",
+    [
+        ("rho_sol", None, "FAIL support: missing key 'rho_sol'\n"),
+        ("esupp", None, "FAIL support: missing key 'esupp'\n"),
+        ("identification_bound", "x", "FAIL support: identification_bound is not a number\n"),
+        ("supp", [0.5], "FAIL support: supp is not a list of ints\n"),
+    ],
 )
-def test_audit_flags_a_malformed_report(tmp_path, capsys, key, value):
+def test_audit_flags_a_malformed_report(tmp_path, capsys, key, value, want):
+    # the file loads, so the support rules name its defect
     trace, support = emitted_artifacts(tmp_path)
     rep = json.loads(open(support).read())
     if value is None:
@@ -1165,8 +1197,17 @@ def test_audit_flags_a_malformed_report(tmp_path, capsys, key, value):
     else:
         rep[key] = value
     json.dump(rep, open(support, "w"))
+    capsys.readouterr()
     assert main(["audit", trace, support]) == 1
-    assert "FAIL support: cannot load" in capsys.readouterr().out
+    assert capsys.readouterr().out == want
+
+
+def test_audit_cannot_load_a_support_file_that_is_not_json(tmp_path, capsys):
+    trace, support = emitted_artifacts(tmp_path)
+    Path(support).write_text("{")
+    capsys.readouterr()
+    assert main(["audit", trace, support]) == 1
+    assert capsys.readouterr().out.startswith("FAIL support: cannot load: JSONDecodeError")
 
 
 def test_audit_requires_identification(tmp_path, capsys):

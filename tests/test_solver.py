@@ -177,6 +177,57 @@ def test_fb_step_checks_the_gradient_before_the_prox():
     assert prox_separable(v, 0.5, p.g).tolist() == [0.0]
 
 
+def test_fb_step_passes_a_finite_gradient_whose_squares_overflow():
+    # grad = 1e200 is finite, but grad . grad overflows, so the entrywise
+    # test decides; numpy warns of that overflow, and of h(x)'s
+    p = Problem(
+        g=SeparableRegularizer.uniform(1),
+        h=LeastSquaresTerm([[1.0]], [0.0], lipschitz=1.0),
+    )
+    x = np.array([1e200])
+    with np.errstate(over="ignore"):
+        grad = p.h.gradient(x)[0]
+        assert grad.tolist() == [1e200] and grad.dot(grad) == math.inf
+        step, hx = fb_step(p, 0.5, x)
+        want, want_hx = fb_step_reference(p, 0.5, x)
+    assert step.tobytes() == want.tobytes() and step.tolist() == [5e199 - 0.5]
+    assert hx == want_hx == math.inf
+
+
+class GivenGradient:
+    """A smooth term whose gradient is ``v`` at every x, with the ``op``
+    shape that `Problem` checks: it lets a test pick the gradient's
+    entries, inf and NaN included, which no least-squares data yields
+    one by one."""
+
+    def __init__(self, v):
+        self.v, self.op = v, np.zeros((1, len(v)))
+
+    def gradient(self, x):
+        return self.v.copy(), 0.0
+
+
+_GRADIENT_ENTRY = st.one_of(
+    st.floats(-1e300, 1e300), st.sampled_from([math.inf, -math.inf, math.nan])
+)
+
+
+@settings(deadline=None)
+@given(v=st.lists(_GRADIENT_ENTRY, min_size=1, max_size=8).map(np.array))
+def test_fb_step_raises_exactly_on_a_non_finite_gradient(v):
+    p = Problem(g=SeparableRegularizer.uniform(len(v)), h=GivenGradient(v))
+    x = np.zeros(len(v))
+    # entries above about 1.3e154 overflow the one-dot test, which numpy
+    # warns of; the entrywise test then decides
+    with np.errstate(over="ignore"):
+        if np.isfinite(p.h.gradient(x)[0]).all():
+            step, _ = fb_step(p, 0.5, x)
+            assert step.tobytes() == prox_separable(x - 0.5 * v, 0.5, p.g).tobytes()
+        else:
+            with pytest.raises(RuntimeError, match="non-finite gradient"):
+                fb_step(p, 0.5, x)
+
+
 _ENTRY = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-10.0, 10.0))
 _CUSTOM = CustomPenalty(value=lambda t: 0.5 * t * t, prox=lambda t, lam: t / (1.0 + lam))
 _PENALTIES = [

@@ -494,6 +494,37 @@ def test_report_rules_flag_each_broken_claim(change, needle):
     assert any(needle in problem for problem in problems)
 
 
+@pytest.mark.parametrize("key", ["esupp", "rho_sol", "dual_point"])
+def test_report_rules_name_a_missing_key(key):
+    rep = {k: v for k, v in SOUND_REPORT.items() if k != key}
+    assert report_rules(rep) == [f"support: missing key {key!r}"]
+
+
+@pytest.mark.parametrize(
+    "key, value, kind",
+    [
+        ("supp", [0.0], "a list of ints"),
+        ("esupp", [True], "a list of ints"),
+        ("esupp", "01", "a list of ints"),
+        ("rho_sol", "0.5", "a number or null"),
+        ("observed_violations", 2.0, "an int"),
+        ("identification_iteration", [3], "an int or null"),
+        ("qualification_holds", 0, "a bool or null"),
+        ("dual_point", 2, "a list"),
+    ],
+)
+def test_report_rules_name_a_mistyped_key(key, value, kind):
+    assert report_rules({**SOUND_REPORT, key: value}) == [
+        f"support: {key} is not {kind}"
+    ]
+
+
+def test_report_rules_fail_a_report_that_is_not_an_object():
+    assert report_rules([SOUND_REPORT]) == [
+        "support: the report is a list, not a JSON object"
+    ]
+
+
 def test_report_rules_pass_a_built_report():
     p = segment_problem()
     trace = run(p, SolverConfig(residual_tol=1e-12))
