@@ -258,12 +258,13 @@ def _cubic_root_nonneg(beta, q):
 
 
 def _prox_power_vec(u: np.ndarray, c: float, p: float) -> np.ndarray:
-    """Vectorized prox of c*|s|**p / p at unit step: solves coordinatewise
+    """Prox of c*|s|**p / p at unit step on an array: solves coordinatewise
     s + c*sign(s)|s|**(p-1) = u.
 
     Closed forms for the explicitly solvable orders p in {4/3, 3/2, 2, 3, 4}
-    (quadratics and monotone cubics, one Newton polish step); a safeguarded
-    vectorized Newton-bisection handles any other p > 1.
+    (quadratics and monotone cubics, one Newton polish step); any other
+    p > 1 runs `_newton_power_root` on each nonzero coordinate, the solve
+    of `prox_power_scalar`, and zeros stay 0.
     """
     if c == 0.0:
         return u.astype(float, copy=True)
@@ -290,7 +291,12 @@ def _prox_power_vec(u: np.ndarray, c: float, p: float) -> np.ndarray:
         z = _cubic_root_nonneg(c, a)
         s = z ** 3
         return sgn * _polish_power_root(s, a, c, p)
-    return sgn * _newton_power_root_vec(a, c, p)
+    # as Python floats, a product out of float range is inf, not a warning
+    c, p = float(c), float(p)
+    nz = np.flatnonzero(a)
+    s = np.zeros_like(a)
+    s[nz] = [_newton_power_root(ak, c, p) for ak in a[nz].tolist()]
+    return sgn * s
 
 
 def _polish_power_root(s, a, c, p):
@@ -305,38 +311,6 @@ def _polish_power_root(s, a, c, p):
     # bitwise it on every out the closed forms give (none is -0.0)
     np.maximum(out, 0.0, out=out)
     return np.minimum(out, a, out=out)
-
-
-def _newton_power_root_vec(a: np.ndarray, c: float, p: float) -> np.ndarray:
-    lo = np.zeros_like(a)
-    hi = a.astype(float, copy=True)
-    s = a.astype(float, copy=True)
-    converged = a == 0.0
-    for _ in range(_PROX_MAX_ITER):
-        if np.all(converged):
-            break
-        sp = np.where(s > 0.0, s, 1.0)
-        # powers may leave float range (subnormal sp, p < 2); inf and the
-        # nan from inf/inf both land in `bad` and fall back to bisection
-        with np.errstate(over="ignore", invalid="ignore"):
-            r = s + c * sp ** (p - 1.0) * (s > 0.0) - a
-            hi = np.where(r >= 0.0, np.minimum(hi, s), hi)
-            lo = np.where(r < 0.0, np.maximum(lo, s), lo)
-            d = 1.0 + c * (p - 1.0) * sp ** (p - 2.0)
-            s_new = s - r / d
-        bad = ~np.isfinite(s_new) | (s_new <= lo) | (s_new >= hi)
-        s_new = np.where(bad, 0.5 * (lo + hi), s_new)
-        converged = converged | (np.abs(s_new - s) <= _PROX_TOL) | (
-            hi - lo <= _PROX_TOL
-        )
-        s = np.where(converged, s, s_new)
-    else:
-        worst = int(np.argmax(~converged))
-        raise RuntimeError(
-            f"vector power prox did not converge at coordinate {worst} "
-            f"(a={a[worst]}, c={c}, p={p})"
-        )
-    return s
 
 
 # ---------------------------------------------------------------------------

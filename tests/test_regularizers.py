@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -217,7 +218,11 @@ def test_prox_power_nonexpansive(a, b, lam, p):
     assert abs(fa - fb) <= abs(a - b) + 1e-10
 
 
-@pytest.mark.parametrize("p", [4.0 / 3.0, 1.5, 2.0, 2.7, 3.0, 4.0])
+# the orders `_prox_power_vec` solves in closed form
+CLOSED_FORM_ORDERS = (4.0 / 3.0, 1.5, 2.0, 3.0, 4.0)
+
+
+@pytest.mark.parametrize("p", [4.0 / 3.0, 1.5, 2.0, 2.7, 3.0, 4.0, 6.0, 1.2])
 def test_vectorized_prox_matches_scalar(p):
     rng = np.random.default_rng(12)
     x = rng.uniform(-20, 20, size=200)
@@ -229,8 +234,13 @@ def test_vectorized_prox_matches_scalar(p):
     # penalty prox is exercised over the full input range
     vec = prox_separable(x, lam, g)
     for k, xk in enumerate(x):
-        u = soft_interval(float(xk), Interval(-1e-12, 1e-12))
-        assert vec[k] == pytest.approx(prox_power_scalar(u, lam, p, w), abs=1e-11)
+        u = soft_interval(float(xk), Interval(lam * -1e-12, lam * 1e-12))
+        want = prox_power_scalar(u, lam, p, w)
+        if p in CLOSED_FORM_ORDERS:
+            assert vec[k] == pytest.approx(want, abs=1e-11)
+        else:
+            # the same root on the same c = lam * w
+            assert vec[k].tobytes() == np.float64(want).tobytes()
 
 
 def magnitudes(lo: int, hi: int):
@@ -241,11 +251,19 @@ def magnitudes(lo: int, hi: int):
 
 
 def outcome(f, *args):
-    """The bytes of f(*args), or the message of the RuntimeError it raises."""
+    """The float64 bytes of f(*args), a float or an array, or the message
+    of the RuntimeError it raises."""
     try:
-        return np.float64(f(*args)).tobytes()
+        return np.asarray(f(*args), dtype=np.float64).tobytes()
     except RuntimeError as exc:
         return str(exc)
+
+
+power_orders = st.one_of(
+    st.integers(1, 12).map(lambda k: 1.0 + 10.0**-k),  # near 1
+    st.floats(1.01, 8.0),
+    st.floats(8.0, 100.0),
+)
 
 
 @settings(max_examples=3 * settings.default.max_examples, deadline=None)
@@ -254,11 +272,7 @@ def outcome(f, *args):
     sign=st.sampled_from([1.0, -1.0]),
     lam=magnitudes(-100, 100),
     w=st.sampled_from([1.0, 0.5, 3.0]),
-    p=st.one_of(
-        st.integers(1, 12).map(lambda k: 1.0 + 10.0**-k),  # near 1
-        st.floats(1.01, 8.0),
-        st.floats(8.0, 100.0),
-    ).filter(lambda p: p not in (2.0, 3.0)),
+    p=power_orders.filter(lambda p: p not in (2.0, 3.0)),
 )
 # s**(p-1) overflows at the first step; s**(p-2) overflows near 0
 @example(a=1e300, sign=1.0, lam=1.0, w=1.0, p=50.0)
@@ -268,6 +282,55 @@ def test_prox_power_scalar_is_bitwise_the_newton_oracle(a, sign, lam, w, p):
     t = sign * a
     got = outcome(prox_power_scalar, t, lam, p, w)
     assert got == outcome(lambda: sign * newton_power_root(a, lam * w, p))
+
+
+@settings(deadline=None)
+@given(
+    u=st.lists(
+        st.one_of(
+            st.sampled_from([0.0, -0.0]),
+            st.builds(
+                lambda s, m: s * m, st.sampled_from([1.0, -1.0]), magnitudes(-300, 300)
+            ),
+        ),
+        min_size=1,
+        max_size=20,
+    ),
+    c=magnitudes(-100, 100),
+    p=power_orders.filter(lambda p: p not in CLOSED_FORM_ORDERS),
+)
+@example(u=[0.0, 2.6080000902602745, -0.0, -1.0], c=0.7, p=2.7)
+@example(u=[1.0, -1e300, 5e-324], c=1e10, p=2.7)  # 1e300 does not converge
+def test_general_order_prox_is_bitwise_the_newton_oracle(u, c, p):
+    def oracle():
+        s = np.array([newton_power_root(abs(t), c, p) for t in u])
+        return np.sign(u) * s
+
+    got = outcome(regularizers._prox_power_vec, np.array(u), c, p)
+    assert got == outcome(oracle)
+
+
+def test_general_order_prox_takes_a_numpy_c():
+    # lam = 1 / ||A||^2 is an np.float64 when L comes from `operator_norm`;
+    # on the way down from 1e100, c * s**(p-1) leaves float range
+    u = np.array([1e100, -2.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = regularizers._prox_power_vec(u, np.float64(1e200), 2.1)
+    assert got.tobytes() == regularizers._prox_power_vec(u, 1e200, 2.1).tobytes()
+
+
+def test_prox_separable_names_the_coordinates_of_a_failed_root():
+    g = SeparableRegularizer(
+        (SYM,) * 3, (ZeroPenalty(), PowerPenalty(2.7, 2e10), PowerPenalty(2.7, 2e10))
+    )
+    with pytest.raises(
+        RuntimeError,
+        match=r"^prox failed on coordinates \[1, 2\]: power prox solve did not converge "
+        r"\(a=1e\+300, c=10000000000\.0, p=2\.7\)",
+    ) as info:
+        prox_separable(np.array([5.0, 3.0, 1e300]), 0.5, g)
+    assert isinstance(info.value.__cause__, RuntimeError)
 
 
 finite_inputs = st.one_of(
