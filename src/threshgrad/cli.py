@@ -34,7 +34,7 @@ from .regularizers import (
     PowerPenalty,
     SeparableRegularizer,
     ZeroPenalty,
-    prox_power_scalar,
+    prox_power_root,
     prox_separable,
 )
 
@@ -493,7 +493,8 @@ def emit_prox_gallery(spec: GallerySpec) -> None:
     A box [a, b] clamps the prox to [a, b]: the scalar objective is
     convex, so the constrained minimizer is the clamp of the unconstrained
     one.  The power prox of a boxed spec is taken after the soft-threshold,
-    by `prox_power_scalar`.
+    by `prox_power_root`: the per-coordinate Newton root at every order,
+    the closed-form orders included.
     """
     pen = spec.penalty
     boxed_power = spec.box is not None and isinstance(pen, PowerPenalty)
@@ -503,9 +504,7 @@ def emit_prox_gallery(spec: GallerySpec) -> None:
     )
     vs = prox_separable(ts, spec.lam, g)
     if boxed_power:
-        vs = np.array(
-            [prox_power_scalar(v, spec.lam, pen.p, pen.weight) for v in vs.tolist()]
-        )
+        vs = prox_power_root(vs, spec.lam * pen.weight, pen.p)
     if spec.box is not None:
         vs = np.clip(vs, *spec.box)
     lines = ["t,prox"] + [f"{t!r},{v!r}" for t, v in zip(ts.tolist(), vs.tolist())]

@@ -28,7 +28,7 @@ __all__ = [
     "CustomPenalty",
     "ScalarPenalty",
     "SeparableRegularizer",
-    "prox_power_scalar",
+    "prox_power_root",
     "prox_separable",
     "g_rows",
     "g_value",
@@ -184,31 +184,22 @@ class SeparableRegularizer:
 # prox of the power penalty
 
 
-def prox_power_scalar(t: float, lam: float, p: float, weight: float = 1.0) -> float:
-    """Unique minimizer of weight*lam*|s|**p / p + (s - t)**2 / 2.
-
-    Closed forms for p in {2, 3}; safeguarded Newton-bisection on the
-    monotone residual s + lam*weight*s**(p-1) - |t| over [0, |t|] otherwise,
-    absolute tolerance 1e-13.  The result has the sign of t and
-    |result| <= |t|.
+def prox_power_root(u: np.ndarray, c: float, p: float) -> np.ndarray:
+    """Prox of c*|s|**p / p at unit step on an array, at any order p > 1:
+    the root of s + c*s**(p-1) = |u_k| on [0, |u_k|] by `_newton_power_root`
+    (safeguarded Newton-bisection, absolute tolerance 1e-13) on each
+    nonzero coordinate, with the sign of u_k.  Zeros stay 0, and c == 0
+    returns a copy of u.
     """
-    if not lam > 0.0:
-        raise ValueError(f"lam must be positive, got {lam}")
-    if not p > 1.0:
-        raise ValueError(f"p must exceed 1, got {p}")
-    if not math.isfinite(t):
-        raise ValueError(f"non-finite prox input {t}")
-    c = lam * weight
-    if t == 0.0 or c == 0.0:
-        return float(t)
-    a = abs(t)
-    sgn = 1.0 if t > 0.0 else -1.0
-    if p == 2.0:
-        return sgn * (a / (1.0 + c))
-    if p == 3.0:
-        # c*s^2 + s - a = 0, stable root
-        return sgn * (2.0 * a / (1.0 + math.sqrt(1.0 + 4.0 * c * a)))
-    return sgn * _newton_power_root(a, c, p)
+    if c == 0.0:
+        return u.astype(float, copy=True)
+    # as Python floats, a product out of float range is inf, not a warning
+    c, p = float(c), float(p)
+    a = np.abs(u)
+    nz = np.flatnonzero(a)
+    s = np.zeros_like(a)
+    s[nz] = [_newton_power_root(ak, c, p) for ak in a[nz].tolist()]
+    return np.sign(u) * s
 
 
 def _newton_power_root(a: float, c: float, p: float) -> float:
@@ -263,8 +254,7 @@ def _prox_power_vec(u: np.ndarray, c: float, p: float) -> np.ndarray:
 
     Closed forms for the explicitly solvable orders p in {4/3, 3/2, 2, 3, 4}
     (quadratics and monotone cubics, one Newton polish step); any other
-    p > 1 runs `_newton_power_root` on each nonzero coordinate, the solve
-    of `prox_power_scalar`, and zeros stay 0.
+    p > 1 is `prox_power_root`.
     """
     if c == 0.0:
         return u.astype(float, copy=True)
@@ -291,12 +281,7 @@ def _prox_power_vec(u: np.ndarray, c: float, p: float) -> np.ndarray:
         z = _cubic_root_nonneg(c, a)
         s = z ** 3
         return sgn * _polish_power_root(s, a, c, p)
-    # as Python floats, a product out of float range is inf, not a warning
-    c, p = float(c), float(p)
-    nz = np.flatnonzero(a)
-    s = np.zeros_like(a)
-    s[nz] = [_newton_power_root(ak, c, p) for ak in a[nz].tolist()]
-    return sgn * s
+    return prox_power_root(u, c, p)
 
 
 def _polish_power_root(s, a, c, p):

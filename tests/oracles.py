@@ -24,7 +24,6 @@ from threshgrad.regularizers import (
     SeparableRegularizer,
     ZeroPenalty,
     _prox_power_vec,
-    prox_power_scalar,
     prox_separable,
 )
 
@@ -250,17 +249,19 @@ def g_dense(x, g) -> float:
 def gallery_csv_by_point(spec) -> str:
     """The CSV text of `emit_prox_gallery` for a `GallerySpec`, one grid
     point at a time: a one-element `prox_separable`, then for a boxed power
-    penalty `prox_power_scalar`, then a min/max clamp to the box."""
+    penalty with c = lam*weight > 0 the root sgn(v)*`newton_power_root`(|v|,
+    c, p), then a min/max clamp to the box."""
     pen = spec.penalty
     boxed_power = spec.box is not None and isinstance(pen, PowerPenalty)
     g = SeparableRegularizer.uniform(
         1, spec.interval, ZeroPenalty() if boxed_power else pen
     )
+    c = spec.lam * pen.weight if boxed_power else 0.0
     lines = ["t,prox"]
     for t in np.linspace(spec.lo, spec.hi, spec.steps):
-        v = prox_separable(np.array([float(t)]), spec.lam, g)[0]
-        if boxed_power:
-            v = prox_power_scalar(float(v), spec.lam, pen.p, pen.weight)
+        v = float(prox_separable(np.array([float(t)]), spec.lam, g)[0])
+        if c > 0.0:
+            v = float(np.sign(v)) * newton_power_root(abs(v), c, pen.p)
         if spec.box is not None:
             v = min(max(v, spec.box[0]), spec.box[1])
         lines.append(f"{repr(float(t))},{repr(float(v))}")

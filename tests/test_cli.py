@@ -2,12 +2,13 @@ import importlib.util
 import json
 import math
 import os
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from oracles import gallery_csv_by_point, iterates
+from oracles import gallery_csv_by_point, iterates, soft_interval
 
 from threshgrad import cli, solver
 from threshgrad.analysis import analyze, decide_audits
@@ -940,8 +941,8 @@ def test_gallery_csv_equals_the_per_point_reference(tmp_path, name):
     [("none", 0.0, 1.0, 0.0), ("none", 0.25, 1.0, 0.0), ("power 1.05 1", -1.0, 1.0, 1e-12)],
 )
 def test_gallery_box_is_the_clamp_of_the_unboxed_curve(tmp_path, unboxed, lo, hi, tol):
-    # the boxed power curve takes the scalar prox, the unboxed one the
-    # vectorized prox; both solve to 1e-13
+    # the boxed power curve takes `prox_power_root`, the unboxed one
+    # `prox_separable`; at this general order both solve the root to 1e-13
     curves = []
     for name, box in (("free", ""), ("boxed", f"box = {lo} {hi}\n")):
         text = f"[regularizer]\npenalty = {unboxed}\n{box}"
@@ -950,6 +951,52 @@ def test_gallery_box_is_the_clamp_of_the_unboxed_curve(tmp_path, unboxed, lo, hi
         curves.append(read_curve(tmp_path / f"{name}.csv")[1])
     free, boxed = curves
     assert boxed == pytest.approx(np.clip(free, lo, hi).tolist(), abs=tol, rel=0)
+
+
+def boxed_power15_spec(tmp_path, penalty, box=(-1.0, 1.0), name="curve.csv"):
+    """`gallery_power15_box` (601 points, lam 0.5, I = [-1, 1]) with another
+    penalty and box, written under tmp_path."""
+    spec = parse_gallery_spec(CONFIGS / "gallery_power15_box.ini")
+    return replace(spec, penalty=penalty, box=box, out_path=str(tmp_path / name))
+
+
+def test_gallery_boxed_weightless_power_is_the_boxed_l1_curve(tmp_path):
+    # c = lam * 0 leaves the soft-thresholded grid as it is, with no solve
+    curves = []
+    for name, pen in (("l1", ZeroPenalty()), ("power", PowerPenalty(1.5, 0.0))):
+        spec = boxed_power15_spec(tmp_path, pen, name=f"{name}.csv")
+        emit_prox_gallery(spec)
+        curves.append((tmp_path / f"{name}.csv").read_bytes())
+    assert curves[0] == curves[1]
+
+
+@pytest.mark.parametrize(
+    "p, weight",
+    [
+        (2.0, 1.0),
+        (3.0, 1.0),
+        (2.0, 0.3),
+        pytest.param(
+            3.0,
+            0.3,
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="the root lands on r(s) == 0.0 at t = ±2.72, bisects away "
+                "from it and returns 1.0009e-13 off the exact root",
+            ),
+        ),
+    ],
+)
+def test_gallery_boxed_closed_form_orders_run_the_root(tmp_path, p, weight):
+    # a boxed curve solves the Newton root at p = 2 and 3 too, and lies
+    # within its 1e-13 tolerance of the closed forms
+    spec = boxed_power15_spec(tmp_path, PowerPenalty(p, weight), box=(-3.0, 3.0))
+    emit_prox_gallery(spec)
+    ts, vs = read_curve(tmp_path / "curve.csv")
+    v = soft_interval(np.array(ts), Interval(-spec.lam, spec.lam))
+    a, c = np.abs(v), spec.lam * weight
+    s = a / (1.0 + c) if p == 2.0 else 2.0 * a / (1.0 + np.sqrt(1.0 + 4.0 * c * a))
+    assert np.max(np.abs(np.array(vs) - np.sign(v) * s)) <= 1e-13
 
 
 def test_gallery_spec_validation(tmp_path):
