@@ -16,11 +16,10 @@ import time
 from pathlib import Path
 
 from threshgrad.analysis import analyze, generate_synthetic
-from threshgrad.solver import SolverConfig
 
 
 def audit_seed(seed: int, m: int, n: int) -> dict:
-    result = analyze(generate_synthetic(m, n, seed), SolverConfig())
+    result = analyze(generate_synthetic(m, n, seed))
     report = result.report
     # a seed whose rate audit is skipped has no rate document
     rate = result.rate or {"regime": "skipped", "epsilon": None, "r_squared": None}

@@ -14,7 +14,9 @@ Submodules:
     cli           experiment runner (`threshgrad` console script)
 
 Nothing is imported eagerly; pull what you need, e.g.
-``from threshgrad.solver import Problem, SolverConfig, run``.
+``from threshgrad.solver import Problem, run``.  `solver.run` takes the
+step, budget, tolerance and start as keyword arguments, and `analysis.analyze`
+passes them on.
 """
 
 __version__ = "0.1.0"

@@ -125,13 +125,13 @@ class Analysis:
     warnings: list
 
 
-def analyze(problem: solver.Problem, solver_cfg: solver.SolverConfig) -> Analysis:
-    """Solve, polish, measure the trace against the polished point, certify
-    growth on esupp and decide the other audits by `decide_audits`, each
-    step once, with the order p of a power penalty of positive weight on
-    every coordinate.  A step size or starting point the problem rejects
-    raises ValueError first."""
-    trace = solver.run(problem, solver_cfg)
+def analyze(problem: solver.Problem, **settings) -> Analysis:
+    """Solve with `solver.run`'s keyword ``settings``, polish, measure the
+    trace against the polished point, certify growth on esupp and decide
+    the other audits by `decide_audits`, each step once, with the order p
+    of a power penalty of positive weight on every coordinate.  A setting
+    the problem rejects raises ValueError first."""
+    trace = solver.run(problem, **settings)
     x_bar, f_star = conditioning.polish(problem, trace)
     gaps = trace.objectives - f_star
     dists = trace.distances_to(x_bar)
@@ -146,7 +146,7 @@ def analyze(problem: solver.Problem, solver_cfg: solver.SolverConfig) -> Analysi
     if not trace.converged:
         warnings.append(
             f"solver stopped at residual {trace.residuals[-1]:.3e} without "
-            f"reaching {solver_cfg.residual_tol:.1e}"
+            f"reaching {settings.get('residual_tol', solver.RESIDUAL_TOL):.1e}"
         )
     return Analysis(
         problem, trace, x_bar, f_star, gaps, dists, report, rate, growth, audits,

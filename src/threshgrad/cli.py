@@ -67,10 +67,11 @@ class ExperimentConfig:
     (documented in the README).
 
     Exactly one problem source is active.  The ranges of the values are
-    checked where `run_experiment` builds the problem, by
-    `_synthetic_data`, `LeastSquaresTerm` and `SolverConfig.resolve`, before
-    anything is written.  The solver tolerance is a library default; the
-    polish and rate-fit settings are constants of `threshgrad.conditioning`.
+    checked where `run_experiment` builds and solves the problem, by
+    `_synthetic_data`, `LeastSquaresTerm` and `solver.run` (lambda, x0 and
+    max_iter), before anything is written.  The solver tolerance is
+    `solver.run`'s default; the polish and rate-fit settings are constants
+    of `threshgrad.conditioning`.
     """
 
     # [problem]
@@ -385,11 +386,10 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[int, dict]:
     fail the run, and the `gamma` audit never fails.
     """
     problem, l_source = _build_problem(cfg)
-    solver_cfg = solver.SolverConfig(
-        lam=cfg.lam, max_iter=cfg.max_iter, x0=_resolve_x0(cfg, problem.n)
-    )
     # a rejected step or x0 raises here and leaves no output behind
-    result = analyze(problem, solver_cfg)
+    result = analyze(
+        problem, lam=cfg.lam, max_iter=cfg.max_iter, x0=_resolve_x0(cfg, problem.n)
+    )
     trace, report = result.trace, result.report
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -24,13 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .regularizers import PowerPenalty
-from .solver import (
-    IterateTrace,
-    Problem,
-    SolverConfig,
-    fixed_point_residual,
-    run,
-)
+from .solver import IterateTrace, Problem, fixed_point_residual, run
 
 __all__ = [
     "GammaEstimate",
@@ -61,8 +55,7 @@ class PolishError(RuntimeError):
 
 
 def _fb_continuation(problem: Problem, x_from: np.ndarray) -> tuple[np.ndarray, float]:
-    cfg = SolverConfig(max_iter=_POLISH_ITERS, residual_tol=_POLISH_TOL, x0=x_from)
-    trace = run(problem, cfg)
+    trace = run(problem, max_iter=_POLISH_ITERS, residual_tol=_POLISH_TOL, x0=x_from)
     if not trace.converged:
         raise PolishError(
             f"continuation stalled at residual {trace.residuals[-1]:.3e} "

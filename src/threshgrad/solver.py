@@ -31,7 +31,6 @@ from .regularizers import log_block_rows, log_blocks
 
 __all__ = [
     "Problem",
-    "SolverConfig",
     "IterateTrace",
     "fb_step",
     "run",
@@ -51,6 +50,10 @@ GAP_FLOOR = 1e-9
 FEJER_SLACK = 1e-10
 
 TRACE_HEADER = "n,f_gap,residual,supp_size,dist_to_ref"
+
+# `run`'s default stopping tolerance on the fixed-point residual
+RESIDUAL_TOL = 1e-10
+
 
 @dataclass(frozen=True, eq=False)
 class Problem:
@@ -79,42 +82,6 @@ class Problem:
 
     def objective(self, x: np.ndarray) -> float:
         return float(self.h.value(x)) + g_value(x, self.g)
-
-
-@dataclass
-class SolverConfig:
-    """Step size, budget and starting point for one run.
-
-    ``lam=None`` resolves to 1/L at run start (center of the safe range with
-    the classical descent constant).  ``x0=None`` starts from zero.
-    """
-
-    lam: Optional[float] = None
-    max_iter: int = 100_000
-    residual_tol: float = 1e-10
-    x0: Optional[np.ndarray] = None
-
-    def resolve(self, problem: Problem) -> tuple[float, np.ndarray]:
-        L = float(problem.h.lipschitz)
-        lam = 1.0 / L if self.lam is None else float(self.lam)
-        if not 0.0 < lam < 2.0 / L:
-            raise ValueError(
-                f"step lam={lam} outside the admissible range (0, {2.0 / L}) "
-                f"for L={L}"
-            )
-        x0 = np.zeros(problem.n) if self.x0 is None else np.asarray(self.x0, float)
-        if x0.shape != (problem.n,):
-            raise ValueError(f"x0 must have shape ({problem.n},), got {x0.shape}")
-        if not np.all(np.isfinite(x0)):
-            raise ValueError("x0 must be finite")
-        if self.max_iter < 0:
-            raise ValueError(f"max_iter must be >= 0, got {self.max_iter}")
-        # a NaN tolerance would never stop the run
-        if not 0.0 <= self.residual_tol < math.inf:
-            raise ValueError(
-                f"residual_tol must be finite and >= 0, got {self.residual_tol}"
-            )
-        return lam, x0
 
 
 @dataclass(eq=False)
@@ -223,9 +190,22 @@ def _block_log(block: np.ndarray) -> tuple:
     )
 
 
-def run(problem: Problem, config: SolverConfig) -> IterateTrace:
-    """Iterate fb_step until the fixed-point residual drops below tolerance
-    or the budget is exhausted.
+def run(
+    problem: Problem,
+    *,
+    lam: Optional[float] = None,
+    max_iter: int = 100_000,
+    residual_tol: float = RESIDUAL_TOL,
+    x0: Optional[np.ndarray] = None,
+) -> IterateTrace:
+    """Iterate fb_step from ``x0`` with step ``lam`` until the fixed-point
+    residual drops to ``residual_tol`` or ``max_iter`` iterations are done.
+
+    ``lam=None`` is 1/L, the center of the safe range (0, 2/L) with the
+    classical descent constant, and ``x0=None`` starts from zero.  A step
+    outside (0, 2/L), an ``x0`` of the wrong shape or not finite, a
+    negative budget or a tolerance that is negative or not finite raises
+    ValueError before the first step.
 
     Returns the first iterate whose own residual is below tolerance, so the
     residual reported for the final point is genuinely its fixed-point
@@ -235,9 +215,24 @@ def run(problem: Problem, config: SolverConfig) -> IterateTrace:
     plus g(x), which `g_rows` reads off the log after the loop, and
     `IterateTrace.distances_to` measures it against a point afterwards.
     """
-    lam, x = config.resolve(problem)
+    L = float(problem.h.lipschitz)
+    lam = 1.0 / L if lam is None else float(lam)
+    if not 0.0 < lam < 2.0 / L:
+        raise ValueError(
+            f"step lam={lam} outside the admissible range (0, {2.0 / L}) "
+            f"for L={L}"
+        )
+    x = np.zeros(problem.n) if x0 is None else np.asarray(x0, float)
+    if x.shape != (problem.n,):
+        raise ValueError(f"x0 must have shape ({problem.n},), got {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("x0 must be finite")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
+    # a NaN tolerance would never stop the run
+    if not 0.0 <= residual_tol < math.inf:
+        raise ValueError(f"residual_tol must be finite and >= 0, got {residual_tol}")
     x0 = x.copy()
-    tol, max_iter = config.residual_tol, config.max_iter
     t0 = time.perf_counter()
     h_values: list = []
     residuals: list = []
@@ -266,7 +261,7 @@ def run(problem: Problem, config: SolverConfig) -> IterateTrace:
         if i == rows:
             logged.append(_block_log(block))
             i = 0
-        if res <= tol:
+        if res <= residual_tol:
             converged = True
             break
         if n >= max_iter:

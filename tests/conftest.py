@@ -14,7 +14,6 @@ import pytest
 from hypothesis import settings
 
 from threshgrad.analysis import analyze, generate_synthetic
-from threshgrad.solver import SolverConfig
 
 # `pytest --hypothesis-profile=ci` draws ten times the default number of
 # examples for every property, in the same order on every run.  A property
@@ -75,5 +74,5 @@ def lasso_batch() -> Batch:
     """100 seeded 20x50 instances solved, polished and analyzed once per
     session; several acceptance criteria quantify over this batch."""
     t0 = time.perf_counter()
-    runs = [analyze(generate_synthetic(20, 50, s), SolverConfig()) for s in range(100)]
+    runs = [analyze(generate_synthetic(20, 50, s)) for s in range(100)]
     return Batch(runs=runs, elapsed=time.perf_counter() - t0)

@@ -18,7 +18,7 @@ from threshgrad.regularizers import (
     SeparableRegularizer,
     prox_separable,
 )
-from threshgrad.solver import Problem, SolverConfig, fejer_check, write_trace_csv
+from threshgrad.solver import Problem, fejer_check, write_trace_csv
 
 
 def scalar_problem():
@@ -34,8 +34,8 @@ def segment_problem():
 def builtin_analyses():
     """Both examples analyzed, the scalar one from x0 = 1 with lam = 1/2."""
     return [
-        ("scalar", analyze(scalar_problem(), SolverConfig(lam=0.5, x0=np.ones(1)))),
-        ("segment", analyze(segment_problem(), SolverConfig())),
+        ("scalar", analyze(scalar_problem(), lam=0.5, x0=np.ones(1))),
+        ("segment", analyze(segment_problem())),
     ]
 
 
@@ -45,7 +45,7 @@ def builtin_analyses():
 
 def test_criterion_1(acceptance):
     t0 = time.perf_counter()
-    result = analyze(scalar_problem(), SolverConfig(lam=0.5, x0=np.ones(1)))
+    result = analyze(scalar_problem(), lam=0.5, x0=np.ones(1))
     trace, report = result.trace, result.report
     elapsed = time.perf_counter() - t0
 
@@ -79,7 +79,7 @@ def test_criterion_1(acceptance):
 
 def test_criterion_2(acceptance):
     t0 = time.perf_counter()
-    result = analyze(segment_problem(), SolverConfig())
+    result = analyze(segment_problem())
     x_bar, report, f_val = result.x_bar, result.report, result.f_star
     elapsed = time.perf_counter() - t0
 
@@ -167,15 +167,14 @@ def test_criterion_4(acceptance, lasso_batch):
 
 
 def test_criterion_5(acceptance):
-    config = SolverConfig(max_iter=20_000)
     slopes, regimes = [], []
     for seed in range(10):
         h = generate_synthetic(20, 50, seed).h
         quartic = SeparableRegularizer.uniform(50, penalty=PowerPenalty(4.0, 1.0))
-        result = analyze(Problem(g=quartic, h=h), config)
+        result = analyze(Problem(g=quartic, h=h), max_iter=20_000)
         slopes.append(result.rate["tail_bound"]["trend_slope"])
         p15 = SeparableRegularizer.uniform(50, penalty=PowerPenalty(1.5, 1.0))
-        regimes.append(analyze(Problem(g=p15, h=h), config).rate["regime"])
+        regimes.append(analyze(Problem(g=p15, h=h), max_iter=20_000).rate["regime"])
 
     quartic_ok = all(s <= 0.02 for s in slopes)
     p15_ok = all(reg == "linear" for reg in regimes)
@@ -294,7 +293,7 @@ def test_criterion_9(acceptance, lasso_batch, tmp_path):
         stored = tmp_path / f"batch_{seed}.csv"
         write_trace_csv(r.trace, stored, r.gaps, r.dists)
 
-        again = analyze(generate_synthetic(20, 50, seed), SolverConfig())
+        again = analyze(generate_synthetic(20, 50, seed))
         fresh = tmp_path / f"fresh_{seed}.csv"
         write_trace_csv(again.trace, fresh, again.gaps, again.dists)
 

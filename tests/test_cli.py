@@ -217,9 +217,7 @@ def test_shipped_config_runs_audits_and_round_trips(tmp_path, name, capsys):
     # the audits are decided in analyze; run writes its rate document as is
     problem, _ = _build_problem(cfg)
     x0 = _resolve_x0(cfg, problem.n)
-    result = analyze(
-        problem, solver.SolverConfig(lam=cfg.lam, max_iter=cfg.max_iter, x0=x0)
-    )
+    result = analyze(problem, lam=cfg.lam, max_iter=cfg.max_iter, x0=x0)
     assert result.audits == summary["audits"]
     assert result.warnings == summary["warnings"]
     rate_file = Path(cfg.outdir) / f"{cfg.prefix}_rate.json"
@@ -652,7 +650,7 @@ def test_run_warns_when_esupp_touches_the_last_coordinate(tmp_path, y, warned):
 def test_run_gamma_skipped_on_a_duplicated_column(tmp_path):
     # batch instance seed 3, with a copy of a column where x_bar is nonzero
     problem = generate_synthetic(20, 50, 3)
-    trace = solver.run(problem, solver.SolverConfig(residual_tol=1e-10))
+    trace = solver.run(problem, residual_tol=1e-10)
     k = int(np.flatnonzero(polish(problem, trace)[0])[0])
     a = np.column_stack([problem.h.op, problem.h.op[:, k]])
     cfg = write_files_config(
@@ -694,7 +692,7 @@ def test_run_writes_the_distances_analyze_measured(tmp_path):
         source="synthetic", m=20, n=50, seed=3, outdir=str(tmp_path)
     )
     _, summary = run_experiment(cfg)
-    result = analyze(generate_synthetic(20, 50, 3), solver.SolverConfig())
+    result = analyze(generate_synthetic(20, 50, 3))
     want = result.trace.distances_to(result.x_bar)
     assert result.dists.tobytes() == want.tobytes()
     written = solver.read_trace_csv(summary["artifacts"]["trace"])[3]
@@ -1418,14 +1416,12 @@ def test_main_rejects_a_zero_endpoint_at_parse_time(tmp_path, capsys):
 )
 def test_recorded_residuals_are_the_fixed_point_residuals(name):
     if name.startswith("seed"):
-        problem, cfg = generate_synthetic(20, 50, int(name[4:])), solver.SolverConfig()
+        problem, settings = generate_synthetic(20, 50, int(name[4:])), {}
     else:
         c = parse_experiment_config(CONFIGS / f"{name}.ini")
         problem, _ = _build_problem(c)
-        cfg = solver.SolverConfig(
-            lam=c.lam, max_iter=c.max_iter, x0=_resolve_x0(c, problem.n)
-        )
-    trace = solver.run(problem, cfg)
+        settings = dict(lam=c.lam, max_iter=c.max_iter, x0=_resolve_x0(c, problem.n))
+    trace = solver.run(problem, **settings)
     assert trace.residuals[-1] == solver.fixed_point_residual(
         problem, trace.lam, trace.x_final
     )

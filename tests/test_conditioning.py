@@ -27,7 +27,7 @@ from threshgrad.regularizers import (
     SeparableRegularizer,
     ZeroPenalty,
 )
-from threshgrad.solver import Problem, SolverConfig, run
+from threshgrad.solver import Problem, run
 
 
 def scalar_problem():
@@ -140,7 +140,7 @@ def test_brute_force_validates_bracket():
 
 def polish_point(p, x):
     """The x_bar that `polish` returns for a one-row trace of the point x."""
-    return polish(p, run(p, SolverConfig(x0=x, max_iter=0)))[0]
+    return polish(p, run(p, x0=x, max_iter=0))[0]
 
 
 def test_polish_scalar_problem_lands_exactly_at_zero():
@@ -175,7 +175,7 @@ def test_polish_residual_postcondition_on_random_instances():
 
     for seed in range(3):
         p = lasso_problem(seed)
-        trace = run(p, SolverConfig(residual_tol=1e-8))
+        trace = run(p, residual_tol=1e-8)
         x = polish(p, trace)[0]
         lam = 1.0 / p.h.lipschitz
         assert fixed_point_residual(p, lam, x) <= 1e-12
@@ -188,12 +188,12 @@ def test_polish_with_power_penalty_uses_iterative_fallback():
     p = lasso_problem(4)
     g = SeparableRegularizer.uniform(25, penalty=PowerPenalty(4.0, 0.5))
     p = Problem(g=g, h=p.h)
-    trace = run(p, SolverConfig(residual_tol=1e-8))
+    trace = run(p, residual_tol=1e-8)
     x = polish(p, trace)[0]
     lam = 1.0 / p.h.lipschitz
     assert fixed_point_residual(p, lam, x) <= 1e-12
     # the continuation is a plain run from the input at the default step
-    want = run(p, SolverConfig(residual_tol=1e-12, x0=trace.x_final)).x_final
+    want = run(p, residual_tol=1e-12, x0=trace.x_final).x_final
     assert x.tobytes() == want.tobytes()
 
 
@@ -236,7 +236,7 @@ def test_polish_face_solve_is_bitwise_the_stacked_column_solve():
     face_route = 0
     for seed in range(10):
         p = generate_synthetic(20, 50, seed)
-        trace = run(p, SolverConfig(residual_tol=1e-10))
+        trace = run(p, residual_tol=1e-10)
         x = trace.x_final
         got = polish(p, trace)[0]
         cand = stacked_columns_face_solve(p, x)
@@ -287,7 +287,6 @@ def test_analysis_reads_the_objective_bitwise_on_the_shipped_configs(
 
     c = parse_experiment_config(SHIPPED / f"{name}.ini")
     p, _ = _build_problem(c)
-    cfg = SolverConfig(lam=c.lam, max_iter=c.max_iter, x0=_resolve_x0(c, p.n))
     routes, real = [], conditioning._fb_continuation
 
     def continuation(problem, x_from):
@@ -295,7 +294,7 @@ def test_analysis_reads_the_objective_bitwise_on_the_shipped_configs(
         return routes[-1]
 
     monkeypatch.setattr(conditioning, "_fb_continuation", continuation)
-    result = analyze(p, cfg)
+    result = analyze(p, lam=c.lam, max_iter=c.max_iter, x0=_resolve_x0(c, p.n))
     trace = result.trace
     assert bits(trace.objectives[-1]) == bits(p.objective(trace.x_final))
     # the face route returns the candidate's evaluated objective, the
@@ -378,7 +377,7 @@ def test_unique_minimizer_certified_on_every_batch_instance(lasso_batch):
 
 def test_face_growth_reads_one_svd_when_d_is_j(monkeypatch):
     problem = generate_synthetic(20, 50, 0)
-    esupp = analyze(problem, SolverConfig()).report["esupp"]
+    esupp = analyze(problem).report["esupp"]
     shapes, svd = [], np.linalg.svd
 
     def counting_svd(a, *args, **kwargs):
@@ -423,7 +422,7 @@ def test_face_growth_bounds_the_objective_gap_on_the_face(m, n, seed, penalty, r
         tuple(Interval(-lo, hi) for lo, hi in ends), (penalty,) * n
     )
     problem = Problem(g=g, h=h)
-    result = analyze(problem, SolverConfig())
+    result = analyze(problem)
     assume(result.audits["gamma"] == "pass")
     cert = result.growth
     J = cert["J"]
@@ -590,7 +589,7 @@ def test_fit_rate_noisy_geometric_sequence():
 
 def test_fit_rate_on_scalar_run():
     p = scalar_problem()
-    trace = run(p, SolverConfig(lam=0.5, x0=np.array([1.0])))
+    trace = run(p, lam=0.5, x0=np.array([1.0]))
     verdict, _, rep = fit_rate(trace.ns, trace.objectives - 0.5, 0.5, trace.converged)
     assert verdict == "pass"
     assert rep["regime"] == "linear"
@@ -623,8 +622,7 @@ def test_fit_rate_too_few_points_is_inconclusive_unless_converged():
 def test_analyze_skips_the_rate_of_a_run_that_converged_that_early():
     # x = -100, -49, -23.5, -10.75, -4.375, -1.1875, then exactly 0 = x_bar:
     # five gaps above the floor, whose last half keeps 3 points
-    config = SolverConfig(lam=0.5, x0=np.array([-100.0]))
-    result = analyze(scalar_problem(), config)
+    result = analyze(scalar_problem(), lam=0.5, x0=np.array([-100.0]))
     assert fit_rate(result.trace.ns, result.gaps, result.f_star, False)[2][
         "n_points"
     ] == 3
@@ -634,6 +632,16 @@ def test_analyze_skips_the_rate_of_a_run_that_converged_that_early():
         "need >= 8 to fit a rate"
     )
     assert result.warnings == []
+
+
+@pytest.mark.parametrize("tol, named", [({}, "1.0e-10"), ({"residual_tol": 1e-3}, "1.0e-03")])
+def test_analyze_warns_with_the_tolerance_the_run_used(tol, named):
+    # x = 1, 1/2, 1/4, 1/8: residual 1/8 after a budget of 3 steps
+    result = analyze(scalar_problem(), lam=0.5, x0=np.array([1.0]), max_iter=3, **tol)
+    assert not result.trace.converged
+    assert result.warnings[-1] == (
+        f"solver stopped at residual 1.250e-01 without reaching {named}"
+    )
 
 
 def test_fit_rate_window_of_two_rows_is_their_last_half():
@@ -646,7 +654,7 @@ def test_fit_rate_window_of_two_rows_is_their_last_half():
 
 def test_fit_rate_converged_at_start_has_no_fit():
     p = scalar_problem()
-    trace = run(p, SolverConfig(lam=0.5, x0=np.array([0.0])))
+    trace = run(p, lam=0.5, x0=np.array([0.0]))
     gaps = trace.objectives - 0.5
     rep = fit_rate(trace.ns, gaps, 0.5, False)[2]
     assert rep["regime"] == "inconclusive"
@@ -689,7 +697,7 @@ def test_fit_rate_report_serializes():
         g=SeparableRegularizer.uniform(30, penalty=PowerPenalty(4.0)),
         h=generate_synthetic(12, 30, 5).h,
     )
-    rate = analyze(quartic, SolverConfig()).rate
+    rate = analyze(quartic).rate
     assert set(rate) == RATE_KEYS | {"tail_bound"}
     assert json.loads(json.dumps(rate)) == rate
 
@@ -737,7 +745,7 @@ def test_analyze_applies_the_tail_bound_to_one_power_penalty_only():
         g=SeparableRegularizer.uniform(30, penalty=PowerPenalty(4.0)),
         h=generate_synthetic(12, 30, 5).h,
     )
-    result = analyze(quartic, SolverConfig())
+    result = analyze(quartic)
     # p / (p - 2) = 2: the product gap * n^2 over the fit window
     first, last = result.rate["window"]
     n = np.arange(first, last + 1, dtype=float)
@@ -752,7 +760,7 @@ def test_analyze_applies_the_tail_bound_to_one_power_penalty_only():
     # a mixed regularizer has no single order p
     pens = (PowerPenalty(4.0),) * 29 + (ZeroPenalty(),)
     mixed = Problem(g=SeparableRegularizer(quartic.g.intervals, pens), h=quartic.h)
-    result = analyze(mixed, SolverConfig())
+    result = analyze(mixed)
     assert "tail_bound" not in result.rate
     assert result.warnings == []
 
@@ -765,7 +773,7 @@ def test_analyze_skips_the_tail_bound_when_its_exponent_overflows():
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        result = analyze(near_two, SolverConfig())
+        result = analyze(near_two)
     assert "tail_bound" not in result.rate
     [skipped] = result.warnings
     assert skipped.startswith("tail bound check skipped: ")
@@ -774,10 +782,10 @@ def test_analyze_skips_the_tail_bound_when_its_exponent_overflows():
 
 
 def test_growth_audit_verdicts():
-    scalar = analyze(scalar_problem(), SolverConfig())
+    scalar = analyze(scalar_problem())
     assert scalar.audits["gamma"] == "pass"
     assert scalar.growth == {"gamma_face": 1.0, "J": [0]}
-    segment = analyze(segment_problem(), SolverConfig())
+    segment = analyze(segment_problem())
     assert segment.audits["gamma"] == (
         "skipped: minimizer not certified unique: rank(A_D) = 1 of |D| = 2"
     )

@@ -1,3 +1,4 @@
+import decimal
 import math
 import sys
 import threading
@@ -178,6 +179,36 @@ def test_prox_power_root_zero_input_and_zero_weight(p):
     # c == 0 is the identity, bit for bit and without a solve
     got = prox_power_root(u, 0.0, p)
     assert got.tobytes() == u.tobytes() and got is not u
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the absolute 1e-13 stop of the Newton root: at a = 1e300 and "
+    "1e308 it raises 'did not converge', and a root far below 1e-13 comes "
+    "back as bisection noise",
+)
+@pytest.mark.parametrize(
+    "a, c, p",
+    [
+        (1e300, 1e10, 2.7),
+        (1e300, 1e-100, 2.7),
+        (1e308, 1.0, 1.5),
+        # returns 3.9993e-14 for a root near 1.5e-159
+        (1e30, 1e300, 2.7),
+        # returns 5.96e-14 for a root of 5.95e-30: relative residual 1.6e3
+        (1e-6, 0.7, 1.2),
+    ],
+)
+def test_prox_power_root_solves_to_a_relative_residual(a, c, p):
+    # s + c*s**(p-1) = a to 8 ulp of a, at any scale of a and c.  The
+    # residual is taken in 40-digit decimals, where c*s**(p-1) cannot
+    # overflow; at the correctly rounded root it is below 1 ulp of a.
+    s = decimal.Decimal(float(prox_power_root(np.array([a]), c, p)[0]))
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        a_, c_, p_ = (decimal.Decimal(v) for v in (a, c, p))
+        residual = abs(s + c_ * s ** (p_ - 1) - a_)
+        assert residual <= 8 * decimal.Decimal(2.0**-52) * a_
 
 
 def test_prox_power_subnormal_input():

@@ -13,6 +13,7 @@ from oracles import (
     support_rows,
 )
 
+from threshgrad.analysis import analyze
 from threshgrad.operators import LeastSquaresTerm
 from threshgrad.regularizers import (
     CustomPenalty,
@@ -25,7 +26,6 @@ from threshgrad.regularizers import (
 )
 from threshgrad.solver import (
     Problem,
-    SolverConfig,
     fb_step,
     fejer_check,
     fixed_point_residual,
@@ -69,44 +69,62 @@ def random_problem(seed, m=8, n=12, penalty=None):
 
 
 # ---------------------------------------------------------------------------
-# configuration
+# settings
 
 
 def test_step_size_must_stay_inside_open_range():
     p = scalar_problem()
     for lam in (0.0, -0.5, 2.0, 2.5):
-        with pytest.raises(ValueError):
-            SolverConfig(lam=lam).resolve(p)
-    lam, x0 = SolverConfig(lam=1.999999).resolve(p)
-    assert lam == 1.999999
-    assert np.array_equal(x0, [0.0])
+        with pytest.raises(ValueError, match="outside the admissible range"):
+            run(p, lam=lam, max_iter=0)
+    trace = run(p, lam=1.999999, max_iter=0)
+    assert trace.lam == 1.999999
+    assert np.array_equal(trace.x0, [0.0])
 
 
 def test_default_step_is_inverse_lipschitz():
-    lam, _ = SolverConfig().resolve(segment_problem())
-    assert lam == 0.25
+    assert run(segment_problem(), max_iter=0).lam == 0.25
+
+
+def test_default_settings_are_the_stated_ones():
+    # run(problem) is run(problem, lam=1/L, max_iter=100000,
+    # residual_tol=1e-10, x0=0), and analyze passes the same defaults on
+    p = random_problem(4)
+    stated = dict(
+        lam=1.0 / p.h.lipschitz, max_iter=100_000, residual_tol=1e-10, x0=np.zeros(p.n)
+    )
+    arrays = (
+        "ns", "objectives", "residuals", "offsets", "indices", "values", "x_final", "x0"
+    )
+    pairs = [(run(p), run(p, **stated))]
+    pairs += [(analyze(p).trace, analyze(p, **stated).trace)]
+    for got, want in pairs:
+        assert got.converged
+        for name in arrays:
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert (got.lam, got.n_iterations) == (want.lam, want.n_iterations)
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-10])
 def test_residual_tol_must_be_finite_and_nonnegative(tol):
     with pytest.raises(ValueError, match="residual_tol"):
-        SolverConfig(residual_tol=tol).resolve(scalar_problem())
+        run(scalar_problem(), residual_tol=tol, max_iter=0)
 
 
 def test_run_rejects_an_x0_of_another_shape():
     # the one check of a start point: `polish` reads its input off a trace
     with pytest.raises(ValueError, match=r"x0 must have shape \(1,\), got \(2,\)"):
-        run(scalar_problem(), SolverConfig(x0=np.zeros(2), max_iter=0))
+        run(scalar_problem(), x0=np.zeros(2), max_iter=0)
 
 
 def test_x0_validation():
     p = scalar_problem()
-    with pytest.raises(ValueError):
-        SolverConfig(x0=np.zeros(2)).resolve(p)
-    with pytest.raises(ValueError):
-        SolverConfig(x0=np.array([np.nan])).resolve(p)
-    with pytest.raises(ValueError):
-        SolverConfig(max_iter=-1).resolve(p)
+    with pytest.raises(ValueError, match="x0 must have shape"):
+        run(p, x0=np.zeros(2), max_iter=0)
+    with pytest.raises(ValueError, match="x0 must be finite"):
+        run(p, x0=np.array([np.nan]), max_iter=0)
+    with pytest.raises(ValueError, match="max_iter must be >= 0"):
+        run(p, max_iter=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +303,7 @@ def test_fb_step_is_bitwise_the_out_of_place_step(case):
 
 def test_scalar_run_reproduces_geometric_recurrence():
     p = scalar_problem()
-    cfg = SolverConfig(lam=0.5, x0=np.array([1.0]), residual_tol=1e-10)
-    trace = run(p, cfg)
+    trace = run(p, lam=0.5, x0=np.array([1.0]), residual_tol=1e-10)
     assert trace.converged
     assert trace.n_iterations == 34
     assert np.array_equal(trace.ns, np.arange(trace.n_iterations + 1))
@@ -308,7 +325,7 @@ def test_scalar_run_reproduces_geometric_recurrence():
 
 def test_run_started_at_minimizer_stops_immediately():
     p = scalar_problem()
-    trace = run(p, SolverConfig(lam=0.5, x0=np.array([0.0])))
+    trace = run(p, lam=0.5, x0=np.array([0.0]))
     assert trace.converged
     assert trace.n_iterations == 0
     assert trace.residuals[-1] == 0.0
@@ -318,8 +335,7 @@ def test_run_started_at_minimizer_stops_immediately():
 
 def test_run_out_of_budget_reports_not_converged():
     p = scalar_problem()
-    cfg = SolverConfig(lam=0.5, x0=np.array([1.0]), max_iter=5, residual_tol=0.0)
-    trace = run(p, cfg)
+    trace = run(p, lam=0.5, x0=np.array([1.0]), max_iter=5, residual_tol=0.0)
     assert not trace.converged
     assert trace.n_iterations == 5
     assert np.array_equal(trace.ns, np.arange(trace.n_iterations + 1))
@@ -328,7 +344,7 @@ def test_run_out_of_budget_reports_not_converged():
 
 def test_segment_run_converges_in_one_step():
     p = segment_problem()
-    trace = run(p, SolverConfig(residual_tol=1e-10))
+    trace = run(p, residual_tol=1e-10)
     assert trace.converged
     assert trace.n_iterations == 1
     assert np.allclose(trace.x_final, [0.25, -0.25], atol=1e-15)
@@ -338,13 +354,13 @@ def test_segment_run_converges_in_one_step():
 def test_descent_holds_on_random_instances():
     for seed in range(5):
         p = random_problem(seed)
-        trace = run(p, SolverConfig(max_iter=2000, residual_tol=1e-9))
+        trace = run(p, max_iter=2000, residual_tol=1e-9)
         assert descent_failures(trace) == []
 
 
 def test_descent_holds_with_power_penalty():
     p = random_problem(7, penalty=PowerPenalty(4.0, 0.5))
-    trace = run(p, SolverConfig(max_iter=2000, residual_tol=1e-9))
+    trace = run(p, max_iter=2000, residual_tol=1e-9)
     assert descent_failures(trace) == []
 
 
@@ -352,13 +368,13 @@ def test_large_step_still_descends():
     # any step below 2/L keeps the objective monotone
     p = random_problem(3)
     lam = 1.9 / p.h.lipschitz
-    trace = run(p, SolverConfig(lam=lam, max_iter=2000, residual_tol=1e-9))
+    trace = run(p, lam=lam, max_iter=2000, residual_tol=1e-9)
     assert descent_failures(trace) == []
 
 
 def test_reference_distances_recorded():
     p = scalar_problem()
-    trace = run(p, SolverConfig(lam=0.5, x0=np.array([1.0])))
+    trace = run(p, lam=0.5, x0=np.array([1.0]))
     dists = trace.distances_to(np.array([0.0]))
     assert np.allclose(dists, 0.5 ** trace.ns.astype(float), atol=0)
 
@@ -369,7 +385,7 @@ def test_reference_distances_recorded():
 
 def test_fejer_check_reads_distances_from_the_iterate_log():
     p = scalar_problem()
-    trace = run(p, SolverConfig(lam=0.5, x0=np.array([1.0])))
+    trace = run(p, lam=0.5, x0=np.array([1.0]))
     assert fejer_check(trace, np.array([0.0]))
     # distances to x0 = 1 grow along the run
     assert not fejer_check(trace, np.array([1.0]))
@@ -379,11 +395,10 @@ def test_fejer_check_reads_distances_from_the_iterate_log():
 
 def test_fejer_holds_against_any_minimizer_of_the_segment():
     p = segment_problem()
-    cfg = SolverConfig(x0=np.array([1.0, 1.0]), residual_tol=1e-12)
     for t in (0.0, 0.125, 0.25, 0.5):
         ref = np.array([t, t - 0.5])  # on the solution segment x1 - x2 = 1/2
         assert fixed_point_residual(p, 0.25, ref) <= 1e-15
-        trace = run(p, cfg)
+        trace = run(p, x0=np.array([1.0, 1.0]), residual_tol=1e-12)
         assert fejer_check(trace, ref)
 
 
@@ -393,8 +408,7 @@ def test_fejer_holds_against_any_minimizer_of_the_segment():
 
 def test_write_trace_csv_golden(tmp_path):
     p = scalar_problem()
-    cfg = SolverConfig(lam=0.5, x0=np.array([1.0]), max_iter=2, residual_tol=0.0)
-    trace = run(p, cfg)
+    trace = run(p, lam=0.5, x0=np.array([1.0]), max_iter=2, residual_tol=0.0)
     path = tmp_path / "trace.csv"
     dists = trace.distances_to(np.array([0.0]))
     write_trace_csv(trace, path, trace.objectives - 0.5, dists)
@@ -410,7 +424,7 @@ def test_write_trace_csv_golden(tmp_path):
 @pytest.mark.parametrize("cut", [slice(None, -5), slice(1, None)])
 def test_write_trace_csv_rejects_columns_of_another_length(tmp_path, cut):
     p = random_problem(5)
-    trace = run(p, SolverConfig(max_iter=500, residual_tol=1e-9))
+    trace = run(p, max_iter=500, residual_tol=1e-9)
     gaps, dists = trace.objectives, trace.distances_to(trace.x_final)
     path = tmp_path / "trace.csv"
     want = f"expected {len(trace.ns)} gaps and distances, one per trace row"
@@ -424,7 +438,7 @@ def test_write_trace_csv_rejects_columns_of_another_length(tmp_path, cut):
 
 def test_trace_csv_round_trips_the_trace_columns(tmp_path):
     p = random_problem(5)
-    trace = run(p, SolverConfig(max_iter=500, residual_tol=1e-9))
+    trace = run(p, max_iter=500, residual_tol=1e-9)
     f_star = float(trace.objectives[-1])
     path = tmp_path / "trace.csv"
     want = trace.distances_to(trace.x_final)
@@ -438,10 +452,9 @@ def test_trace_csv_round_trips_the_trace_columns(tmp_path):
 
 def test_trace_csv_deterministic_across_runs(tmp_path):
     p = random_problem(11)
-    cfg = SolverConfig(max_iter=500, residual_tol=1e-9)
     paths = []
     for tag in ("a", "b"):
-        trace = run(p, cfg)
+        trace = run(p, max_iter=500, residual_tol=1e-9)
         path = tmp_path / f"{tag}.csv"
         dists = trace.distances_to(trace.x_final)
         write_trace_csv(trace, path, trace.objectives, dists)
@@ -455,12 +468,10 @@ def test_trace_csv_deterministic_across_runs(tmp_path):
 
 def test_iterate_log_reproduces_the_dense_iterates():
     p = random_problem(4)
-    cfg = SolverConfig(max_iter=300, residual_tol=1e-9)
-    trace = run(p, cfg)
-    lam, x = cfg.resolve(p)
-    want = [x]
+    trace = run(p, max_iter=300, residual_tol=1e-9)
+    want = [trace.x0]
     for _ in range(trace.n_iterations):
-        want.append(fb_step(p, lam, want[-1])[0])
+        want.append(fb_step(p, trace.lam, want[-1])[0])
     got = list(iterates(trace))
     assert len(got) == len(want) == len(trace.ns)
     for g, x in zip(got, want):
@@ -485,7 +496,7 @@ def test_run_log_is_bitwise_each_rows_flatnonzero(max_iter):
     )
     p, x0 = mixed_problem(8, 10, n, lambda k: ZeroPenalty() if k % 300 else pen)
     x0[::7] = -0.0
-    trace = run(p, SolverConfig(max_iter=max_iter, residual_tol=0.0, x0=x0))
+    trace = run(p, max_iter=max_iter, residual_tol=0.0, x0=x0)
     assert trace.n_iterations == max_iter
     xs = [x0]
     for _ in range(max_iter):
@@ -502,7 +513,7 @@ def test_run_log_is_bitwise_each_rows_flatnonzero(max_iter):
 
 def test_distances_to_matches_dense_norms_bitwise():
     p = random_problem(9)
-    trace = run(p, SolverConfig(max_iter=500, residual_tol=1e-9))
+    trace = run(p, max_iter=500, residual_tol=1e-9)
     r = np.random.default_rng(0).standard_normal(p.n)
     want = distances_by_row(trace, r)
     assert trace.distances_to(r).tobytes() == want.tobytes()
@@ -524,7 +535,7 @@ def test_distances_to_is_bitwise_the_row_loop_on_ragged_logs(n, sizes):
     rng = np.random.default_rng(n)
     rows = [np.sort(rng.choice(n, size=k, replace=False)) for k in sizes]
     trace = replace(
-        run(scalar_problem(), SolverConfig(max_iter=0)),
+        run(scalar_problem(), max_iter=0),
         offsets=np.cumsum([0] + sizes, dtype=np.int64),
         indices=np.concatenate(rows).astype(np.int32),
         values=rng.standard_normal(sum(sizes)) * 10.0 ** rng.integers(-8, 8, sum(sizes)),
@@ -571,7 +582,7 @@ LOG_OBJECTIVE_CASES = {
 @pytest.mark.parametrize("name", LOG_OBJECTIVE_CASES)
 def test_objectives_from_the_log_are_bitwise_h_plus_g_of_each_iterate(name):
     p, x0 = LOG_OBJECTIVE_CASES[name]()
-    trace = run(p, SolverConfig(max_iter=150, residual_tol=1e-9, x0=x0))
+    trace = run(p, max_iter=150, residual_tol=1e-9, x0=x0)
     xs = list(iterates(trace))
     want = np.array([p.h.value(x) + g_value(x, p.g) for x in xs])
     assert trace.objectives.tobytes() == want.tobytes()
@@ -585,7 +596,7 @@ def test_objective_from_the_log_is_infinite_outside_a_one_sided_interval():
     h = LeastSquaresTerm([[1.0, 0.5]], np.array([1.0]), lipschitz=1.25)
     g = SeparableRegularizer((Interval(-1.0, np.inf), Interval(-1.0, 1.0)), (ZeroPenalty(),) * 2)
     p = Problem(g=g, h=h)
-    trace = run(p, SolverConfig(x0=np.array([1.0, 2.0])))
+    trace = run(p, x0=np.array([1.0, 2.0]))
     # sigma_{[-1, inf)}(1) = inf at the start; the prox then keeps the first
     # coordinate at or below 0
     assert trace.objectives[0] == np.inf
@@ -612,7 +623,7 @@ def test_last_objective_is_bitwise_the_objective_of_x_final(seed, psi, data, max
     g = SeparableRegularizer((Interval(-0.5, 0.5),) * n, tuple(_PSI[k] for k in psi))
     p = Problem(g=g, h=h)
     x0 = np.array(data.draw(st.lists(_ENTRY, min_size=n, max_size=n)))
-    trace = run(p, SolverConfig(max_iter=max_iter, x0=x0))
+    trace = run(p, max_iter=max_iter, x0=x0)
     want = p.objective(trace.x_final)
     assert np.float64(trace.objectives[-1]).tobytes() == np.float64(want).tobytes()
 
@@ -626,11 +637,10 @@ def test_run_raises_on_a_non_finite_iterate(interval):
     # gives inf - inf = NaN, not a silent 0
     h = LeastSquaresTerm([[1.0]], np.array([0.0]), lipschitz=1e-300)
     p = Problem(g=SeparableRegularizer.uniform(1, interval), h=h)
-    cfg = SolverConfig(lam=1e300, x0=np.array([10.0]))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
         RuntimeError, match="non-finite iterate at iteration 1"
     ):
-        run(p, cfg)
+        run(p, lam=1e300, x0=np.array([10.0]))
 
 
 def test_run_does_two_matvecs_per_step():
@@ -645,7 +655,7 @@ def test_run_does_two_matvecs_per_step():
 
     # the term converts its matrix with np.asarray, so swap the view in after
     object.__setattr__(p.h, "op", p.h.op.view(CountedMatrix))
-    trace = run(p, SolverConfig(max_iter=2000, residual_tol=1e-9))
+    trace = run(p, max_iter=2000, residual_tol=1e-9)
     steps = trace.n_iterations + 1
     assert counts == {"A": steps, "A^T": steps}
 

@@ -15,7 +15,7 @@ from threshgrad.regularizers import (
     PowerPenalty,
     SeparableRegularizer,
 )
-from threshgrad.solver import IterateTrace, Problem, SolverConfig, run
+from threshgrad.solver import IterateTrace, Problem, run
 from threshgrad.support import (
     build_support_report,
     identification_audit,
@@ -160,7 +160,7 @@ def test_extended_support_is_unchanged_by_the_joint_rescaling(c2):
         g=SeparableRegularizer.uniform(50, Interval(-c2, c2)),
         h=LeastSquaresTerm(c * p.h.op, c * p.h.y, lipschitz=c2),
     )
-    want, got = analyze(p, SolverConfig()), analyze(scaled, SolverConfig())
+    want, got = analyze(p), analyze(scaled)
     assert len(want.report["esupp"]) == 11
     assert got.report["esupp"] == want.report["esupp"]
     assert got.report["supp"] == want.report["supp"]
@@ -248,7 +248,7 @@ def test_audit_on_single_row_trace():
 
 def test_audit_on_real_run():
     p = scalar_problem()
-    trace = run(p, SolverConfig(lam=0.5, x0=np.array([1.0])))
+    trace = run(p, lam=0.5, x0=np.array([1.0]))
     violations, ident = identification_audit(trace, (0,))
     assert (violations, ident) == (0, 1)
     # against the true (empty-support) solution set every iterate violates
@@ -263,7 +263,7 @@ def test_audit_on_real_run():
 
 def dual_point(p, x):
     """The report's dual point at x, read through a one-row trace of x."""
-    trace = run(p, SolverConfig(x0=x, max_iter=0))
+    trace = run(p, x0=x, max_iter=0)
     return np.array(build_support_report(p, trace, x)["dual_point"])
 
 
@@ -288,7 +288,7 @@ def test_dual_point_agrees_across_minimizers_of_the_segment():
     duals = []
     sols = []
     for x0 in starts:
-        trace = run(p, SolverConfig(x0=x0, residual_tol=1e-12))
+        trace = run(p, x0=x0, residual_tol=1e-12)
         x_bar = polish(p, trace)[0]
         sols.append(x_bar)
         duals.append(build_support_report(p, trace, x_bar)["dual_point"])
@@ -339,7 +339,7 @@ def test_qualification_needs_differentiability_attestation():
 
 def test_report_for_scalar_problem():
     p = scalar_problem()
-    trace = run(p, SolverConfig(lam=0.5, x0=np.array([1.0])))
+    trace = run(p, lam=0.5, x0=np.array([1.0]))
     rep = build_support_report(p, trace, np.array([0.0]))
     assert rep["supp"] == []
     assert rep["esupp"] == [0]
@@ -354,7 +354,7 @@ def test_report_for_scalar_problem():
 
 def test_report_for_segment_problem():
     p = segment_problem()
-    trace = run(p, SolverConfig(residual_tol=1e-12))
+    trace = run(p, residual_tol=1e-12)
     rep = build_support_report(p, trace, np.array([0.25, -0.25]))
     assert rep["supp"] == [0, 1]
     assert rep["esupp"] == [0, 1]
@@ -367,7 +367,7 @@ def test_report_reads_one_boundary_mask(monkeypatch):
     from threshgrad import support as support_module
 
     p = segment_problem()
-    trace = run(p, SolverConfig(residual_tol=1e-12))
+    trace = run(p, residual_tol=1e-12)
     x_bar = np.array([0.25, -0.25])
     calls = []
     original = support_module._boundary_mask
@@ -386,7 +386,7 @@ def test_report_with_custom_penalty_leaves_qualification_open():
     g = SeparableRegularizer.uniform(1, penalty=smooth)
     h = LeastSquaresTerm([[1.0]], np.array([0.0]), lipschitz=1.0)
     p = Problem(g=g, h=h)
-    trace = run(p, SolverConfig())
+    trace = run(p)
     rep = build_support_report(p, trace, np.zeros(1))
     assert rep["qualification_holds"] is None
     assert rep["active_constraints"] is None
@@ -400,11 +400,11 @@ def test_report_invariants_on_random_instance():
         lipschitz=float(np.linalg.norm(a, ord=2) ** 2) * 1.001,
     )
     p = Problem(g=SeparableRegularizer.uniform(25), h=h)
-    trace = run(p, SolverConfig(residual_tol=1e-10))
+    trace = run(p, residual_tol=1e-10)
     from threshgrad.conditioning import polish
 
     x_bar = polish(p, trace)[0]
-    rep = build_support_report(p, run(p, SolverConfig(residual_tol=1e-10)), x_bar)
+    rep = build_support_report(p, run(p, residual_tol=1e-10), x_bar)
     assert set(rep["supp"]) <= set(rep["esupp"])
     assert rep["identification_bound"] >= 0.0
     if rep["rho_sol"] is not None:
@@ -415,7 +415,7 @@ def test_report_invariants_on_random_instance():
 
 def test_report_serialization_roundtrip(tmp_path):
     p = scalar_problem()
-    trace = run(p, SolverConfig(lam=0.5, x0=np.array([1.0])))
+    trace = run(p, lam=0.5, x0=np.array([1.0]))
     rep = build_support_report(p, trace, np.array([0.0]))
     assert rep["rho_sol"] is None  # +inf maps to null
     assert rep["esupp"] == [0]
@@ -441,7 +441,7 @@ SOUND_REPORT = {
 def test_support_report_json_form():
     lists = ("supp", "esupp", "active_constraints", "dual_point")
     p = segment_problem()
-    trace = run(p, SolverConfig(residual_tol=1e-12))
+    trace = run(p, residual_tol=1e-12)
     d = build_support_report(p, trace, trace.x_final)
     assert set(d) == set(SOUND_REPORT)
     assert all(type(d[k]) is list for k in lists)
@@ -449,7 +449,7 @@ def test_support_report_json_form():
     # a power penalty has no dual box, so no active constraints
     g = SeparableRegularizer.uniform(1, penalty=PowerPenalty(2.0))
     p = Problem(g=g, h=scalar_problem().h)
-    d = build_support_report(p, run(p, SolverConfig()), np.zeros(1))
+    d = build_support_report(p, run(p), np.zeros(1))
     assert set(d) == set(SOUND_REPORT)
     assert d["active_constraints"] is None
 
@@ -527,7 +527,7 @@ def test_report_rules_fail_a_report_that_is_not_an_object():
 
 def test_report_rules_pass_a_built_report():
     p = segment_problem()
-    trace = run(p, SolverConfig(residual_tol=1e-12))
+    trace = run(p, residual_tol=1e-12)
     rep = build_support_report(p, trace, trace.x_final)
     assert report_rules(rep) == []
 

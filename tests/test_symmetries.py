@@ -27,7 +27,7 @@ from threshgrad.regularizers import (
     SeparableRegularizer,
     ZeroPenalty,
 )
-from threshgrad.solver import Problem, SolverConfig
+from threshgrad.solver import Problem
 
 PENALTIES = [ZeroPenalty(), PowerPenalty(1.5), PowerPenalty(4.0)]
 
@@ -50,11 +50,11 @@ def test_interval_reflection_negates_the_run(seed, lo, hi, penalty, x0_seed):
     x0 = np.random.default_rng(x0_seed).uniform(-20.0, 20.0, 50)
     want = analyze(
         _problem(h.op, h.y, h.lipschitz, Interval(lo, hi), penalty),
-        SolverConfig(x0=x0),
+        x0=x0,
     )
     got = analyze(
         _problem(-h.op, h.y, h.lipschitz, Interval(-hi, -lo), penalty),
-        SolverConfig(x0=-x0),
+        x0=-x0,
     )
     for field in ("objectives", "residuals"):
         assert getattr(got.trace, field).tobytes() == getattr(want.trace, field).tobytes()
@@ -87,7 +87,7 @@ def test_column_permutation_relabels_the_run(seed, penalty, draw_seed):
     def run(a, ivs, start):
         g = SeparableRegularizer(tuple(ivs), (penalty,) * 50)
         problem = Problem(g=g, h=LeastSquaresTerm(a, h.y, lipschitz=h.lipschitz))
-        return analyze(problem, SolverConfig(x0=start))
+        return analyze(problem, x0=start)
 
     want = run(h.op, intervals, x0)
     got = run(h.op[:, perm], [intervals[k] for k in perm], x0[perm])
