@@ -5,7 +5,10 @@ instance once; the row compares the observed count of iterates whose
 support escapes the extended support of the limit against the a-priori
 budget ceil(rho^-2 lambda^-2 ||x0 - x_bar||^2), and records the fitted
 tail rate.  One CSV row per seed; floats use repr so reruns are
-byte-identical.
+byte-identical.  A seed whose solve stops short of its tolerance or whose
+trace fails its rules (descent, gap floor, Fejer) raises RuntimeError
+naming the seed and the failed rules or the final residual: its row would
+measure a run that did not reach its limit.
 """
 
 import argparse
@@ -20,6 +23,9 @@ from threshgrad.analysis import analyze, generate_synthetic
 
 def audit_seed(seed: int, m: int, n: int) -> dict:
     result = analyze(generate_synthetic(m, n, seed))
+    if not result.trace.converged or result.audits["trace"] != "pass":
+        # the warnings list the failed rules and the residual a run stopped at
+        raise RuntimeError(f"seed {seed}: " + "; ".join(result.warnings))
     report = result.report
     # a seed whose rate audit is skipped has no rate document
     rate = result.rate or {"regime": "skipped", "epsilon": None, "r_squared": None}

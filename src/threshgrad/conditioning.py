@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .regularizers import PowerPenalty
+from .regularizers import PowerPenalty, g_rows
 from .solver import IterateTrace, Problem, fixed_point_residual, run
 
 __all__ = [
@@ -225,9 +225,7 @@ def estimate_gamma(
     floor = _rounding_floor(f_star)
     d = len(J)
     Jarr = np.array(J, dtype=np.intp)
-    off_mask = np.ones(problem.n, dtype=bool)
-    off_mask[Jarr] = False
-    off_norm_sq = float(np.sum(x_bar[off_mask] ** 2))
+    off_norm_sq = float(np.sum(np.delete(x_bar, Jarr) ** 2))
     ball_sq = delta ** 2 - off_norm_sq
     if ball_sq <= 0.0:
         raise RuntimeError(
@@ -236,38 +234,40 @@ def estimate_gamma(
     ball_radius = math.sqrt(ball_sq)
 
     rng = np.random.default_rng(seed)
+    center = x_bar[Jarr]
+    cols_t = problem.h.op[:, Jarr].T
+    # each sample is one row of a CSR-style log on the coordinates J
+    offsets = np.arange(_SAMPLE_CHUNK + 1) * d
+    indices = np.tile(Jarr, _SAMPLE_CHUNK)
     gamma = math.inf
     n_accepted = 0
-    remaining = n_samples
-    while remaining > 0:
-        # full-size draws keep the stream identical across budgets
+    for start in range(0, n_samples, _SAMPLE_CHUNK):
+        # full-size draws and products keep every sample's value the same
+        # across budgets; only the first `take` rows are read
         normals = rng.standard_normal((_SAMPLE_CHUNK, d))
-        unit = rng.random(_SAMPLE_CHUNK)
-        take = min(_SAMPLE_CHUNK, remaining)
-        remaining -= take
-        lengths = np.linalg.norm(normals[:take], axis=1)
+        radii = ball_radius * rng.random(_SAMPLE_CHUNK) ** (1.0 / d)
+        take = min(_SAMPLE_CHUNK, n_samples - start)
+        lengths = np.linalg.norm(normals, axis=1)
         lengths[lengths == 0.0] = 1.0
-        radii = ball_radius * unit[:take] ** (1.0 / d)
-        points = x_bar[Jarr] + normals[:take] * (radii / lengths)[:, None]
-        for row in points:
-            x = np.zeros(problem.n)
-            x[Jarr] = row
-            gap = problem.objective(x) - f_star
-            dist = math.sqrt(float(np.sum((row - x_bar[Jarr]) ** 2)) + off_norm_sq)
-            if gap < -floor:
-                raise RuntimeError(
-                    f"sample beats the reference objective by {-gap:.3e}; "
-                    "x_bar is not the minimizer"
-                )
-            if gap <= floor and dist >= delta / 10.0:
-                raise RuntimeError(
-                    f"flat objective at distance {dist:.3e} from x_bar; "
-                    "minimizer looks non-unique, distance term is invalid"
-                )
-            if gap <= floor or gap >= r:
-                continue
-            n_accepted += 1
-            gamma = min(gamma, p * gap / dist ** p)
+        points = center + normals * (radii / lengths)[:, None]
+        res = points @ cols_t - problem.h.y
+        h = 0.5 * np.einsum("ij,ij->i", res, res)
+        gaps = (h + g_rows(offsets, indices, points.ravel(), g))[:take] - f_star
+        dists = np.sqrt(np.sum((points[:take] - center) ** 2, axis=1) + off_norm_sq)
+        beats = gaps < -floor
+        bad = beats | ((gaps <= floor) & (dists >= delta / 10.0))
+        if bad.any():
+            i = int(np.argmax(bad))  # the first offending sample decides
+            raise RuntimeError(
+                f"sample beats the reference objective by {-gaps[i]:.3e}; "
+                "x_bar is not the minimizer"
+                if beats[i]
+                else f"flat objective at distance {dists[i]:.3e} from x_bar; "
+                "minimizer looks non-unique, distance term is invalid"
+            )
+        ok = (gaps > floor) & (gaps < r)
+        n_accepted += int(np.count_nonzero(ok))
+        gamma = float(np.min(p * gaps[ok] / dists[ok] ** p, initial=gamma))
 
     if n_accepted / n_samples < 0.001:
         raise RuntimeError(

@@ -6,8 +6,8 @@ spelled with the matmul operator, the scalar Newton power root with its
 overflow helper and the closed-form polish clamped by np.clip, a
 brute-force scalar minimizer (dense grid plus golden-section refinement),
 dense iterates, supports, support changes and per-row distances from a
-trace's iterate log, g summed over one dense point, and a per-point prox
-gallery.
+trace's iterate log, g summed over one dense point, a per-point prox
+gallery, and the growth ratio sampled one objective per point.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from typing import Callable
 
 import numpy as np
 
+from threshgrad.conditioning import _SAMPLE_CHUNK, _rounding_floor
 from threshgrad.regularizers import (
     CustomPenalty,
     Interval,
@@ -266,3 +267,52 @@ def gallery_csv_by_point(spec) -> str:
             v = min(max(v, spec.box[0]), spec.box[1])
         lines.append(f"{repr(float(t))},{repr(float(v))}")
     return "\n".join(lines) + "\n"
+
+
+def gamma_by_point(problem, J, x_bar, delta=0.5, r=0.5, p=2.0, n_samples=10_000, seed=0):
+    """(gamma, n_accepted) of `estimate_gamma`'s sampling, one
+    `Problem.objective` per sample: the same candidate stream in chunks of
+    512, the same floor and the same errors, on a sorted nonempty J and a
+    nonempty region.  The reference for the array form."""
+    f_star = problem.objective(x_bar)
+    floor = _rounding_floor(f_star)
+    d = len(J)
+    Jarr = np.array(J, dtype=np.intp)
+    off_mask = np.ones(problem.n, dtype=bool)
+    off_mask[Jarr] = False
+    off_norm_sq = float(np.sum(x_bar[off_mask] ** 2))
+    ball_radius = math.sqrt(delta**2 - off_norm_sq)
+
+    rng = np.random.default_rng(seed)
+    gamma = math.inf
+    n_accepted = 0
+    remaining = n_samples
+    while remaining > 0:
+        normals = rng.standard_normal((_SAMPLE_CHUNK, d))
+        unit = rng.random(_SAMPLE_CHUNK)
+        take = min(_SAMPLE_CHUNK, remaining)
+        remaining -= take
+        lengths = np.linalg.norm(normals[:take], axis=1)
+        lengths[lengths == 0.0] = 1.0
+        radii = ball_radius * unit[:take] ** (1.0 / d)
+        points = x_bar[Jarr] + normals[:take] * (radii / lengths)[:, None]
+        for row in points:
+            x = np.zeros(problem.n)
+            x[Jarr] = row
+            gap = problem.objective(x) - f_star
+            dist = math.sqrt(float(np.sum((row - x_bar[Jarr]) ** 2)) + off_norm_sq)
+            if gap < -floor:
+                raise RuntimeError(
+                    f"sample beats the reference objective by {-gap:.3e}; "
+                    "x_bar is not the minimizer"
+                )
+            if gap <= floor and dist >= delta / 10.0:
+                raise RuntimeError(
+                    f"flat objective at distance {dist:.3e} from x_bar; "
+                    "minimizer looks non-unique, distance term is invalid"
+                )
+            if gap <= floor or gap >= r:
+                continue
+            n_accepted += 1
+            gamma = min(gamma, p * gap / dist**p)
+    return gamma, n_accepted

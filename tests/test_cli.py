@@ -565,6 +565,26 @@ def test_identification_batch_solves_once_per_seed(monkeypatch):
     assert row["regime"] == "linear"
 
 
+def test_identification_batch_refuses_a_seed_whose_run_failed(monkeypatch):
+    script = _batch_script()
+    real = script.analyze
+    rule = "trace: objective gap increases (descent violated)"
+
+    def failed_trace(problem):
+        result = real(problem)
+        audits = {**result.audits, "trace": "fail"}
+        return replace(result, audits=audits, warnings=[rule, *result.warnings])
+
+    monkeypatch.setattr(script, "analyze", failed_trace)
+    with pytest.raises(RuntimeError, match=r"^seed 0: trace: objective gap increases"):
+        script.audit_seed(0, 20, 50)
+    monkeypatch.setattr(script, "analyze", lambda problem: real(problem, max_iter=5))
+    with pytest.raises(
+        RuntimeError, match=r"^seed 1: .*solver stopped at residual \S+ without reaching"
+    ):
+        script.audit_seed(1, 20, 50)
+
+
 def test_identification_batch_row_of_a_skipped_seed(monkeypatch):
     # ex_cq converges in one iteration, so its rate audit is skipped
     script = _batch_script()

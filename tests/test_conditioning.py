@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import brute_force_scalar_min
+from oracles import brute_force_scalar_min, gamma_by_point
 
 from threshgrad.analysis import analyze, generate_synthetic
 from threshgrad.conditioning import (
@@ -553,6 +553,46 @@ def test_gamma_reports_excessive_rejection():
         estimate_gamma(
             p, (0,), np.zeros(1), delta=1.0, r=1e-20, p=2.0, n_samples=2000
         )
+
+
+@pytest.mark.parametrize(
+    "case", ["lasso", "lasso_power15", "lasso_power4", "ex_nocq", 0, 1, 2, 3, 4, 5]
+)
+def test_gamma_sampling_matches_the_per_point_evaluation(request, case):
+    # 1000 samples end inside the second chunk of 512
+    if isinstance(case, int):
+        run_ = request.getfixturevalue("lasso_batch").runs[case]
+        problem, J, x_bar = run_.problem, run_.growth["J"], run_.x_bar
+    else:
+        from threshgrad.cli import _build_problem, _resolve_x0, parse_experiment_config
+
+        c = parse_experiment_config(SHIPPED / f"{case}.ini")
+        problem, _ = _build_problem(c)
+        result = analyze(
+            problem, lam=c.lam, max_iter=c.max_iter, x0=_resolve_x0(c, problem.n)
+        )
+        J, x_bar = result.growth["J"], result.x_bar
+    est = estimate_gamma(problem, J, x_bar, n_samples=1000)
+    gamma, n_accepted = gamma_by_point(problem, J, x_bar, n_samples=1000)
+    assert est.n_accepted == n_accepted
+    assert est.gamma == pytest.approx(gamma, rel=1e-9, abs=0.0)
+
+
+def test_gamma_sampling_raises_what_the_per_point_evaluation_raises():
+    flat = Problem(
+        g=SeparableRegularizer.uniform(2, Interval(-1e-300, 1e-300)),
+        h=LeastSquaresTerm([[0.0, 0.0]], np.array([0.0]), lipschitz=1.0),
+    )
+    cases = [
+        (scalar_problem(), (0,), np.array([0.5]), "not the minimizer"),
+        (flat, (0, 1), np.zeros(2), "non-unique"),
+    ]
+    for problem, J, x_bar, why in cases:
+        with pytest.raises(RuntimeError, match=why) as want:
+            gamma_by_point(problem, J, x_bar, delta=0.5, r=0.5)
+        with pytest.raises(RuntimeError) as got:
+            estimate_gamma(problem, J, x_bar, delta=0.5, r=0.5)
+        assert str(got.value) == str(want.value)
 
 
 # ---------------------------------------------------------------------------
